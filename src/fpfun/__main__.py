@@ -1,0 +1,6 @@
+"""``python -m fpfun``: the fpfun command."""
+
+from .cli import run
+
+if __name__ == "__main__":
+    run()

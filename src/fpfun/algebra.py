@@ -93,9 +93,6 @@ class Grading:
     def var_count(self) -> int:
         return len(self.weights)
 
-    def is_standard(self) -> bool:
-        return all(w == 1 for w in self.weights)
-
 
 def weighted_degree(exponents: ExponentVector, grading: Grading) -> int:
     """Weighted degree sum(e_j * w_j) of an exponent vector."""

@@ -1,7 +1,8 @@
 """Batch front door: parse problem files, run computations, emit plot-ready
 tables and machine-readable reports.
 
-Commands: hk, eval, closed, compare, density, selftest.
+Commands: hk, eval, closed, compare, density, selftest.  Each command computes
+an ``Output`` once; ``write`` renders it as csv, json or text.
 Exit codes: 0 ok, 2 parse error, 3 colength or invariant error, 4 comparison
 failure.
 """
@@ -11,7 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .density import density_table, gn_fourier_exact, quadrature_fourier
 from .errors import (
@@ -22,10 +26,9 @@ from .errors import (
     ParseError,
     StructureError,
 )
-from .fp import fp_limit, hk_multiplicity
-from .hilbert import HilbertSeries, chi_series, series_of_table
+from .fp import ProblemSpec, fp_limit, hk_multiplicity
+from .hilbert import HilbertSeries, chi_polynomial, series_of_table
 from .models import (
-    ExponentialPolynomialModel,
     HNData,
     eval_model,
     model_dim_one,
@@ -44,8 +47,29 @@ EXIT_COMPARISON = 4
 _COMPARISON_SLACK = 1e-6
 
 
-def _fmt(x: float) -> str:
-    return format(_f(x), ".17g")
+# -- rendering ----------------------------------------------------------------
+
+
+@dataclass
+class Output:
+    """A command's result as raw values, rendered by ``write``.
+
+    ``rows`` are the csv rows under ``columns``; in text format they are csv
+    too, or ``column=value`` pairs when ``labelled``.  ``doc`` is the json
+    document.  ``report`` lines follow the rows in text format.  ``side`` lines
+    accompany csv output on stderr, or on stdout when the rows go to ``--out``
+    and ``side_to_stdout`` is set.  A report or side line is a
+    ``(template, *values)`` tuple, or a dict written as one line of JSON.
+    """
+
+    columns: tuple = ()
+    rows: Sequence = ()
+    doc: dict | None = None
+    report: Sequence = ()
+    side: Sequence = ()
+    side_to_stdout: bool = False
+    labelled: bool = False
+    code: int = EXIT_OK
 
 
 def _f(x) -> float:
@@ -53,31 +77,71 @@ def _f(x) -> float:
     return 0.0 if x == 0.0 else x  # normalize -0.0
 
 
-def _frac(x) -> str:
-    return str(Fraction(x))
+def _cell(x) -> str:
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, float):
+        return format(_f(x), ".17g")
+    return str(x)
 
 
-def _open_out(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+def _json(x):
+    """Normalize floats and write Fractions as strings, recursively."""
+    if isinstance(x, float):
+        return _f(x)
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, dict):
+        return {k: _json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json(v) for v in x]
+    return x
 
 
-def _emit(lines, out_path):
-    handle, close = _open_out(out_path)
-    try:
-        for line in lines:
-            handle.write(line + "\n")
-    finally:
-        if close:
-            handle.close()
+def _line(item) -> str:
+    if isinstance(item, dict):
+        return json.dumps(_json(item))
+    template, *values = item
+    return template.format(*map(_cell, values))
+
+
+def _records(keys, rows) -> list:
+    return [dict(zip(keys, row)) for row in rows]
+
+
+def write(output: Output, fmt: str, out_path: str | None) -> None:
+    """Render ``output`` in ``fmt`` to ``out_path`` (stdout if None), then its side lines."""
+    if fmt == "json":
+        lines = [json.dumps(_json(output.doc), indent=2)]
+    elif fmt == "text" and output.labelled:
+        lines = [
+            " ".join(f"{c}={_cell(v)}" for c, v in zip(output.columns, row))
+            for row in output.rows
+        ]
+    else:
+        lines = [",".join(output.columns)] if output.columns else []
+        lines += [",".join(map(_cell, row)) for row in output.rows]
+    if fmt == "text":
+        lines += map(_line, output.report)
+    target = nullcontext(sys.stdout) if out_path is None else open(out_path, "w", encoding="utf-8")
+    with target as handle:
+        handle.writelines(line + "\n" for line in lines)
+    if fmt == "csv" and output.side:
+        to_stdout = out_path is not None and output.side_to_stdout
+        (sys.stdout if to_stdout else sys.stderr).writelines(
+            _line(item) + "\n" for item in output.side
+        )
 
 
 # -- model construction -------------------------------------------------------
 
 
 def build_model(method: str, pf: ProblemFile, problem: ProblemSpec, hn_json: str | None):
-    """Construct the closed-form model named by ``method`` for this problem."""
+    """Construct the closed-form model named by ``method`` for this problem.
+
+    Returns ``(model, betti)``; ``betti`` is the alternating Betti polynomial
+    behind the finite-pd model and None for the other methods.
+    """
     if method == "hsop":
         degrees = tuple(g.homogeneous_degree() for g in problem.ideal.generators)
         if len(degrees) != problem.ring_dimension:
@@ -85,23 +149,18 @@ def build_model(method: str, pf: ProblemFile, problem: ProblemSpec, hn_json: str
                 f"hsop method needs exactly dim(R) = {problem.ring_dimension} generators, "
                 f"got {len(degrees)}"
             )
-        return model_hsop(problem.ring_multiplicity, degrees)
+        return model_hsop(problem.ring_multiplicity, degrees), None
     if method == "dim1":
         if problem.ring_dimension != 1:
             raise StructureError("dim1 method applies to one-dimensional rings only")
         h = min(g.homogeneous_degree() for g in problem.ideal.generators)
-        return model_dim_one(problem.ring_multiplicity, h)
+        return model_dim_one(problem.ring_multiplicity, h), None
     if method == "finite-pd":
-        betti = chi_series(
-            series_of_table(problem.table(0)),
-            HilbertSeries.one(),
-            problem.ring_series(),
+        betti = chi_polynomial(
+            series_of_table(problem.table(0)), HilbertSeries.one(), problem.ring_series()
         )
-        if betti.denominator_degrees:
-            raise StructureError("alternating Betti series is not a Laurent polynomial")
-        return model_finite_pd(
-            problem.ring_multiplicity, betti.numerator, problem.ring_dimension
-        )
+        model = model_finite_pd(problem.ring_multiplicity, betti, problem.ring_dimension)
+        return model, betti
     if method == "hn":
         data = None
         if hn_json is not None:
@@ -113,7 +172,7 @@ def build_model(method: str, pf: ProblemFile, problem: ProblemSpec, hn_json: str
             data = pf.hn
         if data is None:
             raise ParseError("method hn needs --hn-json or options.hn in the problem file")
-        return model_from_hn(_hn_from_dict(data))
+        return model_from_hn(_hn_from_dict(data)), None
     raise ParseError(f"unknown method {method!r}")
 
 
@@ -139,22 +198,10 @@ def _hn_from_dict(data: dict) -> HNData:
     return HNData(delta_r=delta_r, rank_s=rank_s, factors=tuple(factors))
 
 
-def _model_json(model: ExponentialPolynomialModel) -> dict:
-    return model.to_json_dict()
-
-
-def _sample_rows(model, grid):
-    rows = ["y_re,y_im,model_re,model_im"]
-    for y in grid:
-        v = eval_model(model, y)
-        rows.append(",".join((_fmt(y.real), _fmt(y.imag), _fmt(v.real), _fmt(v.imag))))
-    return rows
-
-
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_hk(args) -> int:
+def cmd_hk(args) -> Output:
     pf = load_problem_file(args.file)
     problem = pf.to_problem()
     n_top = args.n if args.n is not None else pf.n_max
@@ -164,37 +211,20 @@ def cmd_hk(args) -> int:
     stable_from = n_top
     while stable_from > 0 and values[stable_from - 1] == values[n_top]:
         stable_from -= 1
-    if args.format == "json":
-        doc = {
-            "levels": [
-                {
-                    "n": n,
-                    "q": problem.prime ** n,
-                    "length": str(problem.table(n).total()),
-                    "hk": _frac(v),
-                }
-                for n, v in enumerate(values)
-            ],
-            "stable_from": stable_from,
-            "stable_value": _frac(values[n_top]),
-        }
-        _emit([json.dumps(doc, indent=2)], args.out)
-    elif args.format == "csv":
-        rows = ["n,q,length,hk"]
-        for n, v in enumerate(values):
-            rows.append(f"{n},{problem.prime ** n},{problem.table(n).total()},{_frac(v)}")
-        _emit(rows, args.out)
+    columns = ("n", "q", "length", "hk")
+    rows = [
+        (n, problem.prime ** n, str(problem.table(n).total()), v) for n, v in enumerate(values)
+    ]
+    if stable_from < n_top or n_top == 0:
+        report = [("stable value {} from n={}", values[n_top], stable_from)]
     else:
-        lines = [
-            f"n={n} q={problem.prime ** n} length={problem.table(n).total()} hk={_frac(v)}"
-            for n, v in enumerate(values)
-        ]
-        if stable_from < n_top or n_top == 0:
-            lines.append(f"stable value {_frac(values[n_top])} from n={stable_from}")
-        else:
-            lines.append(f"no stabilization observed up to n={n_top}")
-        _emit(lines, args.out)
-    return EXIT_OK
+        report = [("no stabilization observed up to n={}", n_top)]
+    doc = {
+        "levels": _records(columns, rows),
+        "stable_from": stable_from,
+        "stable_value": values[n_top],
+    }
+    return Output(columns, rows, doc, report=report, labelled=True)
 
 
 def _resolve_grid(args, pf: ProblemFile):
@@ -220,83 +250,47 @@ def _parse_grid_shorthand(text: str):
         raise ParseError(f"cannot read y grid {text!r}: {exc}")
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> Output:
     pf = load_problem_file(args.file)
     problem = pf.to_problem()
     n_max = args.n_max if args.n_max is not None else pf.n_max
     grid = _resolve_grid(args, pf)
     estimates = fp_limit(problem, grid, n_max) if grid else {}
-    if args.format == "json":
-        doc = {
-            "n": n_max,
-            "points": [
-                {
-                    "y_re": _f(est_y.real),
-                    "y_im": _f(est_y.imag),
-                    "f_re": _f(est.value.real),
-                    "f_im": _f(est.value.imag),
-                    "err_bound": _f(est.error_bound),
-                }
-                for est_y, est in estimates.items()
-            ],
-        }
-        _emit([json.dumps(doc, indent=2)], args.out)
-    else:
-        rows = ["y_re,y_im,n,F_re,F_im,err_bound"]
-        for y, est in estimates.items():
-            rows.append(
-                ",".join(
-                    (
-                        _fmt(y.real),
-                        _fmt(y.imag),
-                        str(n_max),
-                        _fmt(est.value.real),
-                        _fmt(est.value.imag),
-                        _fmt(est.error_bound),
-                    )
-                )
-            )
-        _emit(rows, args.out)
-    return EXIT_OK
+    rows = [
+        (y.real, y.imag, n_max, est.value.real, est.value.imag, est.error_bound)
+        for y, est in estimates.items()
+    ]
+    keys = ("y_re", "y_im", "f_re", "f_im", "err_bound")
+    points = _records(keys, [row[:2] + row[3:] for row in rows])
+    columns = ("y_re", "y_im", "n", "F_re", "F_im", "err_bound")
+    return Output(columns, rows, {"n": n_max, "points": points})
 
 
-def cmd_closed(args) -> int:
+def cmd_closed(args) -> Output:
     pf = load_problem_file(args.file)
     problem = pf.to_problem()
-    model = build_model(args.method, pf, problem, args.hn_json)
+    model, betti = build_model(args.method, pf, problem, args.hn_json)
     grid = _resolve_grid(args, pf)
     value0 = model.value_at_zero()
-    doc = {
+    summary = {
         "method": args.method,
-        "model": _model_json(model),
-        "value_at_zero": {"re": _f(value0.real), "im": _f(value0.imag)},
+        "model": model.to_json_dict(),
+        "value_at_zero": {"re": value0.real, "im": value0.imag},
     }
-    if args.method == "finite-pd":
-        betti = chi_series(
-            series_of_table(problem.table(0)), HilbertSeries.one(), problem.ring_series()
-        ).numerator
-        doc["betti"] = [[j, c] for j, c in betti.items_sorted()]
-    if args.format == "csv":
-        _emit(_sample_rows(model, grid), args.out)
-        print(json.dumps(doc), file=sys.stderr)
-    else:
-        doc["samples"] = [
-            {
-                "y_re": _f(y.real),
-                "y_im": _f(y.imag),
-                "f_re": _f(eval_model(model, y).real),
-                "f_im": _f(eval_model(model, y).imag),
-            }
-            for y in grid
-        ]
-        _emit([json.dumps(doc, indent=2)], args.out)
-    return EXIT_OK
+    if betti is not None:
+        summary["betti"] = [[j, c] for j, c in betti.items_sorted()]
+    rows = []
+    for y in grid:
+        v = eval_model(model, y)
+        rows.append((y.real, y.imag, v.real, v.imag))
+    doc = dict(summary, samples=_records(("y_re", "y_im", "f_re", "f_im"), rows))
+    return Output(("y_re", "y_im", "model_re", "model_im"), rows, doc, side=[summary])
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> Output:
     pf = load_problem_file(args.file)
     problem = pf.to_problem()
-    model = build_model(args.method, pf, problem, args.hn_json)
+    model, _ = build_model(args.method, pf, problem, args.hn_json)
     n_max = args.n_max if args.n_max is not None else pf.n_max
     grid = _resolve_grid(args, pf)
     estimates = fp_limit(problem, grid, n_max) if grid else {}
@@ -309,56 +303,27 @@ def cmd_compare(args) -> int:
         ok = dev <= est.error_bound + _COMPARISON_SLACK
         worst_dev = max(worst_dev, dev)
         all_ok = all_ok and ok
-        rows.append((y, est, mval, dev, ok))
-    if args.format == "json":
-        doc = {
-            "method": args.method,
-            "n": n_max,
-            "points": [
-                {
-                    "y_re": _f(y.real),
-                    "y_im": _f(y.imag),
-                    "f_re": _f(est.value.real),
-                    "f_im": _f(est.value.imag),
-                    "model_re": _f(mval.real),
-                    "model_im": _f(mval.imag),
-                    "deviation": _f(dev),
-                    "bound": _f(est.error_bound),
-                    "ok": ok,
-                }
-                for y, est, mval, dev, ok in rows
-            ],
-            "max_deviation": _f(worst_dev),
-            "pass": all_ok,
-        }
-        _emit([json.dumps(doc, indent=2)], args.out)
-    else:
-        lines = ["y_re,y_im,F_re,F_im,model_re,model_im,deviation,bound,ok"]
-        for y, est, mval, dev, ok in rows:
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(y.real),
-                        _fmt(y.imag),
-                        _fmt(est.value.real),
-                        _fmt(est.value.imag),
-                        _fmt(mval.real),
-                        _fmt(mval.imag),
-                        _fmt(dev),
-                        _fmt(est.error_bound),
-                        "1" if ok else "0",
-                    )
-                )
-            )
-        if args.format == "text":
-            lines.append(
-                f"max_deviation={_fmt(worst_dev)} result={'PASS' if all_ok else 'FAIL'}"
-            )
-        _emit(lines, args.out)
-    return EXIT_OK if all_ok else EXIT_COMPARISON
+        row = (y.real, y.imag, est.value.real, est.value.imag, mval.real, mval.imag)
+        rows.append(row + (dev, est.error_bound, ok))
+    keys = ("y_re", "y_im", "f_re", "f_im", "model_re", "model_im", "deviation", "bound", "ok")
+    doc = {
+        "method": args.method,
+        "n": n_max,
+        "points": _records(keys, rows),
+        "max_deviation": worst_dev,
+        "pass": all_ok,
+    }
+    columns = ("y_re", "y_im", "F_re", "F_im", "model_re", "model_im", "deviation", "bound", "ok")
+    return Output(
+        columns,
+        rows,
+        doc,
+        report=[("max_deviation={} result={}", worst_dev, "PASS" if all_ok else "FAIL")],
+        code=EXIT_OK if all_ok else EXIT_COMPARISON,
+    )
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> Output:
     pf = load_problem_file(args.file)
     problem = pf.to_problem()
     n = args.n if args.n is not None else pf.n_max
@@ -366,58 +331,34 @@ def cmd_density(args) -> int:
     grid = _resolve_grid(args, pf)
     q = table.q
     scale = q ** (table.d - 1)
-    csv_rows = ["x,g_n_of_x,j,ell_j"]
-    for j, ell in table.entries:
-        csv_rows.append(
-            ",".join((_fmt(j / q), _fmt(float(Fraction(ell, scale))), str(j), str(ell)))
-        )
-
-    report = []
+    rows = [(j / q, ell / scale, j, str(ell)) for j, ell in table.entries]
     mass = table.mass()
-    zero_gap = mass - hk_multiplicity(problem, n)
-    report.append(f"gn_hat_zero={_frac(mass)} F_n_zero={_frac(hk_multiplicity(problem, n))} equal={zero_gap == 0}")
+    hk = hk_multiplicity(problem, n)
+    side = [("gn_hat_zero={} F_n_zero={} equal={}", mass, hk, str(mass == hk))]
     worst = 0.0
     for y in grid:
         if y == 0:
             continue
         gap = abs(gn_fourier_exact(problem, n, y) - quadrature_fourier(table, y))
         worst = max(worst, gap)
-        report.append(f"y={_fmt(y.real)}+{_fmt(y.imag)}i bridge_gap={_fmt(gap)}")
-    report.append(f"max_bridge_gap={_fmt(worst)}")
-
-    if args.format == "json":
-        doc = {
-            "n": n,
-            "d": table.d,
-            "rows": [
-                {"x": _f(j / q), "g": _f(Fraction(ell, scale)), "j": j, "ell": str(ell)}
-                for j, ell in table.entries
-            ],
-            "gn_hat_zero": _frac(mass),
-            "max_bridge_gap": _f(worst),
-        }
-        _emit([json.dumps(doc, indent=2)], args.out)
-        return EXIT_OK
-    if args.out is not None:
-        _emit(csv_rows, args.out)
-        for line in report:
-            print(line)
-    else:
-        _emit(csv_rows, None)
-        for line in report:
-            print(line, file=sys.stderr)
-    return EXIT_OK
+        side.append(("y={}+{}i bridge_gap={}", y.real, y.imag, gap))
+    side.append(("max_bridge_gap={}", worst))
+    doc = {
+        "n": n,
+        "d": table.d,
+        "rows": _records(("x", "g", "j", "ell"), rows),
+        "gn_hat_zero": mass,
+        "max_bridge_gap": worst,
+    }
+    return Output(("x", "g_n_of_x", "j", "ell_j"), rows, doc, side=side, side_to_stdout=True)
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> Output:
     try:
         results = run_all(quick=args.quick)
     except SelfCheckFailure as exc:
-        print(f"FAIL {exc}")
-        return EXIT_INVARIANT
-    for name, count in results:
-        print(f"ok {name} ({count} checks)")
-    return EXIT_OK
+        return Output(report=[("FAIL {}", exc)], code=EXIT_INVARIANT)
+    return Output(report=[("ok {} ({} checks)", name, count) for name, count in results])
 
 
 # -- entry point --------------------------------------------------------------
@@ -489,13 +430,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        output = args.func(args)
+        write(output, getattr(args, "format", "text"), getattr(args, "out", None))
+        return output.code
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except OverflowError as exc:
+        print(f"error: floating-point overflow ({exc})", file=sys.stderr)
+        return EXIT_INVARIANT
     except (
         ColengthError,
         StructureError,

@@ -26,12 +26,18 @@ from .errors import EvaluationDomainError, StructureError
 from .hilbert import (
     HilbertSeries,
     LaurentPolynomialZ,
-    chi_series,
+    chi_polynomial,
     hilbert_samuel,
     series_of_ring,
     series_of_table,
 )
-from .ideals import GradedLengthTable, HomogeneousIdeal, RingPresentation, graded_lengths
+from .ideals import (
+    GradedLengthTable,
+    HomogeneousIdeal,
+    RingPresentation,
+    check_ideal_in_ring,
+    graded_lengths,
+)
 
 
 class ProblemSpec:
@@ -44,9 +50,7 @@ class ProblemSpec:
     """
 
     def __init__(self, ring: RingPresentation, ideal: HomogeneousIdeal, dim_override=None):
-        g = ideal.generators[0]
-        if g.field != ring.field or g.grading != ring.grading:
-            raise StructureError("ideal and ring live over different fields or gradings")
+        check_ideal_in_ring(ring, ideal)
         if dim_override is not None and (not isinstance(dim_override, int) or dim_override < 0):
             raise StructureError("dim_override must be a non-negative integer")
         self.ring = ring
@@ -192,10 +196,7 @@ def betti_alternating_polynomial(
     degrees = _checked_degrees(hsop_degrees)
     table_series = series_of_table(problem.table(n))
     hsop_series = HilbertSeries(LaurentPolynomialZ.one(), degrees)
-    chi = chi_series(table_series, HilbertSeries.one(), hsop_series)
-    if chi.denominator_degrees:
-        raise StructureError("alternating Betti series did not reduce to a Laurent polynomial")
-    return chi.numerator
+    return chi_polynomial(table_series, HilbertSeries.one(), hsop_series)
 
 
 @dataclass(frozen=True)
@@ -255,15 +256,13 @@ def cm_chi_eval(problem: ProblemSpec, hsop_degrees: Sequence[int], n: int, y: co
     for d in degrees:
         mod_numerator = mod_numerator * LaurentPolynomialZ.one_minus_power(d)
     mod_series = HilbertSeries(mod_numerator, ring_series.denominator_degrees)
-    chi = chi_series(mod_series, series_of_table(problem.table(n)), ring_series)
-    if chi.denominator_degrees:
-        raise StructureError("chi series did not reduce to a Laurent polynomial")
+    chi = chi_polynomial(mod_series, series_of_table(problem.table(n)), ring_series)
     q = problem.prime ** n
     z = cmath.exp(-1j * complex(y) / q)
     scale = 1
     for d in degrees:
         scale *= d
-    return chi.numerator.evaluate(z) / (scale * (1j * complex(y)) ** len(degrees))
+    return chi.evaluate(z) / (scale * (1j * complex(y)) ** len(degrees))
 
 
 def _checked_degrees(hsop_degrees: Sequence[int]) -> tuple:

@@ -110,34 +110,35 @@ class LaurentPolynomialZ:
         return total
 
     def divide_exact(self, divisor: "LaurentPolynomialZ") -> "LaurentPolynomialZ":
-        """Exact quotient; raises InexactDivisionError on any remainder."""
+        """Exact quotient by integer synthetic division from the top degree down.
+
+        Raises InexactDivisionError at the first nonzero remainder, including a
+        coefficient that the divisor's leading coefficient does not divide.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPolynomialZ.zero()
-        shift = self.valuation - divisor.valuation
-        num = _dense(self)
-        den = _dense(divisor)
-        quot = [Fraction(0)] * (len(num) - len(den) + 1)
-        if len(num) < len(den):
+        low = divisor.valuation
+        top = divisor.degree - low
+        lead = divisor.coeffs[divisor.degree]
+        terms = [(e - low, c) for e, c in divisor.coeffs.items()]
+        work = _dense(self)
+        if len(work) <= top:
             raise InexactDivisionError("quotient would not be a Laurent polynomial")
-        work = [Fraction(c) for c in num]
-        lead = Fraction(den[-1])
+        quot = [0] * (len(work) - top)
         for i in range(len(quot) - 1, -1, -1):
-            c = work[i + len(den) - 1] / lead
-            quot[i] = c
+            c, r = divmod(work[i + top], lead)
+            if r:
+                raise InexactDivisionError("division left a nonzero remainder")
             if c:
-                for k, dc in enumerate(den):
+                quot[i] = c
+                for k, dc in terms:
                     work[i + k] -= c * dc
         if any(work):
             raise InexactDivisionError("division left a nonzero remainder")
-        out = {}
-        for i, c in enumerate(quot):
-            if c:
-                if c.denominator != 1:
-                    raise InexactDivisionError("quotient has non-integer coefficients")
-                out[i + shift] = int(c)
-        return LaurentPolynomialZ(out)
+        shift = self.valuation - low
+        return LaurentPolynomialZ({i + shift: c for i, c in enumerate(quot)})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPolynomialZ) and self.coeffs == other.coeffs
@@ -214,12 +215,6 @@ class HilbertSeries:
                 changed = True
                 break
         return HilbertSeries(num, tuple(remaining))
-
-    def multiply(self, other: "HilbertSeries") -> "HilbertSeries":
-        return HilbertSeries(
-            self.numerator * other.numerator,
-            self.denominator_degrees + other.denominator_degrees,
-        )
 
     def equal_as_rational(self, other: "HilbertSeries") -> bool:
         """Exact equality of rational functions by cross multiplication."""
@@ -326,3 +321,16 @@ def chi_series(h_m: HilbertSeries, h_n: HilbertSeries, h_r: HilbertSeries) -> Hi
     numerator = h_m.numerator * h_n.numerator * h_r.denominator_polynomial()
     quotient = numerator.divide_exact(h_r.numerator)
     return HilbertSeries(quotient, h_m.denominator_degrees + h_n.denominator_degrees).reduce()
+
+
+def chi_polynomial(
+    h_m: HilbertSeries, h_n: HilbertSeries, h_r: HilbertSeries
+) -> LaurentPolynomialZ:
+    """chi_series(h_m, h_n, h_r) as a Laurent polynomial.
+
+    Raises StructureError when a denominator factor survives the reduction.
+    """
+    chi = chi_series(h_m, h_n, h_r)
+    if chi.denominator_degrees:
+        raise StructureError("chi series did not reduce to a Laurent polynomial")
+    return chi.numerator

@@ -360,13 +360,11 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
     Raises ColengthError (naming a variable with no pure power in the initial
     ideal) when the ideal does not have finite colength in the ring.
     """
-    _check_problem(ring, ideal)
+    check_ideal_in_ring(ring, ideal)
     if n < 0:
         raise StructureError("level n must be non-negative")
     p = ring.field.p
-    q = p ** n
-    powered = [g.frobenius_power(q) for g in ideal.generators]
-    polys = list(ring.relations) + powered
+    polys = list(ring.relations) + list(bracket_power(ideal, n).generators)
     if all(f.is_monomial() for f in polys):
         M = MonomialIdeal.from_exponents(f.single_exponent() for f in polys)
     else:
@@ -386,7 +384,8 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
     return GradedLengthTable(n, p, {j: c for j, c in enumerate(counts) if c})
 
 
-def _check_problem(ring: RingPresentation, ideal: HomogeneousIdeal):
+def check_ideal_in_ring(ring: RingPresentation, ideal: HomogeneousIdeal):
+    """Raise StructureError unless the ideal lives over the ring's field and grading."""
     g = ideal.generators[0]
     if g.field != ring.field or g.grading != ring.grading:
         raise StructureError("ideal and ring live over different fields or gradings")

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -319,6 +321,104 @@ class TestRobustness:
         )
         assert code == 2
         assert "io error" in capsys.readouterr().err
+
+
+class TestRenderer:
+    CASES = [
+        ("hk", "text", ["--n", "3"]),
+        ("hk", "csv", ["--n", "3"]),
+        ("hk", "json", ["--n", "3"]),
+        ("eval", "csv", ["--n-max", "3"]),
+        ("eval", "json", ["--n-max", "3"]),
+        ("closed", "csv", ["--method", "finite-pd"]),
+        ("closed", "json", ["--method", "finite-pd"]),
+        ("compare", "text", ["--method", "hsop", "--n-max", "3"]),
+        ("compare", "csv", ["--method", "hsop", "--n-max", "3"]),
+        ("compare", "json", ["--method", "hsop", "--n-max", "3"]),
+        ("density", "csv", ["--n", "3"]),
+        ("density", "json", ["--n", "3"]),
+    ]
+
+    @pytest.mark.parametrize("command,fmt,extra", CASES)
+    def test_out_file_gets_the_stdout_bytes(self, command, fmt, extra, tmp_path, capsys):
+        argv = [command, "--file", problem("plane.json"), "--format", fmt, *extra]
+        code = main(argv)
+        plain = capsys.readouterr()
+        target = tmp_path / "main.out"
+        assert main(argv + ["--out", str(target)]) == code
+        routed = capsys.readouterr()
+        assert plain.out
+        assert target.read_bytes() == plain.out.encode()
+        if command == "density" and fmt == "csv":
+            # the bridge report moves to the stdout that --out freed
+            assert (routed.out, routed.err) == (plain.err, "")
+        else:
+            assert (routed.out, routed.err) == ("", plain.err)
+
+    def test_closed_csv_writes_model_json_to_stderr(self, capsys):
+        argv = ["closed", "--file", problem("three_generator.json"), "--method", "finite-pd"]
+        assert main(argv + ["--format", "csv", "--y-grid", "[]"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "y_re,y_im,model_re,model_im\n"
+        assert json.loads(captured.err)["betti"] == [[0, 1], [2, -2], [4, 1]]
+
+    HK_TEXT = (
+        "n=0 q=1 length=6 hk=6\n"
+        "n=1 q=2 length=24 hk=6\n"
+        "n=2 q=4 length=96 hk=6\n"
+        "n=3 q=8 length=384 hk=6\n"
+        "stable value 6 from n=0\n"
+    )
+    HK_CSV = "n,q,length,hk\n0,1,6,6\n1,2,24,6\n2,4,96,6\n3,8,384,6\n"
+    HK_JSON = {
+        "levels": [
+            {"n": 0, "q": 1, "length": "6", "hk": "6"},
+            {"n": 1, "q": 2, "length": "24", "hk": "6"},
+            {"n": 2, "q": 4, "length": "96", "hk": "6"},
+            {"n": 3, "q": 8, "length": "384", "hk": "6"},
+        ],
+        "stable_from": 0,
+        "stable_value": "6",
+    }
+
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [("text", HK_TEXT), ("csv", HK_CSV), ("json", json.dumps(HK_JSON, indent=2) + "\n")],
+    )
+    def test_hk_exact_bytes(self, fmt, expected, capsys):
+        argv = ["hk", "--file", problem("parameter23.json"), "--n", "3", "--format", fmt]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (expected, "")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval"],
+            ["closed", "--method", "hsop"],
+            ["compare", "--method", "hsop"],
+            ["density"],
+        ],
+    )
+    def test_overflowing_grid_point_exits_3(self, argv, capsys):
+        code = main([*argv, "--file", problem("plane.json"), "--y-grid", "[[1,800]]"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_python_dash_m_runs_the_cli(self):
+        paths = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        argv = [sys.executable, "-m", "fpfun", "hk", "--file", problem("plane.json")]
+        done = subprocess.run(argv + ["--n", "2"], env=env, capture_output=True, text=True)
+        assert done.returncode == 0
+        assert done.stdout.splitlines()[-1] == "stable value 1 from n=0"
+        failed = subprocess.run(argv + ["--n", "-1"], env=env, capture_output=True, text=True)
+        assert failed.returncode == 2
+        assert failed.stderr == "parse error: --n must be non-negative\n"
 
 
 class TestSelftest:

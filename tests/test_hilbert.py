@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from fpfun.errors import EvaluationDomainError, InexactDivisionError
+from fpfun.errors import EvaluationDomainError, InexactDivisionError, StructureError
 from fpfun.hilbert import (
     HilbertSeries,
     LaurentPolynomialZ,
+    chi_polynomial,
     chi_series,
     eval_series,
     hilbert_samuel,
@@ -46,6 +47,28 @@ class TestLaurentPolynomial:
         num = lp({-1: 1, 0: -1})  # t^-1 (1 - t)
         q = num.divide_exact(lp({0: 1, 1: -1}))
         assert q == lp({-1: 1})
+
+    def test_divide_non_unit_leading_coefficient(self):
+        assert lp({0: 2, 1: 4, 2: -6}).divide_exact(lp({0: 1, 1: 3})) == lp({0: 2, 1: -2})
+        with pytest.raises(InexactDivisionError):
+            lp({0: 1, 1: 1}).divide_exact(lp({0: 1, 1: 2}))  # quotient 1/2
+
+    def test_divide_by_longer_polynomial_raises(self):
+        with pytest.raises(InexactDivisionError, match="not be a Laurent polynomial"):
+            lp({0: 1, 1: 1}).divide_exact(lp({0: 1, 3: -1}))
+
+    def test_divide_exact_random_products(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            a = lp({rng.randint(-3, 6): rng.randint(-5, 5) for _ in range(rng.randint(1, 6))})
+            span = rng.randint(1, 4)
+            b = lp({k: rng.randint(-3, 3) for k in range(1, span)})
+            b = b + lp({0: rng.choice((-2, -1, 1, 2)), span: rng.choice((-3, -2, -1, 1, 2, 3))})
+            b = b * lp({rng.randint(-2, 2): 1})
+            assert (a * b).divide_exact(b) == a
+            # b has two or more terms, so no nonzero monomial is a multiple of it
+            with pytest.raises(InexactDivisionError):
+                (a * b + lp({rng.randint(-5, 8): 1})).divide_exact(b)
 
     def test_evaluate(self):
         a = lp({0: 1, 3: 2})
@@ -150,6 +173,15 @@ class TestChiSeries:
             chi = chi_series(h_m, HilbertSeries.one(), HilbertSeries(ONE, (1, 1)))
             expected = lp({0: 1, d1: -1}) * lp({0: 1, d2: -1})
             assert chi.numerator == expected
+
+    def test_chi_polynomial(self):
+        h_m = HilbertSeries(lp({0: 1, 1: 2, 2: 1}), ())
+        chi = chi_polynomial(h_m, HilbertSeries.one(), HilbertSeries(ONE, (1, 1)))
+        assert chi == lp({0: 1, 2: -2, 4: 1})
+
+    def test_chi_polynomial_rejects_a_remaining_denominator(self):
+        with pytest.raises(StructureError):
+            chi_polynomial(HilbertSeries(ONE, (2,)), HilbertSeries.one(), HilbertSeries.one())
 
     def test_inexact_division_raises(self):
         h_m = HilbertSeries(lp({0: 1, 1: 1}), ())
