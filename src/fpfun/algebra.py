@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import add, le, mul, sub
 from typing import Iterable, Mapping
 
 from .errors import ParseError, StructureError
@@ -309,9 +311,10 @@ def normal_form(f: Polynomial, divisors, order: TermOrder) -> Polynomial:
 
     The remainder r satisfies: f - r lies in the ideal generated by the
     divisors, and no term of r is divisible by any leading term of a divisor.
-    Divisors are scaled monic first, and at each step the first divisor in
-    list order whose leading term divides the current term is used, so the
-    result is deterministic.
+    Divisors are scaled monic first; the largest remaining term is always
+    taken next, and it is divided by the first divisor in list order whose
+    leading term divides it, so the result is deterministic.  The work is
+    done by the heap-driven kernel that Buchberger's algorithm also uses.
     """
     divisors = list(divisors)
     if not divisors:
@@ -320,31 +323,107 @@ def normal_form(f: Polynomial, divisors, order: TermOrder) -> Polynomial:
         f._check_compatible(g)
         if g.is_zero():
             raise StructureError("zero divisor polynomial in normal form")
-    monic = [g.monic(order) for g in divisors]
-    leads = [g.leading_exponents(order) for g in monic]
+    weights, p = order.grading.weights, f.field.p
+    reducers = [_monic_reducer(_heap_terms(g, weights), p) for g in divisors]
+    remainder = _reduce(_heap_terms(f, weights), reducers, p)
+    return Polynomial(f.field, f.grading, _from_heap_terms(remainder))
 
+
+# -- the reduction kernel ----------------------------------------------------
+#
+# Inside the kernel the monomial x^e is the tuple (-deg e, e_m, ..., e_1): its
+# weighted degree negated, then its exponents with the last variable first.
+# Ascending order of these tuples is descending TermOrder order, so a min-heap
+# pops the leading term first, and multiplying two monomials adds their tuples
+# componentwise.  Polynomials are dicts from such tuples to nonzero residues.
+
+
+def _heap_terms(poly: Polynomial, weights) -> dict:
+    """The terms of poly keyed by heap-form monomials."""
+    if len(weights) != poly.grading.var_count:
+        raise StructureError("term order and polynomial have different variable counts")
+    return {
+        (-sum(map(mul, e, weights)),) + e[::-1]: c for e, c in poly.terms.items()
+    }
+
+
+def _from_heap_terms(terms: dict) -> dict:
+    """Exponent vectors back from heap-form monomials."""
+    return {m[:0:-1]: c for m, c in terms.items()}
+
+
+def _monic_reducer(terms: dict, p: int) -> tuple:
+    """The ``(lead, tail)`` form of the monic multiple of nonzero heap terms.
+
+    ``tail`` holds (monomial, coefficient) pairs of every term but the lead.
+    """
+    lead = min(terms)
+    inv = pow(terms[lead], p - 2, p)
+    return lead, tuple((m, c * inv % p) for m, c in terms.items() if m != lead)
+
+
+def _lcm(a: tuple, b: tuple, rweights) -> tuple:
+    """The lcm of heap-form monomials; ``rweights`` lists the weights last variable first."""
+    body = tuple(map(max, a[1:], b[1:]))
+    return (-sum(map(mul, body, rweights)),) + body
+
+
+def _divides(a: tuple, b: tuple) -> bool:
+    """Whether heap-form monomial a divides b."""
+    return all(map(le, a[1:], b[1:]))
+
+
+def _spolynomial(f: tuple, g: tuple, lcm: tuple, p: int) -> dict:
+    """Heap terms of the S-polynomial of monic ``(lead, tail)`` reducers f and g.
+
+    ``lcm`` is the lcm of their leads; the leads cancel, so only tails enter.
+    """
+    (lf, tf), (lg, tg) = f, g
+    sf, sg = tuple(map(sub, lcm, lf)), tuple(map(sub, lcm, lg))
+    s = {tuple(map(add, e, sf)): c for e, c in tf}
+    for e, c in tg:
+        t = tuple(map(add, e, sg))
+        v = (s.get(t, 0) - c) % p
+        if v:
+            s[t] = v
+        else:
+            del s[t]
+    return s
+
+
+def _reduce(terms: dict, reducers, p: int) -> dict:
+    """Remainder of heap terms under division by monic ``(lead, tail)`` reducers.
+
+    ``terms`` is consumed.  The largest remaining term comes off a heap and is
+    divided by the first reducer in list order whose lead divides it; a term
+    that no lead divides moves to the remainder.
+    """
+    tests = [(lead[1:], lead, tail) for lead, tail in reducers]
+    heap = list(terms)
+    heapify(heap)
     remainder = {}
-    work = dict(f.terms)
-    p = f.field.p
-    while work:
-        exps = max(work, key=order.key)
-        coeff = work.pop(exps)
-        for g, lead in zip(monic, leads):
-            if monomial_divides(lead, exps):
-                shift = monomial_div(exps, lead)
-                for ge, gc in g.terms.items():
-                    target = monomial_mul(ge, shift)
-                    if target == exps:
-                        continue
-                    v = (work.get(target, 0) - coeff * gc) % p
+    while heap:
+        m = heappop(heap)
+        c = terms.pop(m, 0)
+        if not c:
+            continue  # cancelled after it was queued
+        body = m[1:]
+        for test, lead, tail in tests:
+            if all(map(le, test, body)):
+                shift = tuple(map(sub, m, lead))
+                for e, gc in tail:
+                    t = tuple(map(add, e, shift))
+                    v = (terms.get(t, 0) - c * gc) % p
                     if v:
-                        work[target] = v
+                        if t not in terms:
+                            heappush(heap, t)
+                        terms[t] = v
                     else:
-                        work.pop(target, None)
+                        del terms[t]
                 break
         else:
-            remainder[exps] = coeff
-    return Polynomial(f.field, f.grading, remainder)
+            remainder[m] = c
+    return remainder
 
 
 # -- text grammar -----------------------------------------------------------

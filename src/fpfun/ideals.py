@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
@@ -20,6 +22,13 @@ from .algebra import (
     Polynomial,
     PrimeField,
     TermOrder,
+    _divides,
+    _from_heap_terms,
+    _heap_terms,
+    _lcm,
+    _monic_reducer,
+    _reduce,
+    _spolynomial,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -31,6 +40,10 @@ from .errors import ColengthError, StructureError
 # Inclusion-exclusion walks 2^r generator subsets; beyond this cap the
 # staircase is enumerated directly instead.
 _SUBSET_CAP = 12
+
+# The most entries (degrees 0..max) of the dense count table graded_lengths
+# builds for one level; a level that needs more is refused before counting.
+MAX_TABLE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -166,12 +179,16 @@ def spolynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
 def buchberger(gens: Sequence[Polynomial], order: TermOrder) -> GroebnerBasis:
     """Buchberger's algorithm with the normal selection strategy.
 
-    Pairs are processed by minimal lcm degree with ties broken by input index,
-    and pairs with coprime leading terms are skipped, so the output is
-    deterministic for a fixed input order.  The returned basis is reduced.
+    Pairs come off a heap by least lcm degree, ties broken by index.  Two
+    criteria skip pairs whose S-polynomial needs no reduction (Buchberger
+    1979; Gebauer and Moeller, JSC 6, 1988): pairs with coprime leading terms,
+    and the chain criterion, which skips (i, j) when some other leading term
+    divides their lcm and its pairs with i and with j are both processed.
+    S-polynomials and the final interreduction go through the reduction
+    kernel behind ``normal_form``.  The criteria only save work: the result
+    is the reduced basis, which is unique, so it does not depend on them or
+    on the input order.
     """
-    from .algebra import normal_form
-
     gens = list(gens)
     if not gens:
         raise StructureError("Groebner basis of an empty generator list")
@@ -181,54 +198,64 @@ def buchberger(gens: Sequence[Polynomial], order: TermOrder) -> GroebnerBasis:
         if not g.is_homogeneous():
             raise StructureError("Groebner input generators must be homogeneous")
 
-    basis = [g.monic(order) for g in gens]
-    leads = [g.leading_exponents(order) for g in basis]
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    # Basis elements are monic (lead, tail) pairs in the kernel's heap form,
+    # where a monomial is (-degree, e_m, ..., e_1).
+    field, weights = gens[0].field, order.grading.weights
+    p, rweights = field.p, weights[::-1]
+    basis = [_monic_reducer(_heap_terms(g, weights), p) for g in gens]
+    heap, pending = [], set()
 
-    def pair_key(pair):
-        i, j = pair
-        return (weighted_degree(monomial_lcm(leads[i], leads[j]), order.grading), i, j)
+    def add_pairs(new):
+        for k in range(new):
+            m = _lcm(basis[k][0], basis[new][0], rweights)
+            heappush(heap, (-m[0], k, new, m))
+            pending.add((k, new))
 
-    while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.remove((i, j))
-        li, lj = leads[i], leads[j]
-        if monomial_lcm(li, lj) == monomial_mul(li, lj):
+    def chain(i, j, m):
+        return any(
+            k != i and k != j and _divides(lead, m)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, (lead, _) in enumerate(basis)
+        )
+
+    for j in range(len(basis)):
+        add_pairs(j)
+    while heap:
+        _, i, j, m = heappop(heap)
+        pending.remove((i, j))
+        if m == tuple(map(add, basis[i][0], basis[j][0])):
             continue  # coprime leading terms: S-polynomial reduces to zero
-        s = spolynomial(basis[i], basis[j], order)
-        if s.is_zero():
+        if chain(i, j, m):
             continue
-        r = normal_form(s, basis, order)
-        if r.is_zero():
-            continue
-        r = r.monic(order)
-        basis.append(r)
-        leads.append(r.leading_exponents(order))
-        new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        r = _reduce(_spolynomial(basis[i], basis[j], m, p), basis, p)
+        if r:
+            basis.append(_monic_reducer(r, p))
+            add_pairs(len(basis) - 1)
 
     # Minimalize: drop elements whose leading term another leading term divides
     # (keeping the first of any duplicates).
-    minimal = []
-    for i, li in enumerate(leads):
-        redundant = any(
-            k != i
-            and monomial_divides(leads[k], li)
-            and (leads[k] != li or k < i)
-            for k in range(len(basis))
+    leads = [lead for lead, _ in basis]
+    minimal = [
+        basis[i]
+        for i, li in enumerate(leads)
+        if not any(
+            k != i and _divides(lk, li) and (lk != li or k < i) for k, lk in enumerate(leads)
         )
-        if not redundant:
-            minimal.append(basis[i])
+    ]
 
-    # Interreduce tails so the basis is fully reduced.
+    # Interreduce tails so the basis is fully reduced.  A lead stays: no other
+    # lead divides it, and every tail term is smaller.
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        if others:
-            g = normal_form(g, others, order)
-        reduced.append(g.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_exponents(order)))
-    return GroebnerBasis(tuple(reduced), order)
+    for i, (lead, tail) in enumerate(minimal):
+        terms = _reduce(dict(tail), minimal[:i] + minimal[i + 1 :], p)
+        terms[lead] = 1
+        reduced.append((lead, terms))
+    reduced.sort(key=lambda item: item[0], reverse=True)
+    elements = tuple(
+        Polynomial(field, order.grading, _from_heap_terms(terms)) for _, terms in reduced
+    )
+    return GroebnerBasis(elements, order)
 
 
 def initial_ideal(basis: GroebnerBasis) -> MonomialIdeal:
@@ -358,7 +385,9 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
     """Exact graded lengths of the quotient by the n-th bracket power.
 
     Raises ColengthError (naming a variable with no pure power in the initial
-    ideal) when the ideal does not have finite colength in the ring.
+    ideal) when the ideal does not have finite colength in the ring, and
+    StructureError when the level's count table would have more than
+    MAX_TABLE_ENTRIES entries.
     """
     check_ideal_in_ring(ring, ideal)
     if n < 0:
@@ -380,6 +409,11 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
                 variable=name,
             )
     max_degree = sum((b - 1) * w for b, w in zip(bounds, ring.grading.weights))
+    if max_degree + 1 > MAX_TABLE_ENTRIES:
+        raise StructureError(
+            f"level {n} needs a length table of {max_degree + 1} degrees, "
+            f"over the budget of {MAX_TABLE_ENTRIES}"
+        )
     counts = staircase_degree_counts(M, ring.grading, max_degree)
     return GradedLengthTable(n, p, {j: c for j, c in enumerate(counts) if c})
 

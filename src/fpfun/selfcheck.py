@@ -79,7 +79,17 @@ def check_term_order(rng: random.Random, trials=200) -> int:
     return checks
 
 
-def _random_homogeneous(rng, field, grading, degree) -> Polynomial:
+def _random_grading(rng, weighted) -> Grading:
+    """One to three variables, of weight 1 or, when weighted, of weights from (1, 2, 3)."""
+    nvars = rng.randint(1, 3)
+    if weighted:
+        return Grading(tuple(rng.choice((1, 2, 3)) for _ in range(nvars)))
+    return Grading((1,) * nvars)
+
+
+def _random_homogeneous(rng, field, grading, low, high) -> Polynomial:
+    """A random nonzero form of a degree in low..high that has monomials."""
+    degree = rng.choice([d for d in range(low, high + 1) if monomials_of_degree(grading, d)])
     monomials = monomials_of_degree(grading, degree)
     while True:
         terms = {}
@@ -92,19 +102,22 @@ def _random_homogeneous(rng, field, grading, degree) -> Polynomial:
 
 
 def check_division(rng: random.Random, trials=40) -> int:
-    """f - normal_form(f, G) re-divides to zero; the remainder is a fixed point."""
+    """f - normal_form(f, G) re-divides to zero; the remainder is a fixed point.
+
+    ``trials`` draws use standard gradings; ``trials // 2`` more draws use
+    weights from (1, 2, 3).
+    """
     checks = 0
-    for _ in range(trials):
+    for weighted in [False] * trials + [True] * (trials // 2):
         p = rng.choice((2, 3, 5))
         field = PrimeField(p)
-        nvars = rng.randint(1, 3)
-        grading = Grading((1,) * nvars)
+        grading = _random_grading(rng, weighted)
         order = TermOrder(grading)
         divisors = [
-            _random_homogeneous(rng, field, grading, rng.randint(1, 3))
+            _random_homogeneous(rng, field, grading, 1, 3)
             for _ in range(rng.randint(1, 3))
         ]
-        f = _random_homogeneous(rng, field, grading, rng.randint(1, 4))
+        f = _random_homogeneous(rng, field, grading, 1, 4)
         r = normal_form(f, divisors, order)
         _require(
             normal_form(f - r, divisors, order).is_zero(),
@@ -151,16 +164,21 @@ def check_monomial_oracles(rng: random.Random, count=200) -> int:
 
 
 def check_groebner_vs_rank(rng: random.Random, count=50, max_degree=12) -> int:
-    """Graded dimensions from the initial ideal match the Macaulay rank oracle."""
-    for k in range(count):
-        p = rng.choice((2, 3))
+    """Graded dimensions from the initial ideal match the Macaulay rank oracle.
+
+    ``count`` ideals use standard gradings over F_2 and F_3; ``count // 2``
+    more use weights from (1, 2, 3) over F_2, F_3 and F_5.  Returns the
+    number of ideals checked.
+    """
+    draws = [False] * count + [True] * (count // 2)
+    for k, weighted in enumerate(draws):
+        p = rng.choice((2, 3, 5) if weighted else (2, 3))
         field = PrimeField(p)
-        nvars = rng.randint(1, 3)
-        grading = Grading((1,) * nvars)
+        grading = _random_grading(rng, weighted)
         ring = RingPresentation(field, grading)
         order = TermOrder(grading)
         gens = [
-            _random_homogeneous(rng, field, grading, rng.randint(1, 4))
+            _random_homogeneous(rng, field, grading, 1, 4)
             for _ in range(rng.randint(1, 3))
         ]
         basis = buchberger(gens, order)
@@ -172,10 +190,10 @@ def check_groebner_vs_rank(rng: random.Random, count=50, max_degree=12) -> int:
             ranked = macaulay_rank_oracle(ring, gens, degree)
             _require(
                 standard == ranked,
-                f"Groebner/rank mismatch for ideal #{k} (p={p}) at degree {degree}: "
-                f"{standard} vs {ranked}",
+                f"Groebner/rank mismatch for ideal #{k} (p={p}, weights "
+                f"{grading.weights}) at degree {degree}: {standard} vs {ranked}",
             )
-    return count
+    return len(draws)
 
 
 def check_ab_identity(levels=4) -> int:

@@ -26,7 +26,8 @@ from fpfun.hilbert import (
     series_of_table,
 )
 from fpfun.ideals import MonomialIdeal, bracket_power, enumeration_oracle
-from fpfun.models import HNData, model_from_hn, model_hsop, models_equal
+from fpfun.models import HNData, eval_model, model_from_hn, model_hsop, models_equal
+from fpfun.problems import problem_file_from_dict
 from fpfun.selfcheck import check_groebner_vs_rank, check_monomial_oracles
 from fpfun.suite import parameter_problem
 
@@ -212,7 +213,8 @@ def test_criterion_10_oracle_suites():
     rng = random.Random(20260808)
     monomial_count = check_monomial_oracles(rng, count=200)
     groebner_count = check_groebner_vs_rank(rng, count=50, max_degree=12)
-    ok = monomial_count == 200 and groebner_count == 50
+    # 50 standard-graded ideals and 25 weighted ones
+    ok = monomial_count == 200 and groebner_count == 75
     report(
         10,
         "oracle-suites",
@@ -249,4 +251,56 @@ def test_criterion_11_symmetry_and_decay(suite_problems):
         ok,
         f"symmetry_gap={sym_worst:.2e} ratio_failures={ratio_bad} "
         f"elapsed={time.time()-start:.2f}s",
+    )
+
+
+def fermat_cubic(p):
+    """x^3 + y^3 + z^3 over F_p with I = (x, y, z)."""
+    return problem_file_from_dict({
+        "prime": p,
+        "variables": [{"name": v, "degree": 1} for v in "xyz"],
+        "relations": ["x^3 + y^3 + z^3"],
+        "ideal": ["x", "y", "z"],
+    }).to_problem()
+
+
+def test_criterion_12_fermat_cubic_hk_function_p5():
+    start = time.time()
+    problem = fermat_cubic(5)
+    totals = {n: problem.table(n).total() for n in (1, 2, 3)}
+    expected = {n: (9 * 25 ** n - 5) // 4 for n in totals}
+    report(
+        12,
+        "fermat-cubic-hk-p5",
+        totals == expected,
+        f"totals={totals} expected={expected} elapsed={time.time()-start:.2f}s",
+    )
+
+
+def test_criterion_13_fermat_cubic_hk_function_p2():
+    start = time.time()
+    problem = fermat_cubic(2)
+    totals = {n: problem.table(n).total() for n in range(2, 7)}
+    expected = {n: 9 * 4 ** n // 4 for n in totals}
+    report(
+        13,
+        "fermat-cubic-hk-p2",
+        totals == expected,
+        f"totals={totals} expected={expected} elapsed={time.time()-start:.2f}s",
+    )
+
+
+def test_criterion_14_fermat_cubic_hn_model():
+    # The syzygy bundle of (x, y, z) on the Fermat cubic is strongly
+    # semistable of rank 2 and slope -3/2.
+    start = time.time()
+    problem = fermat_cubic(2)
+    model = model_from_hn(HNData(delta_r=3, rank_s=2, factors=((Fraction(-3, 2), 2),)))
+    points = GRID + (1.0 + 0.5j, 2.0 - 1.0j)
+    worst = max(abs(fn_eval(problem, 7, y) - eval_model(model, y)) for y in points)
+    report(
+        14,
+        "fermat-cubic-hn-model",
+        worst <= 2e-3,
+        f"max_deviation={worst:.2e} tol=2e-3 n=7 elapsed={time.time()-start:.2f}s",
     )

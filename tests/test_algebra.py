@@ -182,6 +182,60 @@ class TestNormalForm:
         with pytest.raises(StructureError):
             normal_form(poly("X"), [], TermOrder(STD2))
 
+    def test_kernel_heap_order_is_descending_term_order(self):
+        # normal_form and Buchberger pop terms in ascending heap form; that
+        # must be descending TermOrder.key order, with products adding up.
+        from fpfun.algebra import _from_heap_terms, _heap_terms
+
+        rng = random.Random(11)
+        for _ in range(100):
+            nvars = rng.randint(1, 4)
+            grading = Grading(tuple(rng.randint(1, 3) for _ in range(nvars)))
+            order = TermOrder(grading)
+
+            def heap_form(e):
+                return next(iter(_heap_terms(Polynomial(F2, grading, {e: 1}), grading.weights)))
+
+            terms = {tuple(rng.randint(0, 4) for _ in range(nvars)): 1 for _ in range(6)}
+            heap = _heap_terms(Polynomial(F2, grading, terms), grading.weights)
+            assert [m[:0:-1] for m in sorted(heap)] == order.sorted_descending(terms)
+            assert _from_heap_terms(heap) == terms
+            a, b = rng.choice(sorted(terms)), rng.choice(sorted(terms))
+            product = tuple(x + y for x, y in zip(a, b))
+            assert heap_form(product) == tuple(x + y for x, y in zip(heap_form(a), heap_form(b)))
+
+    def test_list_order_decides_remainder(self):
+        # The divisors are not a Groebner basis, so the remainder depends on
+        # which divisor acts first: the first in list order whose leading term
+        # divides the largest remaining term.
+        f5, std3, names = PrimeField(5), Grading((1, 1, 1)), ("x", "y", "z")
+        order = TermOrder(std3)
+
+        def p5(text):
+            return parse_polynomial(text, names, f5, std3)
+
+        def remainder(f, divisors):
+            return format_polynomial(normal_form(f, divisors, order), names)
+
+        f = p5("x*y^2 - x*z^2")
+        g1, g2 = p5("x*y + z^2"), p5("y^2 - z^2")
+        assert remainder(f, [g1, g2]) == "4*x*z^2 + 4*y*z^2"
+        assert remainder(f, [g2, g1]) == "0"
+
+        # A non-monic divisor is scaled first; every order of three divisors.
+        f = p5("x^2*y + 3*x*y^2 + y*z^2")
+        g1, g2, g3 = p5("2*x*y + z^2"), p5("x^2 - y*z"), p5("y^2 + x*z")
+        expected = [
+            ([g1, g2, g3], "2*x*z^2 + 2*y*z^2"),
+            ([g1, g3, g2], "2*x*z^2 + 2*y*z^2"),
+            ([g2, g1, g3], "4*x*z^2 + 2*y*z^2"),
+            ([g2, g3, g1], "4*x*z^2 + 3*y*z^2"),
+            ([g3, g1, g2], "2*x*z^2 + 3*y*z^2"),
+            ([g3, g2, g1], "4*x*z^2 + 3*y*z^2"),
+        ]
+        for divisors, text in expected:
+            assert remainder(f, divisors) == text
+
 
 class TestParser:
     def test_basic_terms(self):

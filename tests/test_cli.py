@@ -302,6 +302,12 @@ class TestErrorPaths:
         )
         assert code == 3
 
+    def test_level_over_table_budget_exits_3(self, capsys):
+        # q = 2^30 would need a count table of about 2^31 entries
+        assert main(["density", "--file", problem("plane.json"), "--n", "30"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: level 30 needs a length table of 2147483647 degrees")
+
 
 class TestRobustness:
     def test_negative_level_is_parse_error(self, capsys):

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from fpfun.algebra import (
 )
 from fpfun.errors import ColengthError, StructureError
 from fpfun.ideals import (
+    MAX_TABLE_ENTRIES,
     GradedLengthTable,
     HomogeneousIdeal,
     MonomialIdeal,
@@ -25,12 +27,14 @@ from fpfun.ideals import (
     monomials_of_degree,
     staircase_degree_counts,
 )
+from fpfun.problems import load_problem_file
 from fpfun.selfcheck import (
     check_groebner_vs_rank,
     check_monomial_oracles,
     random_zero_dimensional_monomial_ideal,
 )
 
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 F2 = PrimeField(2)
 STD2 = Grading((1, 1))
 W23 = Grading((2, 3))
@@ -123,6 +127,45 @@ class TestBuchberger:
         with pytest.raises(StructureError):
             buchberger([poly("X + Y^2")], TermOrder(STD2))
 
+    def test_input_order_does_not_change_reduced_basis(self):
+        # The reduced basis is unique; a pair criterion that skips a needed
+        # S-polynomial makes the result depend on the processing order.
+        rng = random.Random(2024)
+        for _ in range(100):
+            p = rng.choice((2, 3, 5))
+            field = PrimeField(p)
+            grading = Grading(tuple(rng.choice((1, 2, 3)) for _ in range(4)))
+            order = TermOrder(grading)
+            gens = []
+            count = rng.randint(3, 5)
+            while len(gens) < count:
+                monomials = monomials_of_degree(grading, rng.randint(2, 4))
+                terms = {e: rng.randrange(p) for e in rng.sample(monomials, min(3, len(monomials)))}
+                f = Polynomial(field, grading, terms)
+                if not f.is_zero():
+                    gens.append(f)
+            expected = buchberger(gens, order).elements
+            for _ in range(3):
+                rng.shuffle(gens)
+                assert buchberger(gens, order).elements == expected
+
+    def test_fermat_cubic_at_q_625_matches_rank_oracle(self):
+        field, grading, names = PrimeField(5), Grading((1, 1, 1)), ("x", "y", "z")
+        ring = RingPresentation(
+            field, grading, (parse_polynomial("x^3 + y^3 + z^3", names, field, grading),), names
+        )
+        powered = bracket_power(HomogeneousIdeal(tuple(
+            parse_polynomial(v, names, field, grading) for v in names
+        )), 4)
+        basis = buchberger(list(ring.relations) + list(powered.generators), ring.term_order)
+        lead = initial_ideal(basis)
+        assert lead.pure_power_bounds(3) == [3, 625, 625]
+        for degree in range(13):
+            standard = sum(
+                1 for e in monomials_of_degree(grading, degree) if not lead.contains_monomial(e)
+            )
+            assert standard == macaulay_rank_oracle(ring, powered.generators, degree), degree
+
 
 class TestInitialIdeal:
     def test_monomial_basis(self):
@@ -166,6 +209,17 @@ class TestGradedLengths:
         )
         assert table_dict(t) == {}
         assert t.max_degree == -1
+
+    def test_level_over_table_budget_refused(self, plane):
+        # q = 2^30: refused before any count table is allocated
+        with pytest.raises(StructureError, match="over the budget"):
+            graded_lengths(plane.ring, plane.ideal, 30)
+
+    def test_problem_files_fit_the_table_budget(self):
+        for path in sorted(PROBLEMS.glob("*.json")):
+            pf = load_problem_file(str(path))
+            table = pf.to_problem().table(pf.n_max)
+            assert table.max_degree < MAX_TABLE_ENTRIES, path.name
 
     def test_colength_failure_names_variable(self):
         ring = RingPresentation(F2, STD2, (), ("X", "Y"))
