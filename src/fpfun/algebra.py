@@ -54,17 +54,11 @@ class PrimeField:
         if not isinstance(self.p, int) or not is_prime(self.p):
             raise StructureError(f"characteristic must be prime, got {self.p!r}")
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -187,16 +181,8 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, field: PrimeField, grading: Grading) -> "Polynomial":
-        return cls(field, grading, {})
-
-    @classmethod
     def constant(cls, field: PrimeField, grading: Grading, c: int) -> "Polynomial":
         return cls(field, grading, {(0,) * grading.var_count: c})
-
-    @classmethod
-    def monomial(cls, field: PrimeField, grading: Grading, exps, c: int = 1) -> "Polynomial":
-        return cls(field, grading, {tuple(exps): c})
 
     # -- basic structure ---------------------------------------------------
 

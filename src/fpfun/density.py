@@ -2,11 +2,14 @@
 transforms.
 
 The level-n density sample is the step function g_n(x) = q^(1-d) * ell_j on
-[j/q, (j+1)/q), built from the same exact length tables as everything else.
-Its Fourier transform relates to the level-n function by the exact identity
-gn_hat(y) = F_n(y) * (1 - exp(-iy/q)) / (iy/q); quadrature_fourier integrates
-the step function interval by interval and must agree with that closed form,
-giving an independent cross-check of both code paths.
+[j/q, (j+1)/q), read in place from the level's exact length table.  Its
+Fourier transform relates to the level-n function by the exact identity
+gn_hat(y) = F_n(y) * (1 - exp(-iy/q)) / (iy/q).  The bridge checks that
+identity: quadrature_fourier integrates each 1/q interval of the samples
+(ell_j scaled by q^(1-d)) and never calls fn_eval, while gn_fourier_exact
+scales fn_eval (ell_j scaled by q^(-d)).  Both take the interval factor
+exp(-iy/q) - 1 from one cancellation-free step, so the bridge holds at tiny
+|y| as well.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from .errors import EvaluationDomainError
 from .fp import ProblemSpec, fn_eval
@@ -21,23 +25,28 @@ from .fp import ProblemSpec, fn_eval
 
 @dataclass(frozen=True)
 class DensityTable:
-    """Samples x = j/q -> g_n(x) = q^(1-d) * ell_j, all exact rationals."""
+    """Samples x = j/q -> g_n(x) = q^(1-d) * ell_j, all exact rationals.
+
+    ``lengths`` is the level's length table itself (degree j -> nonzero
+    ell_j, ascending in j), shared and not copied.
+    """
 
     n: int
     p: int
     d: int
-    entries: tuple  # ((j, ell_j), ...) sorted by j, nonzero ell_j only
+    lengths: Mapping
 
     @property
     def q(self) -> int:
         return self.p ** self.n
 
+    @property
+    def entries(self):
+        """The pairs (j, ell_j) in ascending j: a view of ``lengths``."""
+        return self.lengths.items()
+
     def value_at_index(self, j: int) -> Fraction:
-        q = self.q
-        for jj, ell in self.entries:
-            if jj == j:
-                return Fraction(ell, q ** (self.d - 1))
-        return Fraction(0)
+        return Fraction(self.lengths.get(j, 0), self.q ** (self.d - 1))
 
     def value_at(self, x) -> Fraction:
         """Step-function value g_n(x) = q^(1-d) * ell_floor(x*q)."""
@@ -52,13 +61,12 @@ class DensityTable:
 
     def mass(self) -> Fraction:
         """Exact integral of the step function; equals F_n(0)."""
-        q = self.q
-        return sum((Fraction(ell, q ** self.d) for _, ell in self.entries), Fraction(0))
+        return Fraction(sum(self.lengths.values()), self.q ** self.d)
 
     def support_right_endpoint(self) -> Fraction:
-        if not self.entries:
+        if not self.lengths:
             return Fraction(0)
-        return Fraction(self.entries[-1][0] + 1, self.q)
+        return Fraction(next(reversed(self.lengths)) + 1, self.q)
 
 
 def density_table(problem: ProblemSpec, n: int) -> DensityTable:
@@ -69,43 +77,41 @@ def density_table(problem: ProblemSpec, n: int) -> DensityTable:
             "density samples need dimension at least 1; a zero-dimensional problem "
             "concentrates at the origin and has no function-valued density"
         )
-    table = problem.table(n)
-    return DensityTable(
-        n=n,
-        p=problem.prime,
-        d=d,
-        entries=tuple(sorted(table.lengths.items())),
-    )
+    return DensityTable(n=n, p=problem.prime, d=d, lengths=problem.table(n).lengths)
+
+
+def _interval_step(u: complex) -> complex:
+    """exp(-iu) - 1 as -2i * sin(u/2) * exp(-iu/2), without cancellation."""
+    return -2j * cmath.sin(u / 2) * cmath.exp(-0.5j * u)
 
 
 def gn_fourier_exact(problem: ProblemSpec, n: int, y: complex) -> complex:
     """Closed form of the transform of g_n: F_n(y) * (1 - exp(-iy/q)) / (iy/q).
 
-    At y = 0 the transform equals F_n(0) exactly.
+    fn_eval weights each ell_j by q^(-d); the factor comes from the shared
+    interval step.  At y = 0 the transform equals F_n(0) exactly.
     """
     if y == 0:
         return fn_eval(problem, n, 0)
-    q = problem.prime ** n
-    y = complex(y)
-    u = y / q
-    return fn_eval(problem, n, y) * (1 - cmath.exp(-1j * u)) / (1j * u)
+    u = complex(y) / problem.prime ** n
+    return fn_eval(problem, n, y) * _interval_step(u) / (-1j * u)
 
 
 def quadrature_fourier(table: DensityTable, y: complex) -> complex:
-    """Integrate g_n(x) * exp(-iyx) interval by interval, exactly per interval.
+    """Integrate g_n(x) * exp(-iyx) over each interval [j/q, (j+1)/q).
 
-    Independent of gn_fourier_exact: this path never calls fn_eval.  The
-    y -> 0 limit branch returns the step function's mass.
+    Each interval contributes its sample q^(1-d) * ell_j (a correctly rounded
+    float) times exp(-iyj/q) * (exp(-iy/q) - 1) / (-iy), with the shared
+    interval step.  Independent of gn_fourier_exact: this path never calls
+    fn_eval.  The y -> 0 limit branch returns the step function's mass.
     """
     if y == 0:
         return complex(float(table.mass()))
     y = complex(y)
     q = table.q
     scale = q ** (table.d - 1)
+    w = -1j * y / q
     total = 0j
     for j, ell in table.entries:
-        g = float(Fraction(ell, scale))
-        lo = cmath.exp(-1j * y * j / q)
-        hi = cmath.exp(-1j * y * (j + 1) / q)
-        total += g * (hi - lo)
-    return total / (-1j * y)
+        total += ell / scale * cmath.exp(w * j)
+    return total * _interval_step(y / q) / (-1j * y)

@@ -49,10 +49,6 @@ class LaurentPolynomialZ:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPolynomialZ":
-        return cls({exponent: coefficient})
-
-    @classmethod
     def one_minus_power(cls, d: int) -> "LaurentPolynomialZ":
         """The factor 1 - t^d."""
         if d == 0:
@@ -187,9 +183,6 @@ class HilbertSeries:
     @classmethod
     def one(cls) -> "HilbertSeries":
         return cls(LaurentPolynomialZ.one(), ())
-
-    def is_polynomial(self) -> bool:
-        return not self.denominator_degrees
 
     def denominator_polynomial(self) -> LaurentPolynomialZ:
         """The expanded product of the (1 - t^d) factors."""

@@ -270,7 +270,8 @@ class GradedLengthTable:
     """Exact graded lengths of one Frobenius-power quotient.
 
     ``lengths`` maps degree j to the (arbitrary precision) k-dimension of the
-    degree-j piece; only nonzero entries are stored.
+    degree-j piece; only nonzero entries are stored, inserted in ascending
+    degree, so iteration runs from the lowest degree to the highest.
     """
 
     n: int

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from fpfun.errors import EvaluationDomainError
 from fpfun.fp import ProblemSpec, fn_eval, hk_multiplicity
 
 GRID = (0.5, 1.0, 2.0, 4.0, -1.5)
+TINY = (1e-4, 1e-6, 1e-8, 1e-12, 1e-8 + 1e-8j)
 
 
 def tent(x):
@@ -61,11 +63,32 @@ class TestFourierBridge:
         for name, (problem, _) in suite_problems.items():
             for n in range(4):
                 table = density_table(problem, n)
-                for y in GRID:
+                for y in GRID + TINY:
                     gap = abs(
                         gn_fourier_exact(problem, n, y) - quadrature_fourier(table, y)
                     )
                     assert gap <= 1e-10, (name, n, y)
+
+    def test_bridge_at_large_q(self, parameter23):
+        # q = 16384: with Im y > 0 the integrand grows like exp(x Im y)
+        n = 14
+        table = density_table(parameter23, n)
+        for y in (0.640625 + 0.734375j, 0.5 + 1j, 1 + 2j):
+            gap = abs(gn_fourier_exact(parameter23, n, y) - quadrature_fourier(table, y))
+            assert gap <= 1e-10, y
+
+    def test_exact_transform_at_tiny_u(self, suite_problems):
+        # (1 - exp(-iu)) / (iu) = sum_k (-iu)^k / (k+1)!, four terms exact to
+        # double precision for |u| <= 1e-4
+        for name, (problem, _) in suite_problems.items():
+            for n in range(1, 4):
+                q = problem.prime ** n
+                for y in TINY:
+                    u = y / q
+                    series = sum((-1j * u) ** k / math.factorial(k + 1) for k in range(4))
+                    want = fn_eval(problem, n, y) * series
+                    got = gn_fourier_exact(problem, n, y)
+                    assert abs(got - want) <= 1e-15 * abs(want), (name, n, y)
 
     def test_zero_agrees_with_level_value(self, suite_problems):
         for name, (problem, _) in suite_problems.items():
@@ -77,7 +100,7 @@ class TestFourierBridge:
         assert quadrature_fourier(table, 0) == 1.0 + 0j
 
     def test_empty_table(self):
-        table = DensityTable(n=1, p=2, d=2, entries=())
+        table = DensityTable(n=1, p=2, d=2, lengths={})
         assert quadrature_fourier(table, 0) == 0j
         assert quadrature_fourier(table, 1.0) == 0j
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from fpfun.algebra import (
 )
 from fpfun.errors import ColengthError, StructureError
 from fpfun.ideals import (
+    _SUBSET_CAP,
     MAX_TABLE_ENTRIES,
     GradedLengthTable,
     HomogeneousIdeal,
@@ -332,17 +334,23 @@ class TestOracleAgreement:
 
 class TestStaircaseFallback:
     def test_many_generators_use_enumeration(self):
-        # 13 generators exceeds the subset cap; the box walk must take over
+        # more minimal generators than the subset cap, so the box walk takes
+        # over; checked against a brute-force count over the same box.
+        # The mixed monomials of total degree 4 are an antichain, and pure
+        # powers of degree 5..7 keep every one of them minimal.
         rng = random.Random(8)
-        grading = Grading((1, 1, 1))
-        exps = [(4, 0, 0), (0, 4, 0), (0, 0, 4)]
-        while len(exps) < 13:
-            e = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3))
-            if any(e) and e not in exps:
-                exps.append(e)
-        m = MonomialIdeal.from_exponents(exps)
-        bounds = m.pure_power_bounds(3)
-        top = sum((b - 1) * w for b, w in zip(bounds, grading.weights))
-        counts = staircase_degree_counts(m, grading, top)
-        oracle = enumeration_oracle(m, grading)
-        assert {j: c for j, c in enumerate(counts) if c} == oracle
+        mixed = [e for e in itertools.product(range(4), repeat=3) if sum(e) == 4]
+        for weights in ((1, 1, 1), (1, 2, 3), (3, 1, 2)):
+            grading = Grading(weights)
+            for _ in range(4):
+                powers = [tuple(rng.randint(5, 7) * (i == k) for i in range(3)) for k in range(3)]
+                exps = rng.sample(mixed, rng.randint(_SUBSET_CAP - 2, len(mixed))) + powers
+                m = MonomialIdeal.from_exponents(exps)
+                assert len(m.generators) == len(exps) > _SUBSET_CAP
+                bounds = [max(g[i] for g in powers) for i in range(3)]
+                top = sum((b - 1) * w for b, w in zip(bounds, weights))
+                brute = [0] * (top + 1)
+                for e in itertools.product(*(range(b) for b in bounds)):
+                    if not any(all(a <= b for a, b in zip(g, e)) for g in exps):
+                        brute[sum(a * w for a, w in zip(e, weights))] += 1
+                assert staircase_degree_counts(m, grading, top) == brute, (weights, exps)
