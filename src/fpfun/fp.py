@@ -45,8 +45,9 @@ class ProblemSpec:
 
     The dimension defaults to the Krull dimension of the ring read off its
     Hilbert series; ``dim_override`` substitutes any non-negative integer for
-    the normalization exponent.  Computed length tables are cached per level;
-    the cache allows concurrent reads with insert-once writes.
+    the normalization exponent.  The ring's Hilbert series and its
+    Hilbert-Samuel data are computed once; length tables are cached per level.
+    The caches allow concurrent reads with insert-once writes.
     """
 
     def __init__(self, ring: RingPresentation, ideal: HomogeneousIdeal, dim_override=None):
@@ -59,26 +60,36 @@ class ProblemSpec:
         self._tables: dict = {}
         self._lock = threading.Lock()
         self._ring_series = None
+        self._samuel = None
 
     @property
     def prime(self) -> int:
         return self.ring.field.p
 
-    def ring_series(self) -> HilbertSeries:
-        if self._ring_series is None:
-            series = series_of_ring(self.ring)
+    def _once(self, name: str, compute):
+        """The attribute ``name``, computed on first use and kept (insert-once)."""
+        value = getattr(self, name)
+        if value is None:
+            value = compute()
             with self._lock:
-                if self._ring_series is None:
-                    self._ring_series = series
-        return self._ring_series
+                if getattr(self, name) is None:
+                    setattr(self, name, value)
+                value = getattr(self, name)
+        return value
+
+    def ring_series(self) -> HilbertSeries:
+        return self._once("_ring_series", lambda: series_of_ring(self.ring))
+
+    def _hilbert_samuel(self) -> tuple:
+        return self._once("_samuel", lambda: hilbert_samuel(self.ring_series()))
 
     @property
     def ring_dimension(self) -> int:
-        return hilbert_samuel(self.ring_series())[0]
+        return self._hilbert_samuel()[0]
 
     @property
     def ring_multiplicity(self) -> Fraction:
-        return hilbert_samuel(self.ring_series())[1]
+        return self._hilbert_samuel()[1]
 
     @property
     def dimension(self) -> int:

@@ -388,7 +388,9 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
     Raises ColengthError (naming a variable with no pure power in the initial
     ideal) when the ideal does not have finite colength in the ring, and
     StructureError when the level's count table would have more than
-    MAX_TABLE_ENTRIES entries.
+    MAX_TABLE_ENTRIES entries.  When the Groebner basis is needed, a lower
+    bound on the table size is checked first, so a level that is over the
+    budget by that bound is refused before Buchberger runs.
     """
     check_ideal_in_ring(ring, ideal)
     if n < 0:
@@ -398,6 +400,7 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
     if all(f.is_monomial() for f in polys):
         M = MonomialIdeal.from_exponents(f.single_exponent() for f in polys)
     else:
+        _check_table_floor(ring, ideal, n)
         M = initial_ideal(buchberger(polys, ring.term_order))
     if M.is_unit:
         return GradedLengthTable(n, p, {})
@@ -417,6 +420,31 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
         )
     counts = staircase_degree_counts(M, ring.grading, max_degree)
     return GradedLengthTable(n, p, {j: c for j, c in enumerate(counts) if c})
+
+
+def _check_table_floor(ring: RingPresentation, ideal: HomogeneousIdeal, n: int):
+    """Refuse level n when a lower bound on its table size is over the budget.
+
+    With h the least generator degree of the ideal and q = p^n, the ideal
+    J + I^[q] agrees with the relation ideal J below degree q*h.  A variable
+    x_i with no pure power in in(J) therefore has pure-power bound b_i with
+    b_i * w_i >= q*h, and the table needs at least
+    sum over such i of (ceil(q*h / w_i) - 1) * w_i, plus one, entries.  in(J)
+    is computed only when counting every variable already exceeds the budget.
+    """
+    q = ring.field.p ** n
+    h = min(g.homogeneous_degree() for g in ideal.generators)
+    floors = [(-(-q * h // w) - 1) * w for w in ring.grading.weights]
+    if sum(floors) + 1 > MAX_TABLE_ENTRIES and ring.relations:
+        bounds = initial_ideal(buchberger(ring.relations, ring.term_order)).pure_power_bounds(
+            ring.grading.var_count
+        )
+        floors = [f for f, b in zip(floors, bounds) if b is None]
+    if sum(floors) + 1 > MAX_TABLE_ENTRIES:
+        raise StructureError(
+            f"level {n} needs a length table of at least {sum(floors) + 1} degrees, "
+            f"over the budget of {MAX_TABLE_ENTRIES}"
+        )
 
 
 def check_ideal_in_ring(ring: RingPresentation, ideal: HomogeneousIdeal):

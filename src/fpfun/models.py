@@ -1,10 +1,11 @@
 """Exponential-polynomial models sum_k c_k exp(-i r_k y) / (iy)^d with stable
 evaluation at the removable singularity, and the closed-form constructors:
-parameter ideals, dimension one, finite projective dimension, and the
+finite projective dimension from alternating Betti sums, parameter ideals and
+dimension one through the same builder with the Koszul numerator, and the
 dimension-two formula driven by Harder-Narasimhan slope/rank data.
 
-Frequencies are exact rationals and coefficients stay exact whenever the
-inputs are rational, so models can be compared with zero tolerance.
+Coefficients and frequencies are exact rationals, so the vanishing check at
+the origin is exact and models compare with zero tolerance.
 """
 
 from __future__ import annotations
@@ -23,29 +24,22 @@ from .hilbert import LaurentPolynomialZ
 # direct quotient loses about |y|^(-d) ulp to cancellation outside it.
 _TAYLOR_RADIUS = 1e-3
 _TAYLOR_TERMS = 14
-# Tolerance for the vanishing-order check when coefficients are floats.
-_FLOAT_MOMENT_TOL = 1e-9
 
 
-def _as_frequency(value) -> Fraction:
-    if isinstance(value, Rational):
+def _rational(value, what: str) -> Fraction:
+    if isinstance(value, (Rational, str)):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ModelConstructionError(f"frequency {value!r} must be an exact rational")
-
-
-def _is_rational(c) -> bool:
-    return isinstance(c, Rational)
+    raise ModelConstructionError(f"{what} {value!r} must be an exact rational")
 
 
 @dataclass(frozen=True)
 class ExponentialPolynomialModel:
     """Terms (c_k, r_k) representing sum_k c_k exp(-i r_k y) / (iy)^d.
 
-    The numerator must vanish at y = 0 to order at least d, i.e.
-    sum_k c_k r_k^m = 0 for every m < d; this is checked at construction,
-    exactly when all coefficients are rational.
+    Coefficients and frequencies are exact rationals (stored as Fractions;
+    floats and complex numbers are refused).  Construction merges equal
+    frequencies, drops zero terms, and checks that the numerator vanishes at
+    y = 0 to order at least d, i.e. sum_k c_k r_k^m = 0 for every m < d.
 
     Every closed form this package constructs fits this shape, but whether
     every limit function does is an open question: treat the class as a
@@ -61,54 +55,26 @@ class ExponentialPolynomialModel:
             raise ModelConstructionError("pole order must be a non-negative integer")
         merged: dict = {}
         for c, rho in self.terms:
-            rho = _as_frequency(rho)
-            if rho in merged:
-                merged[rho] = merged[rho] + c
-            else:
-                merged[rho] = c
-        cleaned = []
-        for rho in sorted(merged):
-            c = merged[rho]
-            if _is_rational(c):
-                if c == 0:
-                    continue
-            elif c == 0:
-                continue
-            cleaned.append((c, rho))
-        object.__setattr__(self, "terms", tuple(cleaned))
-        self._check_vanishing()
-
-    def _check_vanishing(self):
-        exact = all(_is_rational(c) for c, _ in self.terms)
-        scale = sum(abs(complex(c)) * (1 + abs(float(r))) ** self.d for c, r in self.terms)
+            rho = _rational(rho, "frequency")
+            merged[rho] = merged.get(rho, 0) + _rational(c, "coefficient")
+        terms = tuple((c, rho) for rho, c in sorted(merged.items()) if c)
+        object.__setattr__(self, "terms", terms)
         for m in range(self.d):
-            if exact:
-                moment = sum(c * r ** m for c, r in self.terms)
-                if moment != 0:
-                    raise ModelConstructionError(
-                        f"numerator moment of order {m} is {moment}, not 0; "
-                        f"the model would not be holomorphic at the origin"
-                    )
-            else:
-                moment = sum(complex(c) * float(r) ** m for c, r in self.terms)
-                if abs(moment) > _FLOAT_MOMENT_TOL * max(1.0, scale):
-                    raise ModelConstructionError(
-                        f"numerator moment of order {m} is {moment}, not ~0"
-                    )
+            moment = sum(c * r ** m for c, r in terms)
+            if moment != 0:
+                raise ModelConstructionError(
+                    f"numerator moment of order {m} is {moment}, not 0; "
+                    f"the model would not be holomorphic at the origin"
+                )
 
     def numerator_taylor(self, count: int) -> list:
         """Complex Taylor coefficients of the numerator around y = 0."""
-        out = []
-        for m in range(count):
-            acc = Fraction(0)
-            acc_c = 0j
-            for c, r in self.terms:
-                if _is_rational(c):
-                    acc += Fraction(c) * r ** m
-                else:
-                    acc_c += complex(c) * float(r) ** m
-            out.append((complex(float(acc)) + acc_c) * (-1j) ** m / math.factorial(m))
-        return out
+        return [
+            complex(float(sum(c * r ** m for c, r in self.terms)))
+            * (-1j) ** m
+            / math.factorial(m)
+            for m in range(count)
+        ]
 
     def taylor_coefficients(self, count: int) -> list:
         """Taylor coefficients of the model itself (after dividing by (iy)^d)."""
@@ -122,25 +88,10 @@ class ExponentialPolynomialModel:
         return {
             "d": self.d,
             "terms": [
-                {
-                    "c_re": float(complex(c).real) if not _is_rational(c) else float(c),
-                    "c_im": float(complex(c).imag) if not _is_rational(c) else 0.0,
-                    "rho_num": r.numerator,
-                    "rho_den": r.denominator,
-                }
+                {"c_re": float(c), "c_im": 0.0, "rho_num": r.numerator, "rho_den": r.denominator}
                 for c, r in self.terms
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExponentialPolynomialModel":
-        terms = []
-        for item in data["terms"]:
-            c = complex(item["c_re"], item["c_im"])
-            if c.imag == 0 and float(c.real).is_integer():
-                c = int(c.real)
-            terms.append((c, Fraction(int(item["rho_num"]), int(item["rho_den"]))))
-        return cls(int(data["d"]), tuple(terms))
 
 
 def eval_model(model: ExponentialPolynomialModel, y: complex) -> complex:
@@ -148,14 +99,18 @@ def eval_model(model: ExponentialPolynomialModel, y: complex) -> complex:
 
     Outside the branch radius the quotient is computed directly; inside it the
     numerator's Taylor expansion (14 terms past the order-d zero) is used, so
-    the two branches agree to better than 1e-9 at the seam.
+    the two branches agree to better than 1e-9 at the seam.  A value that
+    overflows (large |Im y|) raises OverflowError instead of returning inf/nan.
     """
     y = complex(y)
     if abs(y) > _TAYLOR_RADIUS:
         num = 0j
         for c, r in model.terms:
             num += complex(c) * cmath.exp(-1j * float(r) * y)
-        return num / (1j * y) ** model.d
+        value = num / (1j * y) ** model.d
+        if not cmath.isfinite(value):
+            raise OverflowError(f"model value at y={y} is not finite")
+        return value
     coeffs = model.taylor_coefficients(_TAYLOR_TERMS)
     total = 0j
     power = 1.0 + 0j
@@ -166,11 +121,12 @@ def eval_model(model: ExponentialPolynomialModel, y: complex) -> complex:
 
 
 def model_hsop(ring_multiplicity, degrees: Sequence[int]) -> ExponentialPolynomialModel:
-    """Model e_R * prod_j (1 - exp(-i d_j y)) / (iy) for a parameter ideal.
+    """Model e_R * prod_j (1 - exp(-i d_j y)) / (iy)^d for a parameter ideal.
 
-    Its value at the origin is d_1 * ... * d_d * e_R, the Hilbert-Kunz
-    multiplicity of an ideal generated by a homogeneous system of parameters
-    of these degrees.
+    This is the finite projective dimension model of the Koszul numerator
+    prod_j (1 - t^(d_j)).  Its value at the origin is d_1 * ... * d_d * e_R,
+    the Hilbert-Kunz multiplicity of an ideal generated by a homogeneous
+    system of parameters of these degrees.
     """
     e = Fraction(ring_multiplicity)
     if e <= 0:
@@ -178,33 +134,29 @@ def model_hsop(ring_multiplicity, degrees: Sequence[int]) -> ExponentialPolynomi
     degrees = tuple(degrees)
     if not degrees:
         raise ModelConstructionError("need at least one parameter degree")
-    terms = {Fraction(0): e}
+    koszul = LaurentPolynomialZ.one()
     for d in degrees:
         if not isinstance(d, int) or d < 1:
             raise ModelConstructionError(f"parameter degree {d!r} must be a positive integer")
-        shifted: dict = {}
-        for rho, c in terms.items():
-            shifted[rho] = shifted.get(rho, Fraction(0)) + c
-            key = rho + d
-            shifted[key] = shifted.get(key, Fraction(0)) - c
-        terms = shifted
-    return ExponentialPolynomialModel(len(degrees), tuple((c, r) for r, c in terms.items()))
+        koszul = koszul * LaurentPolynomialZ.one_minus_power(d)
+    return model_finite_pd(e, koszul, len(degrees))
 
 
 def model_dim_one(ring_multiplicity, h: int) -> ExponentialPolynomialModel:
     """Model e_R * (1 - exp(-i h y)) / (iy) for one-dimensional problems.
 
-    h is the least degree of a homogeneous element of the ideal.  The formula
-    is proved over an algebraically closed coefficient field; for other
-    inputs it is offered as a candidate and should be validated against the
-    level-n sequence.
+    h is the least degree of a homogeneous element of the ideal; the model is
+    the parameter-ideal model of the single degree h.  The formula is proved
+    over an algebraically closed coefficient field; for other inputs it is
+    offered as a candidate and should be validated against the level-n
+    sequence.
     """
     e = Fraction(ring_multiplicity)
     if e <= 0:
         raise ModelConstructionError("ring multiplicity must be positive")
     if not isinstance(h, int) or h < 1:
         raise ModelConstructionError("element degree h must be a positive integer")
-    return ExponentialPolynomialModel(1, ((e, Fraction(0)), (-e, Fraction(h))))
+    return model_hsop(e, (h,))
 
 
 def model_finite_pd(
@@ -241,7 +193,7 @@ class HNData:
             raise ModelConstructionError("delta_r must be a positive integer")
         if not isinstance(self.rank_s, int) or self.rank_s < 1:
             raise ModelConstructionError("rank_s must be a positive integer")
-        factors = tuple((_as_frequency(mu), r) for mu, r in self.factors)
+        factors = tuple((_rational(mu, "frequency"), r) for mu, r in self.factors)
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise ModelConstructionError("need at least one Harder-Narasimhan factor")
@@ -279,22 +231,11 @@ def model_from_hn(data: HNData) -> ExponentialPolynomialModel:
 
 
 def models_equal(a: ExponentialPolynomialModel, b: ExponentialPolynomialModel, tol=0) -> bool:
-    """Structural equality after merging equal frequencies.
-
-    Pole orders must match; term lists must pair up frequency by frequency
-    with coefficient gaps at most tol (exact comparison when tol is 0 and the
-    coefficients are rational).
+    """Structural equality: the pole orders match and, frequency by frequency,
+    the coefficients differ by at most tol (exact equality when tol is 0).
     """
     if a.d != b.d:
         return False
     ta = {r: c for c, r in a.terms}
     tb = {r: c for c, r in b.terms}
-    for r in set(ta) | set(tb):
-        ca = ta.get(r, 0)
-        cb = tb.get(r, 0)
-        if _is_rational(ca) and _is_rational(cb):
-            if abs(Fraction(ca) - Fraction(cb)) > tol:
-                return False
-        elif abs(complex(ca) - complex(cb)) > tol:
-            return False
-    return True
+    return all(abs(ta.get(r, 0) - tb.get(r, 0)) <= tol for r in ta.keys() | tb.keys())

@@ -20,6 +20,7 @@ pair, or an {"re": ..., "im": ...} object.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 
@@ -72,7 +73,18 @@ def _parse_named(raw, where: str, names, field_, grading) -> Polynomial:
 
 
 def parse_y_grid(value) -> tuple:
-    """Accept {re_min, re_max, count} or an explicit list of points."""
+    """Accept {re_min, re_max, count} or an explicit list of points.
+
+    Every point must be finite: an infinite or NaN coordinate is a ParseError.
+    """
+    points = _grid_points(value)
+    for y in points:
+        if not cmath.isfinite(y):
+            raise ParseError(f"y_grid point {y} is not finite")
+    return points
+
+
+def _grid_points(value) -> tuple:
     if value is None:
         return _DEFAULT_Y_GRID
     if isinstance(value, dict):

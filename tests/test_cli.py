@@ -309,6 +309,25 @@ class TestErrorPaths:
         assert err.startswith("error: level 30 needs a length table of 2147483647 degrees")
 
 
+    def test_groebner_level_over_table_budget_exits_3(self, tmp_path, capsys):
+        # Fermat cubic at q = 2^20: refused before the Groebner basis is computed
+        path = write(
+            tmp_path,
+            "fermat.json",
+            {
+                "prime": 2,
+                "variables": [{"name": v, "degree": 1} for v in ("x", "y", "z")],
+                "relations": ["x^3 + y^3 + z^3"],
+                "ideal": ["x", "y", "z"],
+            },
+        )
+        assert main(["density", "--file", path, "--n", "20"]) == 3
+        assert capsys.readouterr().err == (
+            "error: level 20 needs a length table of at least 2097151 degrees, "
+            "over the budget of 1048576\n"
+        )
+
+
 class TestRobustness:
     def test_negative_level_is_parse_error(self, capsys):
         assert main(["hk", "--file", problem("plane.json"), "--n", "-1"]) == 2
@@ -414,6 +433,55 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval"],
+            ["closed", "--method", "hsop"],
+            ["compare", "--method", "hsop"],
+            ["density"],
+        ],
+    )
+    def test_math_domain_grid_point_exits_3(self, argv, capsys):
+        # y * j / q overflows to inf inside cmath.exp, which raises ValueError
+        code = main([*argv, "--file", problem("plane.json"), "--y-grid", "[[1e308,0]]"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: floating-point domain error (math domain error)\n"
+
+    @pytest.mark.parametrize("command", ["eval", "closed", "compare", "density"])
+    @pytest.mark.parametrize(
+        "grid",
+        ["[1e400]", "[NaN]", "[-Infinity]", "[0.5, [0, Infinity]]", "0:inf:3",
+         '{"re_min": 0, "re_max": NaN, "count": 2}'],
+    )
+    def test_non_finite_grid_point_is_parse_error(self, command, grid, capsys):
+        argv = [command, "--file", problem("plane.json"), "--y-grid", grid]
+        if command in ("closed", "compare"):
+            argv += ["--method", "hsop"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: y_grid point ")
+        assert captured.err.endswith(" is not finite\n")
+
+    def test_non_finite_grid_point_in_problem_file(self, tmp_path, capsys):
+        with open(problem("plane.json")) as fh:
+            data = json.load(fh)
+        data["options"]["y_grid"] = [0.5, float("nan")]
+        path = write(tmp_path, "nan_grid.json", data)
+        assert main(["eval", "--file", path]) == 2
+        assert capsys.readouterr().err == "parse error: y_grid point (nan+0j) is not finite\n"
+
+    def test_overflowing_model_value_exits_3(self, capsys):
+        # exp(2e308) overflows to inf without raising; the model value is refused
+        argv = ["closed", "--file", problem("cusp.json"), "--method", "hsop"]
+        assert main(argv + ["--y-grid", "[[0, 1e308]]"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: floating-point overflow (model value at y=")
 
     def test_python_dash_m_runs_the_cli(self):
         paths = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]

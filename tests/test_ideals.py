@@ -12,6 +12,7 @@ from fpfun.algebra import (
     format_polynomial,
     parse_polynomial,
 )
+from fpfun import ideals
 from fpfun.errors import ColengthError, StructureError
 from fpfun.ideals import (
     _SUBSET_CAP,
@@ -216,6 +217,56 @@ class TestGradedLengths:
         # q = 2^30: refused before any count table is allocated
         with pytest.raises(StructureError, match="over the budget"):
             graded_lengths(plane.ring, plane.ideal, 30)
+
+    def test_groebner_level_refused_before_buchberger(self, monkeypatch):
+        # Fermat cubic, p = 2, q = 2^20: in(x^3 + y^3 + z^3) has a pure power
+        # of one variable only, so the other two need degrees up to q - 1
+        field, grading, names = PrimeField(2), Grading((1, 1, 1)), ("x", "y", "z")
+        relation = parse_polynomial("x^3 + y^3 + z^3", names, field, grading)
+        ring = RingPresentation(field, grading, (relation,), names)
+        maximal = HomogeneousIdeal(tuple(parse_polynomial(v, names, field, grading) for v in names))
+        inputs = []
+
+        def recording(gens, order):
+            inputs.append(tuple(gens))
+            return buchberger(gens, order)
+
+        monkeypatch.setattr(ideals, "buchberger", recording)
+        with pytest.raises(StructureError, match="at least 2097151 degrees, over the budget"):
+            graded_lengths(ring, maximal, 20)
+        assert inputs == [(relation,)]
+        inputs.clear()
+        assert graded_lengths(ring, maximal, 2).total() == 36
+        assert len(inputs) == 1 and len(inputs[0]) == 4
+
+    def test_table_floor_never_refuses_a_level_that_fits(self, monkeypatch):
+        field, grading, names = PrimeField(2), Grading((1, 1, 1)), ("x", "y", "z")
+        fermat = RingPresentation(
+            field, grading, (parse_polynomial("x^3 + y^3 + z^3", names, field, grading),), names
+        )
+        cases = [
+            (fermat, HomogeneousIdeal(tuple(
+                parse_polynomial(v, names, field, grading) for v in names
+            ))),
+            (RingPresentation(F2, STD2, (), ("X", "Y")), ideal("X + Y", "X*Y")),
+            (RingPresentation(F2, W23, (poly("Y^2 + X^3", grading=W23),), ("X", "Y")),
+             ideal("X", grading=W23)),
+        ]
+        for ring, I in cases:
+            for n in range(5):
+                polys = list(ring.relations) + list(bracket_power(I, n).generators)
+                bounds = initial_ideal(buchberger(polys, ring.term_order)).pure_power_bounds(
+                    ring.grading.var_count
+                )
+                need = sum((b - 1) * w for b, w in zip(bounds, ring.grading.weights)) + 1
+                for budget in range(1, need + 3):
+                    monkeypatch.setattr(ideals, "MAX_TABLE_ENTRIES", budget)
+                    try:
+                        graded_lengths(ring, I, n)
+                    except StructureError as exc:
+                        assert need > budget, (n, budget, str(exc))
+                    else:
+                        assert need <= budget
 
     def test_problem_files_fit_the_table_budget(self):
         for path in sorted(PROBLEMS.glob("*.json")):
