@@ -467,6 +467,36 @@ class TestExitCodes:
         assert captured.err.startswith("parse error: y_grid point ")
         assert captured.err.endswith(" is not finite\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--file", problem("plane.json")],
+            ["compare", "--method", "hsop", "--file", problem("plane.json")],
+            ["density", "--file", problem("plane.json")],
+            ["density", "--file", problem("cusp.json")],
+        ],
+    )
+    def test_non_finite_level_sum_exits_3(self, argv, capsys):
+        # exp(354.5 * j / q) times ell_j overflows at the top degrees of level 10
+        assert main([*argv, "--y-grid", "[[1,354.5]]"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: floating-point overflow (phase sum ")
+        assert captured.err.endswith(" is not finite)\n")
+
+    def test_large_imaginary_part_stays_finite(self, capsys):
+        # level 0 spans one degree: exp(w * r) for r past the span would overflow
+        argv = ["eval", "--file", problem("plane.json"), "--y-grid", "[[1,6],[1,40]]"]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        expected = [
+            complex(-444.54968068311041, -4338.6653094026296),
+            complex(-1.2288530189062529e31, -3.0925188172236015e31),
+        ]
+        for row, want in zip(rows, expected, strict=True):
+            got = complex(float(row[3]), float(row[4]))
+            assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
     def test_non_finite_grid_point_in_problem_file(self, tmp_path, capsys):
         with open(problem("plane.json")) as fh:
             data = json.load(fh)

@@ -1,11 +1,15 @@
 import cmath
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from fpfun.algebra import Grading, PrimeField, parse_polynomial
 from fpfun.errors import EvaluationDomainError, StructureError
 from fpfun.fp import (
     ProblemSpec,
+    _phase_sum,
     betti_alternating_polynomial,
     betti_limit_check,
     cm_chi_eval,
@@ -15,6 +19,7 @@ from fpfun.fp import (
     series_coefficient_estimate,
 )
 from fpfun.hilbert import HilbertSeries, LaurentPolynomialZ, series_of_table
+from fpfun.ideals import HomogeneousIdeal, RingPresentation
 from fpfun.suite import parameter_problem
 
 GRID = (0.5, 1.0, 2.0, 4.0)
@@ -222,6 +227,76 @@ class TestBettiLimitCheck:
     def test_zero_rejected(self, plane):
         with pytest.raises(EvaluationDomainError):
             betti_limit_check(plane, (1, 1), [0.0], 4)
+
+    def test_large_level_small_y(self, parameter23):
+        # q = 16384: a factor 1 - z**d formed from z loses about q/|y| ulps
+        report = betti_limit_check(parameter23, (1, 1), (1e-3, 0.01, 0.5, 2 + 1j), 14)
+        assert report.max_deviation <= 1e-10, report.deviations
+
+
+def reference_phase_sum(degrees, values, w):
+    """Per-term c * exp(w * j), summed exactly by parts with math.fsum."""
+    terms = [c * cmath.exp(w * j) for j, c in zip(degrees, values)]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def phase_sum_tolerance(degrees, values, w):
+    return 1e-14 * math.fsum(abs(c) * math.exp(w.real * j) for j, c in zip(degrees, values))
+
+
+def even_weight_table(n):
+    """Level-n lengths of F_2[X, Y] with weights (2, 4), I = (X, Y): no odd degree."""
+    field, grading = PrimeField(2), Grading((2, 4))
+    gens = tuple(parse_polynomial(s, ("X", "Y"), field, grading) for s in ("X", "Y"))
+    ring = RingPresentation(field, grading, (), ("X", "Y"))
+    return ProblemSpec(ring, HomogeneousIdeal(gens)).table(n).lengths
+
+
+# |y| from 1e-12 to 8, and Im y from -40 to 40; each w is -iy/q for the table's q
+PHASE_POINTS = (1e-12, 1e-6, 1e-3, 0.5, 2.0, -8.0, 1 - 40j, 1 - 2j, 1 + 2j, 1 + 40j)
+
+
+class TestPhaseSum:
+    def check(self, lengths, q):
+        degrees, values = list(lengths), list(lengths.values())
+        for y in PHASE_POINTS:
+            w = -1j * complex(y) / q
+            got = _phase_sum(degrees, iter(values), w)
+            want = reference_phase_sum(degrees, values, w)
+            assert abs(got - want) <= phase_sum_tolerance(degrees, values, w), (y, got, want)
+
+    def test_contiguous_table(self, parameter23):
+        self.check(parameter23.table(14).lengths, 2 ** 14)
+
+    def test_table_with_gaps(self, cusp):
+        lengths = cusp.table(14).lengths
+        assert len(lengths) < max(lengths) + 1
+        self.check(lengths, 2 ** 14)
+
+    def test_every_odd_degree_missing(self):
+        lengths = even_weight_table(10)
+        assert all(j % 2 == 0 for j in lengths) and len(lengths) > 1000
+        self.check(lengths, 2 ** 10)
+
+    def test_random_sparse_signed(self):
+        rng = random.Random(6)
+        degrees = sorted(rng.sample(range(200_000), 5000))
+        lengths = {j: rng.choice((-1, 1)) * rng.randint(1, 10 ** 6) for j in degrees}
+        self.check(lengths, 2 ** 14)
+
+    def test_single_entry_and_empty(self):
+        self.check({37: 5}, 64)
+        self.check({-3: 2}, 8)
+        assert _phase_sum([], iter(()), -0.5j) == 0j
+
+    def test_short_table_never_forms_powers_past_its_span(self):
+        # exp(128 * 6) overflows, but a one-entry table only needs exp(0)
+        assert _phase_sum([0], [1], 6 - 1j) == 1
+        assert _phase_sum([0, 1], [1, 1], 6 - 1j) == 1 + cmath.exp(6 - 1j)
+
+    def test_non_finite_total_raises(self):
+        with pytest.raises(OverflowError):
+            _phase_sum([0, 1, 2], [1e308, 1e308, 1e308], 0j)
 
 
 class TestCmChiEval:
