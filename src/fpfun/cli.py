@@ -183,6 +183,8 @@ def _hn_from_dict(data: dict) -> HNData:
         raw_factors = data["factors"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"hn data needs delta_r, rank, factors: {exc}")
+    if not isinstance(raw_factors, list):
+        raise ParseError(f"hn factors must be a list, got {raw_factors!r}")
     factors = []
     for item in raw_factors:
         if isinstance(item, dict):
@@ -192,7 +194,7 @@ def _hn_from_dict(data: dict) -> HNData:
         else:
             raise ParseError(f"cannot read hn factor {item!r}")
         try:
-            factors.append((Fraction(str(mu)), int(r)))
+            factors.append((Fraction(str(mu)), int(str(r))))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"cannot read hn factor {item!r}: {exc}")
     return HNData(delta_r=delta_r, rank_s=rank_s, factors=tuple(factors))

@@ -19,6 +19,7 @@ from .ideals import (
     RingPresentation,
     buchberger,
     initial_ideal,
+    series_expansion,
     staircase_numerator,
 )
 
@@ -192,21 +193,23 @@ class HilbertSeries:
         return out
 
     def reduce(self) -> "HilbertSeries":
-        """Cancel numerator factors (1 - t^d) against equal-degree denominator factors."""
+        """Cancel numerator factors (1 - t^d) against equal-degree denominator factors.
+
+        One pass from the largest degree: a factor that does not divide the
+        numerator cannot divide it after further exact divisions.
+        """
         num = self.numerator
+        if num.is_zero():
+            return self
         remaining = list(self.denominator_degrees)
-        changed = True
-        while changed and not num.is_zero():
-            changed = False
-            for d in sorted(set(remaining), reverse=True):
-                factor = LaurentPolynomialZ.one_minus_power(d)
+        for d in sorted(set(remaining), reverse=True):
+            factor = LaurentPolynomialZ.one_minus_power(d)
+            while d in remaining:
                 try:
                     num = num.divide_exact(factor)
                 except InexactDivisionError:
-                    continue
+                    break
                 remaining.remove(d)
-                changed = True
-                break
         return HilbertSeries(num, tuple(remaining))
 
     def equal_as_rational(self, other: "HilbertSeries") -> bool:
@@ -220,18 +223,9 @@ class HilbertSeries:
 
         Requires the numerator to have no negative exponents.
         """
-        if self.numerator.is_zero():
-            return [0] * (up_to + 1)
-        if self.numerator.valuation < 0:
+        if min(self.numerator.coeffs, default=0) < 0:
             raise StructureError("series expansion needs a numerator without negative exponents")
-        out = [0] * (up_to + 1)
-        for e, c in self.numerator.coeffs.items():
-            if e <= up_to:
-                out[e] = c
-        for d in self.denominator_degrees:
-            for j in range(d, up_to + 1):
-                out[j] += out[j - d]
-        return out
+        return series_expansion(self.numerator.coeffs, self.denominator_degrees, up_to)
 
 
 def eval_series(series: HilbertSeries, z: complex) -> complex:

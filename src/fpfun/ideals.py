@@ -293,14 +293,19 @@ class GradedLengthTable:
         return sorted(self.lengths.items())
 
 
-def monomial_count_series(grading: Grading, max_degree: int) -> list:
-    """Counts of monomials of each weighted degree 0..max_degree."""
-    counts = [0] * (max_degree + 1)
-    counts[0] = 1
-    for w in grading.weights:
-        for d in range(w, max_degree + 1):
-            counts[d] += counts[d - w]
-    return counts
+def series_expansion(numerator: Mapping, degrees: Sequence[int], up_to: int) -> list:
+    """Coefficients 0..up_to of numerator(t) / prod(1 - t^w) over w in degrees.
+
+    ``numerator`` maps non-negative exponents to integer coefficients.
+    """
+    out = [0] * (up_to + 1)
+    for e, c in numerator.items():
+        if e <= up_to:
+            out[e] = c
+    for w in degrees:
+        for j in range(w, up_to + 1):
+            out[j] += out[j - w]
+    return out
 
 
 def staircase_numerator(M: MonomialIdeal, grading: Grading, prune_above=None) -> dict:
@@ -347,12 +352,7 @@ def staircase_degree_counts(M: MonomialIdeal, grading: Grading, max_degree: int)
             f"more than {_SUBSET_CAP} generators and no bounding box; refusing inclusion-exclusion"
         )
     numerator = staircase_numerator(M, grading, prune_above=max_degree)
-    base = monomial_count_series(grading, max_degree)
-    counts = [0] * (max_degree + 1)
-    for d, c in numerator.items():
-        for j in range(d, max_degree + 1):
-            counts[j] += c * base[j - d]
-    return counts
+    return series_expansion(numerator, grading.weights, max_degree)
 
 
 def _enumerate_box_counts(M: MonomialIdeal, grading: Grading, bounds) -> dict:

@@ -106,13 +106,17 @@ def _grid_points(value) -> tuple:
         points = []
         for item in value:
             if isinstance(item, dict):
-                points.append(complex(float(item.get("re", 0.0)), float(item.get("im", 0.0))))
+                coords = (item.get("re", 0.0), item.get("im", 0.0))
             elif isinstance(item, (list, tuple)) and len(item) == 2:
-                points.append(complex(float(item[0]), float(item[1])))
+                coords = item
             elif isinstance(item, (int, float)):
-                points.append(complex(float(item), 0.0))
+                coords = (item, 0.0)
             else:
                 raise ParseError(f"cannot read y_grid point {item!r}")
+            try:
+                points.append(complex(float(coords[0]), float(coords[1])))
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(f"cannot read y_grid point {item!r}") from None
         return tuple(points)
     raise ParseError(f"cannot read y_grid value {value!r}")
 

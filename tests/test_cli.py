@@ -505,6 +505,62 @@ class TestExitCodes:
         assert main(["eval", "--file", path]) == 2
         assert capsys.readouterr().err == "parse error: y_grid point (nan+0j) is not finite\n"
 
+    @pytest.mark.parametrize(
+        "grid, shown",
+        [
+            ('[{"re": "a"}]', "{'re': 'a'}"),
+            ('[["a", 1]]', "['a', 1]"),
+            ("[[null, 1]]", "[None, 1]"),
+            ('[{"re": [1]}]', "{'re': [1]}"),
+            ("[" + "9" * 400 + "]", "9" * 400),
+        ],
+        ids=["re-string", "pair-string", "pair-null", "re-list", "int-overflow"],
+    )
+    def test_malformed_grid_point_is_parse_error(self, grid, shown, capsys):
+        assert main(["eval", "--file", problem("plane.json"), "--y-grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: cannot read y_grid point {shown}\n"
+
+    def test_malformed_grid_point_in_problem_file(self, tmp_path, capsys):
+        with open(problem("plane.json")) as fh:
+            data = json.load(fh)
+        data["options"]["y_grid"] = [0.5, {"re": "a", "im": 1}]
+        path = write(tmp_path, "bad_grid.json", data)
+        assert main(["eval", "--file", path]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: cannot read y_grid point {'re': 'a', 'im': 1}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "hn, message",
+        [
+            ({"delta_r": 1, "rank": 1, "factors": 5}, "hn factors must be a list, got 5"),
+            (
+                {"delta_r": 1, "rank": 1, "factors": [["-1", 1.5]]},
+                "cannot read hn factor ['-1', 1.5]: invalid literal for int()",
+            ),
+            (
+                {"delta_r": 1, "rank": 1, "factors": [{"mu": "-1"}]},
+                "cannot read hn factor {'mu': '-1'}: ",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["--hn-json", "options.hn"])
+    def test_malformed_hn_data_is_parse_error(self, hn, message, source, tmp_path, capsys):
+        argv = ["closed", "--method", "hn"]
+        if source == "--hn-json":
+            argv += ["--file", problem("plane.json"), "--hn-json", json.dumps(hn)]
+        else:
+            with open(problem("plane.json")) as fh:
+                data = json.load(fh)
+            data["options"]["hn"] = hn
+            argv += ["--file", write(tmp_path, "bad_hn.json", data)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: {message}")
+
     def test_overflowing_model_value_exits_3(self, capsys):
         # exp(2e308) overflows to inf without raising; the model value is refused
         argv = ["closed", "--file", problem("cusp.json"), "--method", "hsop"]

@@ -9,6 +9,7 @@ from fpfun.algebra import Grading, PrimeField, parse_polynomial
 from fpfun.errors import EvaluationDomainError, StructureError
 from fpfun.fp import (
     ProblemSpec,
+    _interval_step,
     _phase_sum,
     betti_alternating_polynomial,
     betti_limit_check,
@@ -309,6 +310,19 @@ class TestCmChiEval:
                 lhs = cm_chi_eval(plane, (1, 1), n, y)
                 rhs = fn_eval(plane, n, y) * correction
                 assert abs(lhs - rhs) <= 1e-12
+
+    @pytest.mark.parametrize("name, hsop", [("parameter23", (1, 1)), ("cusp", (2,))])
+    def test_deep_level_matches_fn_relative(self, request, name, hsop):
+        # B_n(z) / (prod d_i (iy)^d) = F_n(y) * prod q (1 - z^d_i) / (d_i iy)
+        # exactly, so the two sides differ only by rounding
+        problem = request.getfixturevalue(name)
+        q = 2 ** 14
+        for y in (0.5 + 2j, 2 + 1j, 1 + 3j, 8.0):
+            rhs = fn_eval(problem, 14, y)
+            for d in hsop:
+                rhs *= -q * _interval_step(d * y / q) / (d * 1j * y)
+            lhs = cm_chi_eval(problem, hsop, 14, y)
+            assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
 
     def test_converges_to_product_formula(self, plane):
         target = product_model(1.0, (1, 1))
