@@ -42,7 +42,6 @@ from .hilbert import (
     HilbertSeries,
     LaurentPolynomialZ,
     chi_series,
-    eval_series,
     hilbert_samuel,
     series_of_ring,
     series_of_table,
@@ -106,7 +105,6 @@ __all__ = [
     "density_table",
     "enumeration_oracle",
     "eval_model",
-    "eval_series",
     "fn_eval",
     "format_polynomial",
     "fp_limit",

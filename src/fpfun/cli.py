@@ -27,7 +27,7 @@ from .errors import (
     StructureError,
 )
 from .fp import ProblemSpec, fp_limit, hk_multiplicity
-from .hilbert import HilbertSeries, chi_polynomial, series_of_table
+from .hilbert import chi_series, series_of_table
 from .models import (
     HNData,
     eval_model,
@@ -156,9 +156,7 @@ def build_model(method: str, pf: ProblemFile, problem: ProblemSpec, hn_json: str
         h = min(g.homogeneous_degree() for g in problem.ideal.generators)
         return model_dim_one(problem.ring_multiplicity, h), None
     if method == "finite-pd":
-        betti = chi_polynomial(
-            series_of_table(problem.table(0)), HilbertSeries.one(), problem.ring_series()
-        )
+        betti = chi_series(series_of_table(problem.table(0)), problem.ring_series())
         model = model_finite_pd(problem.ring_multiplicity, betti, problem.ring_dimension)
         return model, betti
     if method == "hn":
@@ -205,10 +203,8 @@ def _hn_from_dict(data: dict) -> HNData:
 
 def cmd_hk(args) -> Output:
     pf = load_problem_file(args.file)
+    n_top = _level(args.n, pf, "--n")
     problem = pf.to_problem()
-    n_top = args.n if args.n is not None else pf.n_max
-    if n_top < 0:
-        raise ParseError("--n must be non-negative")
     values = [hk_multiplicity(problem, n) for n in range(n_top + 1)]
     stable_from = n_top
     while stable_from > 0 and values[stable_from - 1] == values[n_top]:
@@ -227,6 +223,15 @@ def cmd_hk(args) -> Output:
         "stable_value": values[n_top],
     }
     return Output(columns, rows, doc, report=report, labelled=True)
+
+
+def _level(value, pf: ProblemFile, flag: str) -> int:
+    """The level given by ``flag``, or the problem file's n_max without it."""
+    if value is None:
+        return pf.n_max
+    if value < 0:
+        raise ParseError(f"{flag} must be non-negative")
+    return value
 
 
 def _resolve_grid(args, pf: ProblemFile):
@@ -254,8 +259,8 @@ def _parse_grid_shorthand(text: str):
 
 def cmd_eval(args) -> Output:
     pf = load_problem_file(args.file)
+    n_max = _level(args.n_max, pf, "--n-max")
     problem = pf.to_problem()
-    n_max = args.n_max if args.n_max is not None else pf.n_max
     grid = _resolve_grid(args, pf)
     estimates = fp_limit(problem, grid, n_max) if grid else {}
     rows = [
@@ -291,9 +296,9 @@ def cmd_closed(args) -> Output:
 
 def cmd_compare(args) -> Output:
     pf = load_problem_file(args.file)
+    n_max = _level(args.n_max, pf, "--n-max")
     problem = pf.to_problem()
     model, _ = build_model(args.method, pf, problem, args.hn_json)
-    n_max = args.n_max if args.n_max is not None else pf.n_max
     grid = _resolve_grid(args, pf)
     estimates = fp_limit(problem, grid, n_max) if grid else {}
     rows = []
@@ -327,8 +332,8 @@ def cmd_compare(args) -> Output:
 
 def cmd_density(args) -> Output:
     pf = load_problem_file(args.file)
+    n = _level(args.n, pf, "--n")
     problem = pf.to_problem()
-    n = args.n if args.n is not None else pf.n_max
     table = density_table(problem, n)
     grid = _resolve_grid(args, pf)
     q = table.q

@@ -36,7 +36,7 @@ from .errors import EvaluationDomainError, StructureError
 from .hilbert import (
     HilbertSeries,
     LaurentPolynomialZ,
-    chi_polynomial,
+    chi_series,
     hilbert_samuel,
     series_of_ring,
     series_of_table,
@@ -259,9 +259,8 @@ def betti_alternating_polynomial(
     1 / prod(1 - t^d).
     """
     degrees = _checked_degrees(hsop_degrees)
-    table_series = series_of_table(problem.table(n))
     hsop_series = HilbertSeries(LaurentPolynomialZ.one(), degrees)
-    return chi_polynomial(table_series, HilbertSeries.one(), hsop_series)
+    return chi_series(series_of_table(problem.table(n)), hsop_series)
 
 
 @dataclass(frozen=True)

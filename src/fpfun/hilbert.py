@@ -1,10 +1,10 @@
 """Exact Hilbert series arithmetic: integer Laurent polynomials, rational
 series with denominators kept as products of (1 - t^d) factors, Hilbert-Samuel
-multiplicities, and alternating Tor series via the Hilbert-series quotient
-H_M * H_N / H_R.
+multiplicities, and the exact quotient H_M / H_R of a finite-length module's
+series by a ring's series.
 
-No floating point enters series canonicalization; numeric evaluation happens
-only in eval_series.
+Everything here is exact integer arithmetic; complex evaluation of the
+resulting polynomials happens in fp and models.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import EvaluationDomainError, InexactDivisionError, StructureError
+from .errors import InexactDivisionError, StructureError
 from .ideals import (
     GradedLengthTable,
     RingPresentation,
@@ -100,12 +100,6 @@ class LaurentPolynomialZ:
     def value_at_one(self) -> int:
         return sum(self.coeffs.values())
 
-    def evaluate(self, z: complex) -> complex:
-        total = 0j
-        for e, c in self.coeffs.items():
-            total += c * z ** e
-        return total
-
     def divide_exact(self, divisor: "LaurentPolynomialZ") -> "LaurentPolynomialZ":
         """Exact quotient by integer synthetic division from the top degree down.
 
@@ -181,36 +175,12 @@ class HilbertSeries:
                 raise StructureError(f"denominator degree {d!r} must be a positive integer")
         object.__setattr__(self, "denominator_degrees", degs)
 
-    @classmethod
-    def one(cls) -> "HilbertSeries":
-        return cls(LaurentPolynomialZ.one(), ())
-
     def denominator_polynomial(self) -> LaurentPolynomialZ:
         """The expanded product of the (1 - t^d) factors."""
         out = LaurentPolynomialZ.one()
         for d in self.denominator_degrees:
             out = out * LaurentPolynomialZ.one_minus_power(d)
         return out
-
-    def reduce(self) -> "HilbertSeries":
-        """Cancel numerator factors (1 - t^d) against equal-degree denominator factors.
-
-        One pass from the largest degree: a factor that does not divide the
-        numerator cannot divide it after further exact divisions.
-        """
-        num = self.numerator
-        if num.is_zero():
-            return self
-        remaining = list(self.denominator_degrees)
-        for d in sorted(set(remaining), reverse=True):
-            factor = LaurentPolynomialZ.one_minus_power(d)
-            while d in remaining:
-                try:
-                    num = num.divide_exact(factor)
-                except InexactDivisionError:
-                    break
-                remaining.remove(d)
-        return HilbertSeries(num, tuple(remaining))
 
     def equal_as_rational(self, other: "HilbertSeries") -> bool:
         """Exact equality of rational functions by cross multiplication."""
@@ -226,22 +196,6 @@ class HilbertSeries:
         if min(self.numerator.coeffs, default=0) < 0:
             raise StructureError("series expansion needs a numerator without negative exponents")
         return series_expansion(self.numerator.coeffs, self.denominator_degrees, up_to)
-
-
-def eval_series(series: HilbertSeries, z: complex) -> complex:
-    """Evaluate numerator(z) / prod(1 - z^d) in complex double precision.
-
-    With a nonempty denominator the value is only defined for |z| < 1.
-    """
-    z = complex(z)
-    if series.denominator_degrees and abs(z) >= 1:
-        raise EvaluationDomainError(
-            f"|z| = {abs(z)} is outside the open unit disk but the series has denominator factors"
-        )
-    value = series.numerator.evaluate(z)
-    for d in series.denominator_degrees:
-        value /= 1 - z ** d
-    return value
 
 
 def series_of_table(table: GradedLengthTable) -> HilbertSeries:
@@ -298,26 +252,14 @@ def hilbert_samuel(series: HilbertSeries):
     return dimension, Fraction(num.value_at_one(), denom)
 
 
-def chi_series(h_m: HilbertSeries, h_n: HilbertSeries, h_r: HilbertSeries) -> HilbertSeries:
-    """Alternating Tor series as the exact quotient H_M * H_N / H_R.
+def chi_series(h_m: HilbertSeries, h_r: HilbertSeries) -> LaurentPolynomialZ:
+    """The exact quotient H_M / H_R as a Laurent polynomial.
 
-    Denominators are cleared and the polynomial division by the numerator of
-    H_R is verified exact; any remainder raises InexactDivisionError rather
-    than truncating.
+    With H = N / prod(1 - t^d) on both sides this is one division,
+    (N_M * D_R) / (N_R * D_M).  When M has a finite graded free resolution
+    over R, this is the alternating sum of its graded Betti numbers.  A
+    quotient that is not a Laurent polynomial raises InexactDivisionError
+    rather than truncating.
     """
-    numerator = h_m.numerator * h_n.numerator * h_r.denominator_polynomial()
-    quotient = numerator.divide_exact(h_r.numerator)
-    return HilbertSeries(quotient, h_m.denominator_degrees + h_n.denominator_degrees).reduce()
-
-
-def chi_polynomial(
-    h_m: HilbertSeries, h_n: HilbertSeries, h_r: HilbertSeries
-) -> LaurentPolynomialZ:
-    """chi_series(h_m, h_n, h_r) as a Laurent polynomial.
-
-    Raises StructureError when a denominator factor survives the reduction.
-    """
-    chi = chi_series(h_m, h_n, h_r)
-    if chi.denominator_degrees:
-        raise StructureError("chi series did not reduce to a Laurent polynomial")
-    return chi.numerator
+    numerator = h_m.numerator * h_r.denominator_polynomial()
+    return numerator.divide_exact(h_r.numerator * h_m.denominator_polynomial())

@@ -31,6 +31,9 @@ from .ideals import HomogeneousIdeal, RingPresentation
 
 _DEFAULT_Y_GRID = (0.5 + 0j, 1 + 0j, 2 + 0j, 4 + 0j)
 
+# Largest y grid accepted, in points; a larger one is refused before it is built.
+MAX_GRID_POINTS = 100_000
+
 
 @dataclass
 class ProblemFile:
@@ -91,11 +94,12 @@ def _grid_points(value) -> tuple:
         try:
             lo = float(value["re_min"])
             hi = float(value["re_max"])
-            count = int(value["count"])
+            count = int(str(value["count"]))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"y_grid object needs numeric re_min, re_max, count: {exc}")
+            raise ParseError(f"y_grid object needs numeric re_min, re_max, integer count: {exc}")
         if count < 0:
             raise ParseError("y_grid count must be non-negative")
+        _check_grid_size(count)
         if count == 0:
             return ()
         if count == 1:
@@ -103,6 +107,7 @@ def _grid_points(value) -> tuple:
         step = (hi - lo) / (count - 1)
         return tuple(complex(lo + k * step, 0.0) for k in range(count))
     if isinstance(value, (list, tuple)):
+        _check_grid_size(len(value))
         points = []
         for item in value:
             if isinstance(item, dict):
@@ -119,6 +124,11 @@ def _grid_points(value) -> tuple:
                 raise ParseError(f"cannot read y_grid point {item!r}") from None
         return tuple(points)
     raise ParseError(f"cannot read y_grid value {value!r}")
+
+
+def _check_grid_size(count: int) -> None:
+    if count > MAX_GRID_POINTS:
+        raise ParseError(f"y_grid has {count} points; at most {MAX_GRID_POINTS} are allowed")
 
 
 def load_problem_file(path: str) -> ProblemFile:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from fpfun.cli import main
+from fpfun.problems import MAX_GRID_POINTS, parse_y_grid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(ROOT, "problems")
@@ -332,6 +333,26 @@ class TestRobustness:
     def test_negative_level_is_parse_error(self, capsys):
         assert main(["hk", "--file", problem("plane.json"), "--n", "-1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["density", "--n"], "--n"),
+            (["eval", "--n-max"], "--n-max"),
+            (["compare", "--method", "hsop", "--n-max"], "--n-max"),
+        ],
+        ids=["density", "eval", "compare"],
+    )
+    def test_negative_level_is_parse_error_in_other_commands(self, argv, flag, capsys):
+        assert main([*argv, "-1", "--file", problem("plane.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {flag} must be non-negative\n"
+
+    @pytest.mark.parametrize("n_max", ["0", "1"])
+    def test_level_too_small_for_a_tail_fit_exits_3(self, n_max, capsys):
+        assert main(["eval", "--file", problem("plane.json"), "--n-max", n_max]) == 3
+        assert capsys.readouterr().err == "error: n_max must be at least 2 to fit a tail bound\n"
+
     def test_unwritable_out_path(self, capsys):
         code = main(
             [
@@ -531,6 +552,47 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "parse error: cannot read y_grid point {'re': 'a', 'im': 1}\n"
         )
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (
+                '{"re_min": 0, "re_max": 1, "count": 100000000}',
+                f"y_grid has 100000000 points; at most {MAX_GRID_POINTS} are allowed",
+            ),
+            (
+                f"0:1:{MAX_GRID_POINTS + 1}",
+                f"y_grid has {MAX_GRID_POINTS + 1} points; at most {MAX_GRID_POINTS} are allowed",
+            ),
+            (
+                "[" + ",".join(["1"] * (MAX_GRID_POINTS + 1)) + "]",
+                f"y_grid has {MAX_GRID_POINTS + 1} points; at most {MAX_GRID_POINTS} are allowed",
+            ),
+            ('{"re_min": 0, "re_max": 1, "count": 2.7}', "y_grid object needs numeric"),
+            ('{"re_min": 0, "re_max": 1, "count": 2.0}', "y_grid object needs numeric"),
+            ('{"re_min": 0, "re_max": 1, "count": true}', "y_grid object needs numeric"),
+        ],
+        ids=["object-huge", "shorthand-huge", "list-huge", "count-float", "count-float-int", "count-bool"],
+    )
+    def test_bad_grid_size_is_parse_error(self, grid, message, capsys):
+        assert main(["eval", "--file", problem("plane.json"), "--y-grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: {message}")
+
+    @pytest.mark.parametrize("count", [100000000, 2.7, True])
+    def test_bad_grid_size_in_problem_file(self, count, tmp_path, capsys):
+        with open(problem("plane.json")) as fh:
+            data = json.load(fh)
+        data["options"]["y_grid"]["count"] = count
+        path = write(tmp_path, "big_grid.json", data)
+        assert main(["eval", "--file", path]) == 2
+        assert capsys.readouterr().err.startswith("parse error: y_grid ")
+
+    def test_largest_grid_is_accepted(self):
+        grid = parse_y_grid({"re_min": 0, "re_max": 1, "count": MAX_GRID_POINTS})
+        assert len(grid) == MAX_GRID_POINTS
+        assert grid[-1] == 1
 
     @pytest.mark.parametrize(
         "hn, message",
