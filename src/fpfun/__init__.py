@@ -10,7 +10,6 @@ from .algebra import (
     Grading,
     Polynomial,
     PrimeField,
-    TermOrder,
     format_polynomial,
     monomial_lcm,
     normal_form,
@@ -95,7 +94,6 @@ __all__ = [
     "ProblemSpec",
     "RingPresentation",
     "StructureError",
-    "TermOrder",
     "betti_alternating_polynomial",
     "betti_limit_check",
     "bracket_power",

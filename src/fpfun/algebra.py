@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import add, le, mul, sub
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ParseError, StructureError
 
@@ -122,32 +122,6 @@ def monomial_div(a: ExponentVector, b: ExponentVector) -> ExponentVector:
     if not monomial_divides(b, a):
         raise StructureError(f"{b} does not divide {a}")
     return tuple(x - y for x, y in zip(a, b))
-
-
-@dataclass(frozen=True)
-class TermOrder:
-    """Weighted graded reverse lexicographic order.
-
-    Monomials compare first by weighted degree; ties are broken reverse
-    lexicographically with the last declared variable smallest.  The order is
-    total, multiplicative, and a well-order, so it is admissible for Groebner
-    basis computations over the weighted polynomial ring.
-    """
-
-    grading: Grading
-
-    def key(self, exponents: ExponentVector):
-        """Sort key: the largest key is the leading monomial."""
-        return (
-            weighted_degree(exponents, self.grading),
-            tuple(-e for e in reversed(exponents)),
-        )
-
-    def greater(self, a: ExponentVector, b: ExponentVector) -> bool:
-        return self.key(a) > self.key(b)
-
-    def sorted_descending(self, exps: Iterable[ExponentVector]) -> list:
-        return sorted(exps, key=self.key, reverse=True)
 
 
 class Polynomial:
@@ -262,16 +236,17 @@ class Polynomial:
 
     # -- term order dependent ---------------------------------------------
 
-    def leading_exponents(self, order: TermOrder) -> ExponentVector:
+    def leading_exponents(self) -> ExponentVector:
         if not self.terms:
             raise StructureError("zero polynomial has no leading term")
-        return max(self.terms, key=order.key)
+        weights = self.grading.weights
+        return min(self.terms, key=lambda e: _heap_key(e, weights))
 
-    def leading_coefficient(self, order: TermOrder) -> int:
-        return self.terms[self.leading_exponents(order)]
+    def leading_coefficient(self) -> int:
+        return self.terms[self.leading_exponents()]
 
-    def monic(self, order: TermOrder) -> "Polynomial":
-        lc = self.leading_coefficient(order)
+    def monic(self) -> "Polynomial":
+        lc = self.leading_coefficient()
         if lc == 1:
             return self
         return self.scale(self.field.inv(lc))
@@ -292,7 +267,7 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)})"
 
 
-def normal_form(f: Polynomial, divisors, order: TermOrder) -> Polynomial:
+def normal_form(f: Polynomial, divisors) -> Polynomial:
     """Remainder of f under multivariate division by the list of divisors.
 
     The remainder r satisfies: f - r lies in the ideal generated by the
@@ -309,28 +284,35 @@ def normal_form(f: Polynomial, divisors, order: TermOrder) -> Polynomial:
         f._check_compatible(g)
         if g.is_zero():
             raise StructureError("zero divisor polynomial in normal form")
-    weights, p = order.grading.weights, f.field.p
-    reducers = [_monic_reducer(_heap_terms(g, weights), p) for g in divisors]
-    remainder = _reduce(_heap_terms(f, weights), reducers, p)
+    p = f.field.p
+    reducers = [_monic_reducer(_heap_terms(g), p) for g in divisors]
+    remainder = _reduce(_heap_terms(f), reducers, p)
     return Polynomial(f.field, f.grading, _from_heap_terms(remainder))
 
 
-# -- the reduction kernel ----------------------------------------------------
+# -- the term order and the reduction kernel ---------------------------------
 #
-# Inside the kernel the monomial x^e is the tuple (-deg e, e_m, ..., e_1): its
-# weighted degree negated, then its exponents with the last variable first.
-# Ascending order of these tuples is descending TermOrder order, so a min-heap
-# pops the leading term first, and multiplying two monomials adds their tuples
-# componentwise.  Polynomials are dicts from such tuples to nonzero residues.
+# The term order is the weighted grevlex order of the polynomials' own grading:
+# monomials compare first by weighted degree, ties broken reverse
+# lexicographically with the last variable smallest.  It is total,
+# multiplicative and a well-order, hence admissible, and by Macaulay's theorem
+# the initial ideal it gives has the Hilbert function of the ideal, so no
+# graded invariant depends on the choice.  Inside the kernel the monomial x^e
+# is its key (-deg e, e_m, ..., e_1): ascending keys are descending monomials,
+# so a min-heap pops the leading term first, and multiplying two monomials
+# adds their keys componentwise.  Polynomials are dicts from keys to nonzero
+# residues.
 
 
-def _heap_terms(poly: Polynomial, weights) -> dict:
+def _heap_key(exponents: ExponentVector, weights) -> tuple:
+    """The key of x^exponents under these weights; the least key leads."""
+    return (-sum(map(mul, exponents, weights)),) + exponents[::-1]
+
+
+def _heap_terms(poly: Polynomial) -> dict:
     """The terms of poly keyed by heap-form monomials."""
-    if len(weights) != poly.grading.var_count:
-        raise StructureError("term order and polynomial have different variable counts")
-    return {
-        (-sum(map(mul, e, weights)),) + e[::-1]: c for e, c in poly.terms.items()
-    }
+    weights = poly.grading.weights
+    return {_heap_key(e, weights): c for e, c in poly.terms.items()}
 
 
 def _from_heap_terms(terms: dict) -> dict:
@@ -505,16 +487,15 @@ def parse_polynomial(text: str, names, field: PrimeField, grading: Grading) -> P
     return Polynomial(field, grading, terms)
 
 
-def format_polynomial(poly: Polynomial, names=None, order: TermOrder | None = None) -> str:
+def format_polynomial(poly: Polynomial, names=None) -> str:
     """Deterministic text form, terms in descending term order."""
     if poly.is_zero():
         return "0"
     if names is None:
         names = [f"x{i + 1}" for i in range(poly.grading.var_count)]
-    if order is None:
-        order = TermOrder(poly.grading)
+    weights = poly.grading.weights
     parts = []
-    for exps in order.sorted_descending(poly.terms):
+    for exps in sorted(poly.terms, key=lambda e: _heap_key(e, weights)):
         c = poly.terms[exps]
         factors = [
             nm if e == 1 else f"{nm}^{e}"

@@ -181,6 +181,8 @@ def _hn_from_dict(data: dict) -> HNData:
         raw_factors = data["factors"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"hn data needs delta_r, rank, factors: {exc}")
+    if isinstance(delta_r, bool) or isinstance(rank_s, bool):
+        raise ParseError("hn delta_r and rank must be integers, not booleans")
     if not isinstance(raw_factors, list):
         raise ParseError(f"hn factors must be a list, got {raw_factors!r}")
     factors = []

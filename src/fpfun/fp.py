@@ -263,6 +263,12 @@ def betti_alternating_polynomial(
     return chi_series(series_of_table(problem.table(n)), hsop_series)
 
 
+def _betti_terms(problem: ProblemSpec, degrees: tuple, n: int) -> tuple:
+    """The exponents and the coefficients of B_n, in ascending degree."""
+    terms = betti_alternating_polynomial(problem, degrees, n).items_sorted()
+    return [j for j, _ in terms], [c for _, c in terms]
+
+
 @dataclass(frozen=True)
 class BettiCheckReport:
     """Per-point deviation between the Betti form and the direct evaluation."""
@@ -290,10 +296,7 @@ def betti_limit_check(
     ell_j.
     """
     degrees = _checked_degrees(hsop_degrees)
-    betti = betti_alternating_polynomial(problem, degrees, n_max)
-    terms = betti.items_sorted()
-    exponents = [j for j, _ in terms]
-    coefficients = [c for _, c in terms]
+    exponents, coefficients = _betti_terms(problem, degrees, n_max)
     q = problem.prime ** n_max
     deviations = {}
     for y in y_grid:
@@ -312,21 +315,30 @@ def betti_limit_check(
     )
 
 
-def cm_chi_eval(problem: ProblemSpec, hsop_degrees: Sequence[int], n: int, y: complex) -> complex:
+def cm_chi_eval(
+    problem: ProblemSpec,
+    hsop_degrees: Sequence[int],
+    y_grid: Sequence[complex],
+    n: int,
+) -> dict:
     """Level-n Koszul-homology form of the function for Cohen-Macaulay rings.
 
-    Returns B_n(z) / (prod(d_i) * (iy)^d) at z = exp(-iy/q), with B_n from
-    ``betti_alternating_polynomial`` summed by the blocked phase sum.  When the
-    hsop is a regular sequence, H_{R/(hsop)} = prod(1 - t^d_i) * H_R and B_n is
-    chi(R/(hsop), R/I^[q]), so this is the chi form; the caller asserts it.
+    Maps each grid point y to B_n(z) / (prod(d_i) * (iy)^d) at z = exp(-iy/q),
+    with B_n from ``betti_alternating_polynomial``, built once for the grid,
+    summed by the blocked phase sum.  When the hsop is a regular sequence,
+    H_{R/(hsop)} = prod(1 - t^d_i) * H_R and B_n is chi(R/(hsop), R/I^[q]), so
+    this is the chi form; the caller asserts it.
     """
-    if y == 0:
-        raise EvaluationDomainError("the chi form has a pole at y = 0; use the series path")
     degrees = _checked_degrees(hsop_degrees)
-    terms = betti_alternating_polynomial(problem, degrees, n).items_sorted()
-    w = -1j * complex(y) / problem.prime ** n
-    total = _phase_sum([j for j, _ in terms], [c for _, c in terms], w)
-    return total / (math.prod(degrees) * (1j * complex(y)) ** len(degrees))
+    exponents, coefficients = _betti_terms(problem, degrees, n)
+    q, scale = problem.prime ** n, math.prod(degrees)
+    values = {}
+    for y in y_grid:
+        if y == 0:
+            raise EvaluationDomainError("the chi form has a pole at y = 0; use the series path")
+        total = _phase_sum(exponents, coefficients, -1j * complex(y) / q)
+        values[y] = total / (scale * (1j * complex(y)) ** len(degrees))
+    return values
 
 
 def _checked_degrees(hsop_degrees: Sequence[int]) -> tuple:

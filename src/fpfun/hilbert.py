@@ -214,7 +214,7 @@ def series_of_ring(ring: RingPresentation) -> HilbertSeries:
     weights = tuple(ring.grading.weights)
     if not ring.relations:
         return HilbertSeries(LaurentPolynomialZ.one(), weights)
-    basis = buchberger(list(ring.relations), ring.term_order)
+    basis = buchberger(list(ring.relations))
     M = initial_ideal(basis)
     if M.is_unit:
         return HilbertSeries(LaurentPolynomialZ.zero(), weights)

@@ -21,7 +21,6 @@ from .algebra import (
     Grading,
     Polynomial,
     PrimeField,
-    TermOrder,
     _divides,
     _from_heap_terms,
     _heap_terms,
@@ -80,10 +79,6 @@ class RingPresentation:
                 raise StructureError(f"relation {f!r} is not homogeneous")
             if f.homogeneous_degree() <= 0:
                 raise StructureError("relations must have positive weighted degree")
-
-    @property
-    def term_order(self) -> TermOrder:
-        return TermOrder(self.grading)
 
 
 @dataclass(frozen=True)
@@ -165,18 +160,17 @@ class GroebnerBasis:
     """A reduced Groebner basis: monic, auto-reduced, sorted by leading term."""
 
     elements: tuple
-    order: TermOrder
 
 
-def spolynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
+def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial of monic f and g: the leading terms cancel."""
-    lf = f.leading_exponents(order)
-    lg = g.leading_exponents(order)
+    lf = f.leading_exponents()
+    lg = g.leading_exponents()
     lcm = monomial_lcm(lf, lg)
     return f.mul_monomial(1, monomial_div(lcm, lf)) - g.mul_monomial(1, monomial_div(lcm, lg))
 
 
-def buchberger(gens: Sequence[Polynomial], order: TermOrder) -> GroebnerBasis:
+def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
     """Buchberger's algorithm with the normal selection strategy.
 
     Pairs come off a heap by least lcm degree, ties broken by index.  Two
@@ -187,12 +181,14 @@ def buchberger(gens: Sequence[Polynomial], order: TermOrder) -> GroebnerBasis:
     S-polynomials and the final interreduction go through the reduction
     kernel behind ``normal_form``.  The criteria only save work: the result
     is the reduced basis, which is unique, so it does not depend on them or
-    on the input order.
+    on the input order.  The term order is the weighted grevlex order of the
+    generators' grading, which all of them must share, as their field.
     """
     gens = list(gens)
     if not gens:
         raise StructureError("Groebner basis of an empty generator list")
     for g in gens:
+        gens[0]._check_compatible(g)
         if g.is_zero():
             raise StructureError("zero polynomial among Groebner input generators")
         if not g.is_homogeneous():
@@ -200,9 +196,9 @@ def buchberger(gens: Sequence[Polynomial], order: TermOrder) -> GroebnerBasis:
 
     # Basis elements are monic (lead, tail) pairs in the kernel's heap form,
     # where a monomial is (-degree, e_m, ..., e_1).
-    field, weights = gens[0].field, order.grading.weights
-    p, rweights = field.p, weights[::-1]
-    basis = [_monic_reducer(_heap_terms(g, weights), p) for g in gens]
+    field, grading = gens[0].field, gens[0].grading
+    p, rweights = field.p, grading.weights[::-1]
+    basis = [_monic_reducer(_heap_terms(g), p) for g in gens]
     heap, pending = [], set()
 
     def add_pairs(new):
@@ -253,16 +249,14 @@ def buchberger(gens: Sequence[Polynomial], order: TermOrder) -> GroebnerBasis:
         reduced.append((lead, terms))
     reduced.sort(key=lambda item: item[0], reverse=True)
     elements = tuple(
-        Polynomial(field, order.grading, _from_heap_terms(terms)) for _, terms in reduced
+        Polynomial(field, grading, _from_heap_terms(terms)) for _, terms in reduced
     )
-    return GroebnerBasis(elements, order)
+    return GroebnerBasis(elements)
 
 
 def initial_ideal(basis: GroebnerBasis) -> MonomialIdeal:
     """Monomial ideal of leading terms of a reduced Groebner basis."""
-    return MonomialIdeal.from_exponents(
-        g.leading_exponents(basis.order) for g in basis.elements
-    )
+    return MonomialIdeal.from_exponents(g.leading_exponents() for g in basis.elements)
 
 
 @dataclass(frozen=True)
@@ -401,7 +395,7 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
         M = MonomialIdeal.from_exponents(f.single_exponent() for f in polys)
     else:
         _check_table_floor(ring, ideal, n)
-        M = initial_ideal(buchberger(polys, ring.term_order))
+        M = initial_ideal(buchberger(polys))
     if M.is_unit:
         return GradedLengthTable(n, p, {})
     bounds = M.pure_power_bounds(ring.grading.var_count)
@@ -436,9 +430,7 @@ def _check_table_floor(ring: RingPresentation, ideal: HomogeneousIdeal, n: int):
     h = min(g.homogeneous_degree() for g in ideal.generators)
     floors = [(-(-q * h // w) - 1) * w for w in ring.grading.weights]
     if sum(floors) + 1 > MAX_TABLE_ENTRIES and ring.relations:
-        bounds = initial_ideal(buchberger(ring.relations, ring.term_order)).pure_power_bounds(
-            ring.grading.var_count
-        )
+        bounds = initial_ideal(buchberger(ring.relations)).pure_power_bounds(ring.grading.var_count)
         floors = [f for f, b in zip(floors, bounds) if b is None]
     if sum(floors) + 1 > MAX_TABLE_ENTRIES:
         raise StructureError(

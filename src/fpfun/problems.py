@@ -92,8 +92,8 @@ def _grid_points(value) -> tuple:
         return _DEFAULT_Y_GRID
     if isinstance(value, dict):
         try:
-            lo = float(value["re_min"])
-            hi = float(value["re_max"])
+            lo = _real(value["re_min"])
+            hi = _real(value["re_max"])
             count = int(str(value["count"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"y_grid object needs numeric re_min, re_max, integer count: {exc}")
@@ -119,11 +119,23 @@ def _grid_points(value) -> tuple:
             else:
                 raise ParseError(f"cannot read y_grid point {item!r}")
             try:
-                points.append(complex(float(coords[0]), float(coords[1])))
+                points.append(complex(_real(coords[0]), _real(coords[1])))
             except (TypeError, ValueError, OverflowError):
                 raise ParseError(f"cannot read y_grid point {item!r}") from None
         return tuple(points)
     raise ParseError(f"cannot read y_grid value {value!r}")
+
+
+def _real(value) -> float:
+    """float(value), refusing a JSON boolean, which Python would read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean, not a number")
+    return float(value)
+
+
+def _is_int(value) -> bool:
+    """Whether value is a JSON integer; booleans are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_grid_size(count: int) -> None:
@@ -165,7 +177,7 @@ def problem_file_from_dict(data, origin: str = "<memory>") -> ProblemFile:
         degree = v["degree"]
         if not isinstance(name, str) or not name:
             raise ParseError(f"{origin}: variables[{i}].name must be a nonempty string")
-        if not isinstance(degree, int) or degree < 1:
+        if not _is_int(degree) or degree < 1:
             raise ParseError(f"{origin}: variables[{i}].degree must be a positive integer")
         names.append(name)
         degrees.append(degree)
@@ -180,10 +192,10 @@ def problem_file_from_dict(data, origin: str = "<memory>") -> ProblemFile:
     if not isinstance(options, dict):
         raise ParseError(f"{origin}: 'options' must be an object")
     n_max = options.get("n_max", 6)
-    if not isinstance(n_max, int) or n_max < 0:
+    if not _is_int(n_max) or n_max < 0:
         raise ParseError(f"{origin}: options.n_max must be a non-negative integer")
     dim_override = options.get("dim_override")
-    if dim_override is not None and (not isinstance(dim_override, int) or dim_override < 0):
+    if dim_override is not None and (not _is_int(dim_override) or dim_override < 0):
         raise ParseError(f"{origin}: options.dim_override must be a non-negative integer or null")
     y_grid = parse_y_grid(options.get("y_grid"))
     hn = options.get("hn")

@@ -534,8 +534,12 @@ class TestExitCodes:
             ("[[null, 1]]", "[None, 1]"),
             ('[{"re": [1]}]', "{'re': [1]}"),
             ("[" + "9" * 400 + "]", "9" * 400),
+            ("[true]", "True"),
+            ("[[true, 0]]", "[True, 0]"),
+            ('[{"re": false, "im": true}]', "{'re': False, 'im': True}"),
         ],
-        ids=["re-string", "pair-string", "pair-null", "re-list", "int-overflow"],
+        ids=["re-string", "pair-string", "pair-null", "re-list", "int-overflow",
+             "bool", "pair-bool", "object-bool"],
     )
     def test_malformed_grid_point_is_parse_error(self, grid, shown, capsys):
         assert main(["eval", "--file", problem("plane.json"), "--y-grid", grid]) == 2
@@ -552,6 +556,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "parse error: cannot read y_grid point {'re': 'a', 'im': 1}\n"
         )
+
+    # JSON booleans are not numbers, though Python reads true and false as 1 and 0.
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["variables"][0].update(degree=True),
+             "variables[0].degree must be a positive integer"),
+            (lambda d: d["options"].update(n_max=True),
+             "options.n_max must be a non-negative integer"),
+            (lambda d: d["options"].update(dim_override=False),
+             "options.dim_override must be a non-negative integer or null"),
+        ],
+        ids=["degree", "n_max", "dim_override"],
+    )
+    def test_boolean_integer_in_problem_file_is_parse_error(self, edit, message, tmp_path, capsys):
+        with open(problem("plane.json")) as fh:
+            data = json.load(fh)
+        edit(data)
+        path = write(tmp_path, "bool_int.json", data)
+        assert main(["hk", "--file", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {path}: {message}\n"
 
     @pytest.mark.parametrize(
         "grid, message",
@@ -571,8 +598,10 @@ class TestExitCodes:
             ('{"re_min": 0, "re_max": 1, "count": 2.7}', "y_grid object needs numeric"),
             ('{"re_min": 0, "re_max": 1, "count": 2.0}', "y_grid object needs numeric"),
             ('{"re_min": 0, "re_max": 1, "count": true}', "y_grid object needs numeric"),
+            ('{"re_min": true, "re_max": 1, "count": 3}', "y_grid object needs numeric"),
         ],
-        ids=["object-huge", "shorthand-huge", "list-huge", "count-float", "count-float-int", "count-bool"],
+        ids=["object-huge", "shorthand-huge", "list-huge", "count-float", "count-float-int", "count-bool",
+             "re-min-bool"],
     )
     def test_bad_grid_size_is_parse_error(self, grid, message, capsys):
         assert main(["eval", "--file", problem("plane.json"), "--y-grid", grid]) == 2
@@ -605,6 +634,14 @@ class TestExitCodes:
             (
                 {"delta_r": 1, "rank": 1, "factors": [{"mu": "-1"}]},
                 "cannot read hn factor {'mu': '-1'}: ",
+            ),
+            (
+                {"delta_r": True, "rank": 1, "factors": [[-1, 1]]},
+                "hn delta_r and rank must be integers, not booleans",
+            ),
+            (
+                {"delta_r": 1, "rank": True, "factors": [[-1, 1]]},
+                "hn delta_r and rank must be integers, not booleans",
             ),
         ],
     )

@@ -127,7 +127,7 @@ class TestSupportBoundConstant:
         # C = (largest level-zero pure-power exponent + 1) * sum of weights
         for name, (problem, _) in suite_problems.items():
             polys = list(problem.ring.relations) + list(problem.ideal.generators)
-            lead = initial_ideal(buchberger(polys, problem.ring.term_order))
+            lead = initial_ideal(buchberger(polys))
             bounds = lead.pure_power_bounds(problem.ring.grading.var_count)
             c = (max(bounds) + 1) * sum(problem.ring.grading.weights)
             for n in range(5):

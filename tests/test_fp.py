@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fpfun import fp
 from fpfun.algebra import Grading, PrimeField, parse_polynomial
 from fpfun.errors import EvaluationDomainError, StructureError
 from fpfun.fp import (
@@ -304,12 +305,13 @@ class TestCmChiEval:
     def test_exact_rearrangement_of_fn(self, plane):
         for n in (2, 5, 8):
             q = 2 ** n
+            values = cm_chi_eval(plane, (1, 1), GRID, n)
+            assert list(values) == list(GRID)
             for y in GRID:
                 z = cmath.exp(-1j * y / q)
                 correction = (q * (1 - z)) ** 2 / (1j * y) ** 2
-                lhs = cm_chi_eval(plane, (1, 1), n, y)
                 rhs = fn_eval(plane, n, y) * correction
-                assert abs(lhs - rhs) <= 1e-12
+                assert abs(values[y] - rhs) <= 1e-12
 
     @pytest.mark.parametrize("name, hsop", [("parameter23", (1, 1)), ("cusp", (2,))])
     def test_deep_level_matches_fn_relative(self, request, name, hsop):
@@ -317,32 +319,47 @@ class TestCmChiEval:
         # exactly, so the two sides differ only by rounding
         problem = request.getfixturevalue(name)
         q = 2 ** 14
-        for y in (0.5 + 2j, 2 + 1j, 1 + 3j, 8.0):
+        grid = (0.5 + 2j, 2 + 1j, 1 + 3j, 8.0)
+        values = cm_chi_eval(problem, hsop, grid, 14)
+        for y in grid:
             rhs = fn_eval(problem, 14, y)
             for d in hsop:
                 rhs *= -q * _interval_step(d * y / q) / (d * 1j * y)
-            lhs = cm_chi_eval(problem, hsop, 14, y)
-            assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+            assert abs(values[y] - rhs) <= 1e-13 * abs(rhs)
 
     def test_converges_to_product_formula(self, plane):
         target = product_model(1.0, (1, 1))
-        value = cm_chi_eval(plane, (1, 1), 10, 1.0)
+        value = cm_chi_eval(plane, (1, 1), [1.0], 10)[1.0]
         assert abs(value - target) <= 5e-3
 
     def test_weighted_parameters(self, weighted_plane):
         # general correction factor: prod_i q (1 - z^{d_i}) / (i d_i y) -> 1
         target = product_model(1.0, (2, 3)) * 6 * Fraction(1, 6)
-        value = cm_chi_eval(weighted_plane, (2, 3), 10, 1.0)
+        value = cm_chi_eval(weighted_plane, (2, 3), [1.0], 10)[1.0]
         assert abs(value - complex(target)) <= 5e-3
 
     def test_cusp_dimension_one(self, cusp):
         target = (1 - cmath.exp(-2j)) / 1j
-        value = cm_chi_eval(cusp, (2,), 10, 1.0)
+        value = cm_chi_eval(cusp, (2,), [1.0], 10)[1.0]
         assert abs(value - target) <= 1e-2
 
     def test_zero_is_domain_error(self, plane):
         with pytest.raises(EvaluationDomainError):
-            cm_chi_eval(plane, (1, 1), 4, 0)
+            cm_chi_eval(plane, (1, 1), [1.0, 0], 4)
+
+    def test_builds_b_n_once_per_grid(self, parameter23, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return betti_alternating_polynomial(*args)
+
+        monkeypatch.setattr(fp, "betti_alternating_polynomial", counting)
+        grid = (0.5, 1.0, 2 + 1j, 4.0, 8.0)
+        values = cm_chi_eval(parameter23, (1, 1), grid, 6)
+        assert len(calls) == 1 and list(values) == list(grid)
+        report = betti_limit_check(parameter23, (1, 1), grid, 6)
+        assert len(calls) == 2 and list(report.deviations) == list(grid)
 
 
 class TestProblemSpec:
