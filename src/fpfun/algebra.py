@@ -94,7 +94,8 @@ def weighted_degree(exponents: ExponentVector, grading: Grading) -> int:
     """Weighted degree sum(e_j * w_j) of an exponent vector."""
     if len(exponents) != grading.var_count:
         raise StructureError(
-            f"exponent vector of length {len(exponents)} under a grading of {grading.var_count} variables"
+            f"exponent vector of length {len(exponents)} under a grading of "
+            f"{grading.var_count} variables"
         )
     return sum(e * w for e, w in zip(exponents, grading.weights))
 

@@ -36,7 +36,7 @@ from .models import (
     model_from_hn,
     model_hsop,
 )
-from .problems import ProblemFile, load_problem_file, parse_y_grid
+from .problems import ProblemFile, _is_int, load_problem_file, parse_y_grid
 from .selfcheck import SelfCheckFailure, run_all
 
 EXIT_OK = 0
@@ -181,8 +181,10 @@ def _hn_from_dict(data: dict) -> HNData:
         raw_factors = data["factors"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"hn data needs delta_r, rank, factors: {exc}")
-    if isinstance(delta_r, bool) or isinstance(rank_s, bool):
-        raise ParseError("hn delta_r and rank must be integers, not booleans")
+    if not (_is_int(delta_r) and _is_int(rank_s)):
+        raise ParseError(
+            f"hn delta_r and rank must be JSON integers, got {delta_r!r} and {rank_s!r}"
+        )
     if not isinstance(raw_factors, list):
         raise ParseError(f"hn factors must be a list, got {raw_factors!r}")
     factors = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping
 
 from .errors import InexactDivisionError, StructureError
@@ -19,7 +20,6 @@ from .ideals import (
     RingPresentation,
     buchberger,
     initial_ideal,
-    series_expansion,
     staircase_numerator,
 )
 
@@ -51,16 +51,11 @@ class LaurentPolynomialZ:
 
     @classmethod
     def one_minus_power(cls, d: int) -> "LaurentPolynomialZ":
-        """The factor 1 - t^d."""
-        if d == 0:
-            return cls.zero()
+        """The factor 1 - t^d, for d >= 1."""
         return cls({0: 1, d: -1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, e: int) -> int:
-        return self.coeffs.get(e, 0)
 
     @property
     def degree(self) -> int:
@@ -82,12 +77,6 @@ class LaurentPolynomialZ:
         for e, c in other.coeffs.items():
             res[e] = res.get(e, 0) + c
         return LaurentPolynomialZ(res)
-
-    def __neg__(self) -> "LaurentPolynomialZ":
-        return LaurentPolynomialZ({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPolynomialZ") -> "LaurentPolynomialZ":
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPolynomialZ") -> "LaurentPolynomialZ":
         res: dict = {}
@@ -188,15 +177,6 @@ class HilbertSeries:
         right = other.numerator * self.denominator_polynomial()
         return left == right
 
-    def series_coefficients(self, up_to: int) -> list:
-        """Power-series expansion coefficients for degrees 0..up_to.
-
-        Requires the numerator to have no negative exponents.
-        """
-        if min(self.numerator.coeffs, default=0) < 0:
-            raise StructureError("series expansion needs a numerator without negative exponents")
-        return series_expansion(self.numerator.coeffs, self.denominator_degrees, up_to)
-
 
 def series_of_table(table: GradedLengthTable) -> HilbertSeries:
     """The (polynomial) Hilbert series of a finite-length graded quotient."""
@@ -225,22 +205,20 @@ def series_of_ring(ring: RingPresentation) -> HilbertSeries:
 def hilbert_samuel(series: HilbertSeries):
     """Krull dimension and Hilbert-Samuel multiplicity from a Hilbert series.
 
-    Factors (1 - t) are stripped from the numerator exactly; if v of them come
-    out and there are D denominator factors of degrees d_i, the dimension is
-    D - v and the multiplicity is Q(1) / prod(d_i) with Q the stripped
-    numerator, returned as an exact Fraction.
+    Write the numerator as t^val * P(t) and P = (1 - t)^v * Q with Q(1) != 0.
+    The Taylor coefficients of P at t = 1 are the exact sums
+    S_k = sum of c_e * C(e - val, k): S_k = 0 for k < v and S_v = (-1)^v Q(1).
+    With D denominator factors of degrees d_i, the dimension is D - v and the
+    multiplicity is Q(1) / prod(d_i), returned as an exact Fraction.
     """
     num = series.numerator
     if num.is_zero():
         return 0, Fraction(0)
-    one_minus_t = LaurentPolynomialZ.one_minus_power(1)
-    vanish = 0
-    while True:
-        try:
-            num = num.divide_exact(one_minus_t)
-            vanish += 1
-        except InexactDivisionError:
-            break
+    val = num.valuation
+    vanish, s_k = 0, num.value_at_one()
+    while not s_k:
+        vanish += 1
+        s_k = sum(c * comb(e - val, vanish) for e, c in num.coeffs.items())
     dimension = len(series.denominator_degrees) - vanish
     if dimension < 0:
         raise StructureError(
@@ -249,7 +227,7 @@ def hilbert_samuel(series: HilbertSeries):
     denom = 1
     for d in series.denominator_degrees:
         denom *= d
-    return dimension, Fraction(num.value_at_one(), denom)
+    return dimension, Fraction((-1) ** vanish * s_k, denom)
 
 
 def chi_series(h_m: HilbertSeries, h_r: HilbertSeries) -> LaurentPolynomialZ:

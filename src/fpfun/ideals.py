@@ -132,10 +132,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return any(all(x == 0 for x in g) for g in self.generators)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
-
     def contains_monomial(self, exps: ExponentVector) -> bool:
         return any(monomial_divides(g, exps) for g in self.generators)
 
@@ -178,11 +174,12 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
     1979; Gebauer and Moeller, JSC 6, 1988): pairs with coprime leading terms,
     and the chain criterion, which skips (i, j) when some other leading term
     divides their lcm and its pairs with i and with j are both processed.
-    S-polynomials and the final interreduction go through the reduction
-    kernel behind ``normal_form``.  The criteria only save work: the result
-    is the reduced basis, which is unique, so it does not depend on them or
-    on the input order.  The term order is the weighted grevlex order of the
-    generators' grading, which all of them must share, as their field.
+    S-polynomials, and the normal forms of the minimal leading terms that
+    give the reduced basis, go through the reduction kernel behind
+    ``normal_form``.  The criteria only save work: the result is the reduced
+    basis, which is unique, so it does not depend on them or on the input
+    order.  The term order is the weighted grevlex order of the generators'
+    grading, which all of them must share, as their field.
     """
     gens = list(gens)
     if not gens:
@@ -229,29 +226,17 @@ def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
             basis.append(_monic_reducer(r, p))
             add_pairs(len(basis) - 1)
 
-    # Minimalize: drop elements whose leading term another leading term divides
-    # (keeping the first of any duplicates).
-    leads = [lead for lead, _ in basis]
-    minimal = [
-        basis[i]
-        for i, li in enumerate(leads)
-        if not any(
-            k != i and _divides(lk, li) and (lk != li or k < i) for k, lk in enumerate(leads)
-        )
-    ]
-
-    # Interreduce tails so the basis is fully reduced.  A lead stays: no other
-    # lead divides it, and every tail term is smaller.
-    reduced = []
-    for i, (lead, tail) in enumerate(minimal):
-        terms = _reduce(dict(tail), minimal[:i] + minimal[i + 1 :], p)
-        terms[lead] = 1
-        reduced.append((lead, terms))
-    reduced.sort(key=lambda item: item[0], reverse=True)
-    elements = tuple(
-        Polynomial(field, grading, _from_heap_terms(terms)) for _, terms in reduced
-    )
-    return GroebnerBasis(elements)
+    # The reduced basis is m - NF(m) over the minimal leads m: NF(m) is the
+    # unique standard remainder of m, and m - NF(m) lies in the ideal.
+    leads = {lead for lead, _ in basis}
+    elements = []
+    for m in sorted(leads, reverse=True):
+        if any(k != m and _divides(k, m) for k in leads):
+            continue
+        terms = {t: -c % p for t, c in _reduce({m: 1}, basis, p).items()}
+        terms[m] = 1
+        elements.append(Polynomial(field, grading, _from_heap_terms(terms)))
+    return GroebnerBasis(tuple(elements))
 
 
 def initial_ideal(basis: GroebnerBasis) -> MonomialIdeal:
@@ -403,7 +388,8 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
         if b is None:
             name = ring.variable_names[i]
             raise ColengthError(
-                f"ideal does not have finite colength: no pure power of {name!r} in the initial ideal",
+                f"ideal does not have finite colength: no pure power of {name!r} "
+                "in the initial ideal",
                 variable=name,
             )
     max_degree = sum((b - 1) * w for b, w in zip(bounds, ring.grading.weights))
@@ -502,8 +488,6 @@ def macaulay_rank_oracle(ring: RingPresentation, gens: Sequence[Polynomial], deg
 def _rank_mod_p(rows, p: int) -> int:
     if not rows:
         return 0
-    if p == 2:
-        return _rank_gf2(rows)
     ncols = len(rows[0])
     pivots = {}  # column -> normalized pivot row
     rank = 0
@@ -523,21 +507,3 @@ def _rank_mod_p(rows, p: int) -> int:
         # row fully reduced to zero: contributes nothing
     return rank
 
-
-def _rank_gf2(rows) -> int:
-    pivots = {}
-    rank = 0
-    for row in rows:
-        acc = 0
-        for i, x in enumerate(row):
-            if x & 1:
-                acc |= 1 << i
-        while acc:
-            low = acc.bit_length() - 1
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = acc
-                rank += 1
-                break
-            acc ^= piv
-    return rank

@@ -124,9 +124,10 @@ def model_hsop(ring_multiplicity, degrees: Sequence[int]) -> ExponentialPolynomi
     """Model e_R * prod_j (1 - exp(-i d_j y)) / (iy)^d for a parameter ideal.
 
     This is the finite projective dimension model of the Koszul numerator
-    prod_j (1 - t^(d_j)), the denominator of H_S for the parameter subring S.  Its value at the origin is d_1 * ... * d_d * e_R,
-    the Hilbert-Kunz multiplicity of an ideal generated by a homogeneous
-    system of parameters of these degrees.
+    prod_j (1 - t^(d_j)), the denominator of H_S for the parameter subring S.
+    Its value at the origin is d_1 * ... * d_d * e_R, the Hilbert-Kunz
+    multiplicity of an ideal generated by a homogeneous system of parameters
+    of these degrees.
     """
     e = Fraction(ring_multiplicity)
     if e <= 0:

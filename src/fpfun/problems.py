@@ -95,7 +95,7 @@ def _grid_points(value) -> tuple:
             lo = _real(value["re_min"])
             hi = _real(value["re_max"])
             count = int(str(value["count"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"y_grid object needs numeric re_min, re_max, integer count: {exc}")
         if count < 0:
             raise ParseError("y_grid count must be non-negative")
@@ -127,9 +127,9 @@ def _grid_points(value) -> tuple:
 
 
 def _real(value) -> float:
-    """float(value), refusing a JSON boolean, which Python would read as 0 or 1."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is a boolean, not a number")
+    """A JSON number as a float; a string or a boolean is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
     return float(value)
 
 
@@ -151,7 +151,9 @@ def load_problem_file(path: str) -> ProblemFile:
     except OSError as exc:
         raise ParseError(f"cannot read problem file {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        raise ParseError(
+            f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        )
     return problem_file_from_dict(data, origin=path)
 
 

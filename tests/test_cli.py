@@ -537,9 +537,14 @@ class TestExitCodes:
             ("[true]", "True"),
             ("[[true, 0]]", "[True, 0]"),
             ('[{"re": false, "im": true}]', "{'re': False, 'im': True}"),
+            ('[["1", 0]]', "['1', 0]"),
+            ('[[1, "0"]]', "[1, '0']"),
+            ('[{"re": "1"}]', "{'re': '1'}"),
+            ('[{"re": 1, "im": "0.5"}]', "{'re': 1, 'im': '0.5'}"),
         ],
         ids=["re-string", "pair-string", "pair-null", "re-list", "int-overflow",
-             "bool", "pair-bool", "object-bool"],
+             "bool", "pair-bool", "object-bool", "pair-numeric-string",
+             "pair-im-numeric-string", "re-numeric-string", "im-numeric-string"],
     )
     def test_malformed_grid_point_is_parse_error(self, grid, shown, capsys):
         assert main(["eval", "--file", problem("plane.json"), "--y-grid", grid]) == 2
@@ -556,6 +561,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "parse error: cannot read y_grid point {'re': 'a', 'im': 1}\n"
         )
+
+    # A coordinate, re_min or re_max that is a JSON string is not a number,
+    # though float() would read "1" and "0.5".
+    @pytest.mark.parametrize(
+        "y_grid, message",
+        [
+            ([["1", 0]], "cannot read y_grid point ['1', 0]"),
+            ([0.5, {"re": 1, "im": "0"}], "cannot read y_grid point {'re': 1, 'im': '0'}"),
+            ({"re_min": "0.5", "re_max": 4.0, "count": 8}, "y_grid object needs numeric"),
+            ({"re_min": 0.5, "re_max": "4", "count": 8}, "y_grid object needs numeric"),
+        ],
+        ids=["pair", "object", "re-min", "re-max"],
+    )
+    def test_string_coordinate_in_problem_file_is_parse_error(
+        self, y_grid, message, tmp_path, capsys
+    ):
+        with open(problem("plane.json")) as fh:
+            data = json.load(fh)
+        data["options"]["y_grid"] = y_grid
+        path = write(tmp_path, "string_grid.json", data)
+        assert main(["eval", "--file", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: {message}")
 
     # JSON booleans are not numbers, though Python reads true and false as 1 and 0.
     @pytest.mark.parametrize(
@@ -599,9 +628,13 @@ class TestExitCodes:
             ('{"re_min": 0, "re_max": 1, "count": 2.0}', "y_grid object needs numeric"),
             ('{"re_min": 0, "re_max": 1, "count": true}', "y_grid object needs numeric"),
             ('{"re_min": true, "re_max": 1, "count": 3}', "y_grid object needs numeric"),
+            ('{"re_min": "0.5", "re_max": 1, "count": 3}', "y_grid object needs numeric"),
+            ('{"re_min": 0, "re_max": "1", "count": 3}', "y_grid object needs numeric"),
+            ('{"re_min": ' + "9" * 400 + ', "re_max": 1, "count": 3}',
+             "y_grid object needs numeric"),
         ],
         ids=["object-huge", "shorthand-huge", "list-huge", "count-float", "count-float-int", "count-bool",
-             "re-min-bool"],
+             "re-min-bool", "re-min-string", "re-max-string", "re-min-int-overflow"],
     )
     def test_bad_grid_size_is_parse_error(self, grid, message, capsys):
         assert main(["eval", "--file", problem("plane.json"), "--y-grid", grid]) == 2
@@ -637,11 +670,27 @@ class TestExitCodes:
             ),
             (
                 {"delta_r": True, "rank": 1, "factors": [[-1, 1]]},
-                "hn delta_r and rank must be integers, not booleans",
+                "hn delta_r and rank must be JSON integers, got True and 1",
             ),
             (
                 {"delta_r": 1, "rank": True, "factors": [[-1, 1]]},
-                "hn delta_r and rank must be integers, not booleans",
+                "hn delta_r and rank must be JSON integers, got 1 and True",
+            ),
+            (
+                {"delta_r": 1.5, "rank": 1, "factors": [[-1, 1]]},
+                "hn delta_r and rank must be JSON integers, got 1.5 and 1",
+            ),
+            (
+                {"delta_r": "1", "rank": 1, "factors": [[-1, 1]]},
+                "hn delta_r and rank must be JSON integers, got '1' and 1",
+            ),
+            (
+                {"delta_r": 1, "rank": 1.0, "factors": [[-1, 1]]},
+                "hn delta_r and rank must be JSON integers, got 1 and 1.0",
+            ),
+            (
+                {"delta_r": 1, "rank": "1", "factors": [[-1, 1]]},
+                "hn delta_r and rank must be JSON integers, got 1 and '1'",
             ),
         ],
     )
@@ -659,6 +708,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"parse error: {message}")
+
+    @pytest.mark.parametrize("source", ["--hn-json", "options.hn"])
+    def test_hn_slope_may_be_a_fraction_string(self, source, tmp_path, capsys):
+        # The Fermat cubic's HN data: rank 2, semistable of slope -3/2.
+        hn = {"delta_r": 3, "rank": 2, "factors": [["-3/2", 2]]}
+        argv = ["closed", "--method", "hn"]
+        if source == "--hn-json":
+            argv += ["--file", problem("plane.json"), "--hn-json", json.dumps(hn)]
+        else:
+            with open(problem("plane.json")) as fh:
+                data = json.load(fh)
+            data["options"]["hn"] = hn
+            argv += ["--file", write(tmp_path, "fermat_hn.json", data)]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["value_at_zero"]["re"] == pytest.approx(9 / 4, abs=1e-12)
 
     def test_overflowing_model_value_exits_3(self, capsys):
         # exp(2e308) overflows to inf without raising; the model value is refused

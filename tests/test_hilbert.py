@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fpfun.errors import InexactDivisionError
+from fpfun.errors import InexactDivisionError, StructureError
 from fpfun.hilbert import (
     HilbertSeries,
     LaurentPolynomialZ,
@@ -12,7 +13,12 @@ from fpfun.hilbert import (
     series_of_ring,
     series_of_table,
 )
-from fpfun.ideals import GradedLengthTable, enumeration_oracle, staircase_numerator
+from fpfun.ideals import (
+    GradedLengthTable,
+    enumeration_oracle,
+    series_expansion,
+    staircase_numerator,
+)
 from fpfun.selfcheck import random_zero_dimensional_monomial_ideal
 
 
@@ -90,7 +96,7 @@ class TestSeriesOfRing:
             assert h.numerator == ONE
             assert h.denominator_degrees == (delta,)
             # graded pieces sit exactly at multiples of delta
-            coeffs = h.series_coefficients(3 * delta)
+            coeffs = series_expansion(h.numerator.coeffs, h.denominator_degrees, 3 * delta)
             expected = [1 if j % delta == 0 else 0 for j in range(3 * delta + 1)]
             assert coeffs == expected
 
@@ -126,6 +132,27 @@ class TestHilbertSamuel:
     def test_finite_length(self):
         h = HilbertSeries(lp({0: 1, 1: 2, 2: 1}), ())
         assert hilbert_samuel(h) == (0, Fraction(4))
+
+    def test_random_series(self):
+        # t^s (1 - t)^v Q / prod(1 - t^d) with Q(1) != 0 has dimension len(d) - v
+        # and multiplicity Q(1) / prod(d); v > len(d) is not a Hilbert series.
+        rng = random.Random(1010)
+        for _ in range(500):
+            degrees = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 4)))
+            q = lp({})
+            while q.value_at_one() == 0:
+                q = lp({e: rng.randint(-5, 5) for e in range(rng.randint(1, 5))})
+            v = rng.randint(0, 5)
+            numerator = lp({rng.randint(-3, 3): 1}) * q
+            for _ in range(v):
+                numerator = numerator * lp({0: 1, 1: -1})
+            series = HilbertSeries(numerator, degrees)
+            if v > len(degrees):
+                with pytest.raises(StructureError):
+                    hilbert_samuel(series)
+            else:
+                expected = Fraction(q.value_at_one(), math.prod(degrees))
+                assert hilbert_samuel(series) == (len(degrees) - v, expected)
 
     def test_parameter_multiplicity_identity(self, suite_problems):
         # Hilbert-Kunz multiplicity of a parameter ideal = d_1...d_d * e_R

@@ -360,6 +360,17 @@ class TestMacaulayRankOracle:
         dims = [macaulay_rank_oracle(cusp.ring, [], j) for j in range(8)]
         assert dims == [1, 0, 1, 1, 1, 1, 1, 1]
 
+    def test_rank_mod_2_matches_span_size(self):
+        # Over GF(2), rows of rank k span exactly 2^k distinct XOR combinations.
+        rng = random.Random(2)
+        for _ in range(300):
+            ncols = rng.randint(1, 10)
+            rows = [[rng.randrange(2) for _ in range(ncols)] for _ in range(rng.randint(1, 8))]
+            span = {(0,) * ncols}
+            for row in rows:
+                span |= {tuple(a ^ b for a, b in zip(v, row)) for v in span}
+            assert 2 ** ideals._rank_mod_p(rows, 2) == len(span)
+
 
 class TestOracleAgreement:
     def test_random_monomial_ideals(self):
