@@ -54,21 +54,6 @@ class PrimeField:
         if not isinstance(self.p, int) or not is_prime(self.p):
             raise StructureError(f"characteristic must be prime, got {self.p!r}")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("no inverse of 0 in a field")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, k: int) -> int:
-        return pow(a % self.p, k, self.p)
-
 
 @dataclass(frozen=True)
 class Grading:
@@ -118,13 +103,6 @@ def monomial_divides(a: ExponentVector, b: ExponentVector) -> bool:
     return len(a) == len(b) and all(x <= y for x, y in zip(a, b))
 
 
-def monomial_div(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    """Exponent vector of x^a / x^b; requires divisibility."""
-    if not monomial_divides(b, a):
-        raise StructureError(f"{b} does not divide {a}")
-    return tuple(x - y for x, y in zip(a, b))
-
-
 class Polynomial:
     """A sparse multivariate polynomial over a prime field with a grading.
 
@@ -152,12 +130,6 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, field: PrimeField, grading: Grading, c: int) -> "Polynomial":
-        return cls(field, grading, {(0,) * grading.var_count: c})
 
     # -- basic structure ---------------------------------------------------
 
@@ -208,19 +180,6 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def scale(self, c: int) -> "Polynomial":
-        c %= self.field.p
-        return Polynomial(self.field, self.grading, {e: c * v for e, v in self.terms.items()})
-
-    def mul_monomial(self, c: int, exps: ExponentVector) -> "Polynomial":
-        """Multiply by the term c * x^exps."""
-        exps = tuple(exps)
-        return Polynomial(
-            self.field,
-            self.grading,
-            {monomial_mul(e, exps): c * v for e, v in self.terms.items()},
-        )
-
     def frobenius_power(self, q: int) -> "Polynomial":
         """The q-th power for q a power of the characteristic.
 
@@ -242,15 +201,6 @@ class Polynomial:
             raise StructureError("zero polynomial has no leading term")
         weights = self.grading.weights
         return min(self.terms, key=lambda e: _heap_key(e, weights))
-
-    def leading_coefficient(self) -> int:
-        return self.terms[self.leading_exponents()]
-
-    def monic(self) -> "Polynomial":
-        lc = self.leading_coefficient()
-        if lc == 1:
-            return self
-        return self.scale(self.field.inv(lc))
 
     # -- comparison / display ----------------------------------------------
 
@@ -435,6 +385,12 @@ def parse_polynomial(text: str, names, field: PrimeField, grading: Grading) -> P
     def fail(msg, at):
         raise ParseError(f"{msg} at position {at} in {text!r}")
 
+    def integer(digits, at):
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() reads
+            fail(f"integer of {len(digits)} digits is too long", at)
+
     sign = 1
     if tokens[0][0] == "op" and tokens[0][1] in "+-":
         sign = -1 if tokens[0][1] == "-" else 1
@@ -450,7 +406,7 @@ def parse_polynomial(text: str, names, field: PrimeField, grading: Grading) -> P
                 fail("expected a coefficient or variable", len(text))
             kind, val, at = tokens[pos]
             if kind == "int":
-                coeff *= int(val)
+                coeff *= integer(val, at)
                 pos += 1
             elif kind == "name":
                 if val not in index:
@@ -461,7 +417,7 @@ def parse_polynomial(text: str, names, field: PrimeField, grading: Grading) -> P
                     pos += 1
                     if pos >= n or tokens[pos][0] != "int":
                         fail("expected an integer exponent after '^'", at)
-                    k = int(tokens[pos][1])
+                    k = integer(tokens[pos][1], tokens[pos][2])
                     pos += 1
                 exps[index[val]] += k
             else:

@@ -164,8 +164,8 @@ def build_model(method: str, pf: ProblemFile, problem: ProblemSpec, hn_json: str
         if hn_json is not None:
             try:
                 data = json.loads(hn_json)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid --hn-json: {exc.msg}")
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to read
+                raise ParseError(f"invalid --hn-json: {getattr(exc, 'msg', exc)}")
         elif pf.hn is not None:
             data = pf.hn
         if data is None:
@@ -195,8 +195,10 @@ def _hn_from_dict(data: dict) -> HNData:
             mu, r = item
         else:
             raise ParseError(f"cannot read hn factor {item!r}")
+        if not _is_int(r):
+            raise ParseError(f"cannot read hn factor {item!r}: rank must be a JSON integer")
         try:
-            factors.append((Fraction(str(mu)), int(str(r))))
+            factors.append((Fraction(str(mu)), r))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"cannot read hn factor {item!r}: {exc}")
     return HNData(delta_r=delta_r, rank_s=rank_s, factors=tuple(factors))
@@ -244,6 +246,8 @@ def _resolve_grid(args, pf: ProblemFile):
             spec = json.loads(args.y_grid)
         except json.JSONDecodeError:
             spec = _parse_grid_shorthand(args.y_grid)
+        except ValueError as exc:  # an integer too long to read
+            raise ParseError(f"cannot read y grid: {exc}")
         return parse_y_grid(spec)
     return pf.y_grid
 

@@ -28,7 +28,6 @@ from .algebra import (
     _monic_reducer,
     _reduce,
     _spolynomial,
-    monomial_div,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
@@ -156,14 +155,6 @@ class GroebnerBasis:
     """A reduced Groebner basis: monic, auto-reduced, sorted by leading term."""
 
     elements: tuple
-
-
-def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of monic f and g: the leading terms cancel."""
-    lf = f.leading_exponents()
-    lg = g.leading_exponents()
-    lcm = monomial_lcm(lf, lg)
-    return f.mul_monomial(1, monomial_div(lcm, lf)) - g.mul_monomial(1, monomial_div(lcm, lg))
 
 
 def buchberger(gens: Sequence[Polynomial]) -> GroebnerBasis:
@@ -394,10 +385,7 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
             )
     max_degree = sum((b - 1) * w for b, w in zip(bounds, ring.grading.weights))
     if max_degree + 1 > MAX_TABLE_ENTRIES:
-        raise StructureError(
-            f"level {n} needs a length table of {max_degree + 1} degrees, "
-            f"over the budget of {MAX_TABLE_ENTRIES}"
-        )
+        raise _over_budget(n, max_degree + 1)
     counts = staircase_degree_counts(M, ring.grading, max_degree)
     return GradedLengthTable(n, p, {j: c for j, c in enumerate(counts) if c})
 
@@ -419,10 +407,23 @@ def _check_table_floor(ring: RingPresentation, ideal: HomogeneousIdeal, n: int):
         bounds = initial_ideal(buchberger(ring.relations)).pure_power_bounds(ring.grading.var_count)
         floors = [f for f, b in zip(floors, bounds) if b is None]
     if sum(floors) + 1 > MAX_TABLE_ENTRIES:
-        raise StructureError(
-            f"level {n} needs a length table of at least {sum(floors) + 1} degrees, "
-            f"over the budget of {MAX_TABLE_ENTRIES}"
-        )
+        raise _over_budget(n, sum(floors) + 1, "at least ")
+
+
+def _over_budget(n: int, entries: int, bound: str = "") -> StructureError:
+    """The refusal of level n, whose table needs ``entries`` (``bound`` "at least ") degrees.
+
+    str() refuses an integer of more than 4300 digits; such a size is given as
+    a power of ten it reaches, 10^k with k = floor((bit length - 1) * 0.30102),
+    and 0.30102 < log10(2).
+    """
+    try:
+        size = f"{bound}{entries}"
+    except ValueError:
+        size = f"at least 10^{(entries.bit_length() - 1) * 30102 // 100000}"
+    return StructureError(
+        f"level {n} needs a length table of {size} degrees, over the budget of {MAX_TABLE_ENTRIES}"
+    )
 
 
 def check_ideal_in_ring(ring: RingPresentation, ideal: HomogeneousIdeal):

@@ -94,8 +94,10 @@ def _grid_points(value) -> tuple:
         try:
             lo = _real(value["re_min"])
             hi = _real(value["re_max"])
-            count = int(str(value["count"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            count = value["count"]
+            if not _is_int(count):
+                raise TypeError(f"{count!r} is not an integer")
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ParseError(f"y_grid object needs numeric re_min, re_max, integer count: {exc}")
         if count < 0:
             raise ParseError("y_grid count must be non-negative")
@@ -154,6 +156,8 @@ def load_problem_file(path: str) -> ProblemFile:
         raise ParseError(
             f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer too long to read
+        raise ParseError(f"cannot read problem file {path}: {exc}")
     return problem_file_from_dict(data, origin=path)
 
 

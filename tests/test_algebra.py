@@ -34,19 +34,6 @@ class TestPrimeField:
     def test_accepts_large_prime(self):
         PrimeField(1000003)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 97])
-    def test_axioms_random(self, p):
-        rng = random.Random(1234 + p)
-        field = PrimeField(p)
-        for _ in range(50):
-            a, b, c = (rng.randrange(p) for _ in range(3))
-            assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
-            assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-            if a:
-                assert field.mul(a, field.inv(a)) == 1
-            # Frobenius additivity
-            assert field.pow(field.add(a, b), p) == field.add(field.pow(a, p), field.pow(b, p))
-
 
 class TestWeightedDegree:
     def test_empty_monomial(self):
@@ -140,13 +127,6 @@ class TestPolynomial:
         with pytest.raises(StructureError):
             f + g
 
-    def test_monic(self):
-        f3 = PrimeField(3)
-        f = parse_polynomial("2*X^2 + Y^2", ("X", "Y"), f3, STD2)
-        m = f.monic()
-        assert m.leading_coefficient() == 1
-        assert m.terms[(0, 2)] == 2  # 2 * inv(2) = 1, tail scaled by inv(2) = 2
-
 
 class TestNormalForm:
     def test_exact_divisor(self):
@@ -158,7 +138,7 @@ class TestNormalForm:
         assert r == poly("Y^2", grading=W23)
 
     def test_unit_ideal(self):
-        one = Polynomial.constant(F2, STD2, 1)
+        one = poly("1")
         for text in ("X^3 + X*Y", "Y", "1"):
             assert normal_form(poly(text), [one]).is_zero()
 

@@ -662,7 +662,7 @@ class TestExitCodes:
             ({"delta_r": 1, "rank": 1, "factors": 5}, "hn factors must be a list, got 5"),
             (
                 {"delta_r": 1, "rank": 1, "factors": [["-1", 1.5]]},
-                "cannot read hn factor ['-1', 1.5]: invalid literal for int()",
+                "cannot read hn factor ['-1', 1.5]: rank must be a JSON integer",
             ),
             (
                 {"delta_r": 1, "rank": 1, "factors": [{"mu": "-1"}]},
@@ -744,9 +744,81 @@ class TestExitCodes:
         assert failed.returncode == 2
         assert failed.stderr == "parse error: --n must be non-negative\n"
 
+    LONG = "9" * 5000  # more digits than int() and str() convert
+
+    @pytest.mark.parametrize(
+        "argv, edit, code, message",
+        [
+            (
+                ["eval", "--n-max", "2", "--y-grid",
+                 '{"re_min": 0.5, "re_max": 1, "count": "2"}'],
+                None, 2, "parse error: y_grid object needs numeric re_min, re_max, integer count",
+            ),
+            (
+                ["eval", "--n-max", "2"], ('"count": 8', '"count": "8"'),
+                2, "parse error: y_grid object needs numeric re_min, re_max, integer count",
+            ),
+            (
+                ["closed", "--method", "hn", "--hn-json",
+                 '{"delta_r": 1, "rank": 1, "factors": [[-1, "1"]]}'],
+                None, 2, "parse error: cannot read hn factor [-1, '1']: rank must be",
+            ),
+            (
+                ["closed", "--method", "hn"],
+                ('"options": {', '"options": {"hn": {"delta_r": 1, "rank": 1, '
+                 '"factors": [[-1, "1"]]}, '),
+                2, "parse error: cannot read hn factor [-1, '1']: rank must be",
+            ),
+            (
+                ["density", "--n", "15000"], None,
+                3, "error: level 15000 needs a length table of at least 10^4515 degrees",
+            ),
+            (
+                ["density", "--n", "10000000", "--file", problem("cusp.json")], None,
+                3, "error: level 10000000 needs a length table of at least 10^3010200 degrees",
+            ),
+            (["hk"], ('"n_max": 10', f'"n_max": {LONG}'), 2, "parse error: cannot read problem"),
+            (["eval", "--y-grid", f"[{LONG}]"], None, 2, "parse error: cannot read y grid"),
+            (
+                ["closed", "--method", "hn", "--hn-json",
+                 f'{{"delta_r": {LONG}, "rank": 1, "factors": []}}'],
+                None, 2, "parse error: invalid --hn-json: Exceeds the limit",
+            ),
+            (
+                ["hk"], ('"ideal": ["X"', f'"ideal": ["X^{LONG}"'),
+                2, "parse error: ideal[0]: integer of 5000 digits is too long at position 2",
+            ),
+            (["hk"], ('"name": "X"', '"name": "X\u00e9"'), 2, "parse error: cannot read problem"),
+        ],
+        ids=[
+            "grid-count-string", "grid-count-string-in-file", "hn-rank-string",
+            "hn-rank-string-in-file", "plane-level-15000", "cusp-level-1e7", "long-n-max",
+            "long-grid-point", "long-hn-delta", "long-exponent", "not-utf8",
+        ],
+    )
+    def test_bad_input_ends_in_a_documented_exit_code(self, argv, edit, code, message, tmp_path):
+        path = problem("plane.json")
+        if edit is not None:
+            with open(path) as fh:
+                text = fh.read()
+            assert text.count(edit[0]) == 1
+            text = text.replace(*edit)
+            path = tmp_path / "edited.json"
+            path.write_bytes(text.encode("latin-1"))  # so the not-utf8 case's e-acute is 0xe9
+        if "--file" not in argv:
+            argv = argv + ["--file", str(path)]
+        paths = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        done = subprocess.run(
+            [sys.executable, "-m", "fpfun"] + argv, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == code
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(message)
+
 
 class TestSelftest:
     def test_quick_selftest_passes(self, capsys):
         assert main(["selftest", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert out.count("ok ") == 7
+        assert out.count("ok ") == 6

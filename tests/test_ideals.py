@@ -95,8 +95,9 @@ class TestBuchberger:
         assert initial_ideal(basis).generators == ((0, 4), (1, 2), (3, 0))
 
     def test_all_spolynomials_reduce_to_zero(self):
-        from fpfun.algebra import normal_form
-        from fpfun.ideals import spolynomial
+        # The returned basis holds the generators and meets Buchberger's
+        # criterion: every S-pair reduces to zero, checked with the kernel.
+        from fpfun.algebra import _heap_terms, _lcm, _monic_reducer, _reduce, _spolynomial
 
         rng = random.Random(5)
         for p in (2, 3):
@@ -114,12 +115,15 @@ class TestBuchberger:
                     gens.append(Polynomial(field, grading, terms))
             if not gens:
                 continue
-            basis = buchberger(gens)
-            for i in range(len(basis.elements)):
+            reducers = [_monic_reducer(_heap_terms(g), p) for g in buchberger(gens).elements]
+            rweights = grading.weights[::-1]
+            for g in gens:
+                assert _reduce(_heap_terms(g), reducers, p) == {}
+            for i in range(len(reducers)):
                 for j in range(i):
-                    s = spolynomial(basis.elements[i], basis.elements[j])
-                    if not s.is_zero():
-                        assert normal_form(s, list(basis.elements)).is_zero()
+                    m = _lcm(reducers[i][0], reducers[j][0], rweights)
+                    s = _spolynomial(reducers[i], reducers[j], m, p)
+                    assert _reduce(s, reducers, p) == {}
 
     def test_rejects_non_homogeneous(self):
         with pytest.raises(StructureError):
