@@ -9,22 +9,20 @@ identity: quadrature_fourier integrates each 1/q interval of the samples
 (ell_j scaled by q^(1-d)) and never calls fn_eval, while gn_fourier_exact
 scales fn_eval (ell_j scaled by q^(-d)).  Both take the interval factor
 exp(-iy/q) - 1 from one cancellation-free step, so the bridge holds at tiny
-|y| as well, and both sum the phases with the same blocked kernel
-(fp._phase_sum), so the two sides round alike.  When p = 2 the scale factors
-are powers of two and the gap is exactly 0; otherwise it measures the
-rounding of the scale factors.
+|y| as well.  Both sum the integer lengths ell_j with the same kernel
+(fp._phase_sums) and apply their scale factor once to that sum, so the two
+sides round alike.  When p = 2 the scale factors are powers of two and the
+gap is exactly 0; otherwise it measures the rounding of the scale factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import truediv
 from typing import Mapping
 
 from .errors import EvaluationDomainError
-from .fp import ProblemSpec, _interval_step, _phase_sum, fn_eval
+from .fp import ProblemSpec, _interval_step, _phase_sums, fn_eval
 
 
 @dataclass(frozen=True)
@@ -99,9 +97,10 @@ def gn_fourier_exact(problem: ProblemSpec, n: int, y: complex) -> complex:
 def quadrature_fourier(table: DensityTable, y: complex) -> complex:
     """Integrate g_n(x) * exp(-iyx) over each interval [j/q, (j+1)/q).
 
-    Each interval contributes its sample q^(1-d) * ell_j (a correctly rounded
-    float) times exp(-iyj/q) * (exp(-iy/q) - 1) / (-iy), with the shared
-    interval step and the shared blocked phase sum.  Independent of
+    Each interval contributes its sample q^(1-d) * ell_j times
+    exp(-iyj/q) * (exp(-iy/q) - 1) / (-iy).  The kernel sums the integers
+    ell_j * exp(-iyj/q), the factor q^(1-d) is applied once to that sum, and
+    the interval factor comes from the shared interval step.  Independent of
     gn_fourier_exact: this path never calls fn_eval.  The y -> 0 limit branch
     returns the step function's mass.  A sum that is not finite raises
     OverflowError.
@@ -111,6 +110,5 @@ def quadrature_fourier(table: DensityTable, y: complex) -> complex:
     y = complex(y)
     q = table.q
     lengths = table.lengths
-    samples = map(truediv, lengths.values(), repeat(q ** (table.d - 1)))
-    total = _phase_sum(list(lengths), samples, -1j * y / q)
+    total = _phase_sums(list(lengths), lengths.values(), [-1j * y / q])[0] / q ** (table.d - 1)
     return total * _interval_step(y / q) / (-1j * y)

@@ -237,7 +237,11 @@ def chi_series(h_m: HilbertSeries, h_r: HilbertSeries) -> LaurentPolynomialZ:
     (N_M * D_R) / (N_R * D_M).  When M has a finite graded free resolution
     over R, this is the alternating sum of its graded Betti numbers.  A
     quotient that is not a Laurent polynomial raises InexactDivisionError
-    rather than truncating.
+    rather than truncating.  A divisor of 1, as for a finite-length M over a
+    ring with numerator 1, returns the product without a division.
     """
     numerator = h_m.numerator * h_r.denominator_polynomial()
-    return numerator.divide_exact(h_r.numerator * h_m.denominator_polynomial())
+    divisor = h_r.numerator * h_m.denominator_polynomial()
+    if divisor == LaurentPolynomialZ.one():
+        return numerator
+    return numerator.divide_exact(divisor)

@@ -11,7 +11,7 @@ from fpfun.errors import EvaluationDomainError, StructureError
 from fpfun.fp import (
     ProblemSpec,
     _interval_step,
-    _phase_sum,
+    _phase_sums,
     betti_alternating_polynomial,
     betti_limit_check,
     cm_chi_eval,
@@ -121,6 +121,26 @@ class TestFpLimit:
     def test_requires_two_levels(self, plane):
         with pytest.raises(StructureError):
             fp_limit(plane, GRID, 1)
+
+    @pytest.mark.parametrize("name", ["parameter23", "cusp"])
+    def test_grid_values_equal_single_points(self, request, name):
+        # One packing per level serves the whole grid, and every level value
+        # is still the one-point fn_eval bit for bit.
+        problem = request.getfixturevalue(name)
+        grid = [0.5, 2 + 1j, 1 - 30j, 0, 7.25 - 0.5j]
+        estimates = fp_limit(problem, grid, 8)
+        for y in grid:
+            values = [fn_eval(problem, m, y) for m in range(9)]
+            assert estimates[y].value == values[8]
+            assert estimates[y].differences == tuple(abs(b - a) for a, b in zip(values, values[1:]))
+
+    def test_origin_packs_nothing(self, plane, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("phase sum at y = 0")
+
+        monkeypatch.setattr(fp, "_phase_sums", refuse)
+        assert fn_eval(plane, 6, 0) == 1
+        assert fp_limit(plane, [0], 6)[0].value == 1
 
     def test_cauchy_decay_ratio(self, suite_problems):
         # successive sup-differences decay like 1/p once m >= 3
@@ -235,6 +255,14 @@ class TestBettiLimitCheck:
         report = betti_limit_check(parameter23, (1, 1), (1e-3, 0.01, 0.5, 2 + 1j), 14)
         assert report.max_deviation <= 1e-10, report.deviations
 
+    def test_grid_equals_single_points(self, parameter23):
+        grid = (0.5, 2 + 1j, 1 - 30j, 7.25 - 0.5j)
+        report = betti_limit_check(parameter23, (1, 1), grid, 8)
+        values = cm_chi_eval(parameter23, (1, 1), grid, 8)
+        for y in grid:
+            assert report.deviations[y] == betti_limit_check(parameter23, (1, 1), [y], 8).deviations[y]
+            assert values[y] == cm_chi_eval(parameter23, (1, 1), [y], 8)[y]
+
 
 def reference_phase_sum(degrees, values, w):
     """Per-term c * exp(w * j), summed exactly by parts with math.fsum."""
@@ -258,12 +286,16 @@ def even_weight_table(n):
 PHASE_POINTS = (1e-12, 1e-6, 1e-3, 0.5, 2.0, -8.0, 1 - 40j, 1 - 2j, 1 + 2j, 1 + 40j)
 
 
+# Large |Im y| at small q: the phases of one block span many binary orders
+LARGE_IM_POINTS = (1 + 30j, 1 - 30j, 1 - 40j, 0.5 + 3j, 1 + 10j)
+
+
 class TestPhaseSum:
-    def check(self, lengths, q):
+    def check(self, lengths, q, points=PHASE_POINTS):
         degrees, values = list(lengths), list(lengths.values())
-        for y in PHASE_POINTS:
+        for y in points:
             w = -1j * complex(y) / q
-            got = _phase_sum(degrees, iter(values), w)
+            got = _phase_sums(degrees, iter(values), [w])[0]
             want = reference_phase_sum(degrees, values, w)
             assert abs(got - want) <= phase_sum_tolerance(degrees, values, w), (y, got, want)
 
@@ -289,16 +321,60 @@ class TestPhaseSum:
     def test_single_entry_and_empty(self):
         self.check({37: 5}, 64)
         self.check({-3: 2}, 8)
-        assert _phase_sum([], iter(()), -0.5j) == 0j
+        assert _phase_sums([], iter(()), [-0.5j])[0] == 0j
 
     def test_short_table_never_forms_powers_past_its_span(self):
         # exp(128 * 6) overflows, but a one-entry table only needs exp(0)
-        assert _phase_sum([0], [1], 6 - 1j) == 1
-        assert _phase_sum([0, 1], [1, 1], 6 - 1j) == 1 + cmath.exp(6 - 1j)
+        assert _phase_sums([0], [1], [6 - 1j])[0] == 1
+        assert _phase_sums([0, 1], [1, 1], [6 - 1j])[0] == 1 + cmath.exp(6 - 1j)
 
     def test_non_finite_total_raises(self):
         with pytest.raises(OverflowError):
-            _phase_sum([0, 1, 2], [1e308, 1e308, 1e308], 0j)
+            _phase_sums([0, 1, 2], [10 ** 308] * 3, [0j])
+
+    @pytest.mark.parametrize("name", ["parameter23", "cusp", "weighted_plane"])
+    def test_small_levels_at_large_imaginary_parts(self, request, name):
+        problem = request.getfixturevalue(name)
+        for n in range(9):
+            self.check(problem.table(n).lengths, 2 ** n, LARGE_IM_POINTS)
+
+    def test_values_past_one_machine_word(self):
+        rng = random.Random(7)
+        degrees = sorted(rng.sample(range(3000), 700))
+        self.check({j: 2 ** 64 for j in degrees}, 256)
+        self.check({j: 2 ** 130 + rng.randint(0, 10 ** 6) for j in degrees}, 256)
+        self.check({j: rng.choice((-1, 1)) * 2 ** 130 for j in degrees}, 256)
+        self.check({j: rng.choice((-1, 1)) * rng.randint(1, 2 ** 70) for j in degrees}, 256)
+
+    def test_extreme_real_part_keeps_the_scale_in_range(self):
+        # At w = -10 the smallest phase of a block is about 2^-1832, and at
+        # w = 5.5 the largest is about 2^1008: a scale that gave either end 56
+        # bits would leave the float range, yet both sums are finite.
+        for size, w in ((300, -10), (300, -10 + 3j), (128, 5.5)):
+            degrees = list(range(size))
+            values = [1 + j % 7 for j in degrees]
+            got = _phase_sums(degrees, values, [w])[0]
+            want = reference_phase_sum(degrees, values, w)
+            assert abs(got - want) <= phase_sum_tolerance(degrees, values, w), (w, got, want)
+
+    @pytest.mark.parametrize(
+        "degrees, values, w",
+        [
+            ([0, 1], [1, 1], 800),  # a phase
+            ([0, 1000], [1, 1], 5),  # an anchor
+            ([0, 1, 2], [10 ** 308] * 3, 0j),  # a block sum
+            ([0, 128], [10 ** 308, 10 ** 308], 0j),  # the total of finite blocks
+            ([0, 1], [1, 1], complex("nan")),  # w itself
+            ([0, 1], [1, 1], complex(0, math.inf)),
+        ],
+    )
+    def test_every_non_finite_path_raises_one_message(self, degrees, values, w):
+        with pytest.raises(OverflowError, match=r"^phase sum with w=.* is not finite$"):
+            _phase_sums(degrees, values, [w])
+
+    def test_no_points_and_no_entries(self):
+        assert _phase_sums([0, 1], [1, 1], []) == []
+        assert _phase_sums([], [], [1j, 2j]) == [0j, 0j]
 
 
 class TestCmChiEval:

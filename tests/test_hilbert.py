@@ -196,6 +196,14 @@ class TestChiSeries:
         chi = chi_series(h_m, HilbertSeries(ONE, (1, 1)))
         assert chi == lp({0: 1, 2: -2, 4: 1})
 
+    def test_divisor_one_takes_no_division(self, monkeypatch):
+        def refuse(self, divisor):
+            raise AssertionError("division by 1")
+
+        h_m = HilbertSeries(lp({0: 1, 1: 2, 2: 1}), ())
+        monkeypatch.setattr(LaurentPolynomialZ, "divide_exact", refuse)
+        assert chi_series(h_m, HilbertSeries(ONE, (1, 1))) == lp({0: 1, 2: -2, 4: 1})
+
     def test_chi_polynomial_rejects_a_remaining_denominator(self):
         with pytest.raises(InexactDivisionError):
             chi_series(HilbertSeries(ONE, (2,)), HilbertSeries(ONE, ()))

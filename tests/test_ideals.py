@@ -97,33 +97,36 @@ class TestBuchberger:
     def test_all_spolynomials_reduce_to_zero(self):
         # The returned basis holds the generators and meets Buchberger's
         # criterion: every S-pair reduces to zero, checked with the kernel.
+        # Three or four generators per draw give bases with pairs whose leads
+        # share a variable, which the coprime-lead criterion cannot skip.
         from fpfun.algebra import _heap_terms, _lcm, _monic_reducer, _reduce, _spolynomial
 
-        rng = random.Random(5)
-        for p in (2, 3):
-            field = PrimeField(p)
-            grading = Grading((1, 1, 1))
-            gens = []
-            for _ in range(2):
-                terms = {}
-                degree = rng.randint(1, 3)
-                for e in monomials_of_degree(grading, degree):
-                    c = rng.randrange(p)
-                    if c:
-                        terms[e] = c
-                if terms:
-                    gens.append(Polynomial(field, grading, terms))
-            if not gens:
-                continue
-            reducers = [_monic_reducer(_heap_terms(g), p) for g in buchberger(gens).elements]
-            rweights = grading.weights[::-1]
-            for g in gens:
-                assert _reduce(_heap_terms(g), reducers, p) == {}
-            for i in range(len(reducers)):
-                for j in range(i):
-                    m = _lcm(reducers[i][0], reducers[j][0], rweights)
-                    s = _spolynomial(reducers[i], reducers[j], m, p)
-                    assert _reduce(s, reducers, p) == {}
+        grading = Grading((1, 1, 1))
+        rweights = grading.weights[::-1]
+        shared_pairs = 0
+        for seed in range(4):
+            rng = random.Random(seed)
+            for p in (2, 3):
+                field = PrimeField(p)
+                gens = []
+                for _ in range(rng.randint(3, 4)):
+                    terms = {}
+                    for e in monomials_of_degree(grading, rng.randint(1, 3)):
+                        c = rng.randrange(p)
+                        if c:
+                            terms[e] = c
+                    if terms:
+                        gens.append(Polynomial(field, grading, terms))
+                reducers = [_monic_reducer(_heap_terms(g), p) for g in buchberger(gens).elements]
+                for g in gens:
+                    assert _reduce(_heap_terms(g), reducers, p) == {}
+                for i in range(len(reducers)):
+                    for j in range(i):
+                        a, b = reducers[i][0], reducers[j][0]
+                        shared_pairs += any(x and y for x, y in zip(a[1:], b[1:]))
+                        s = _spolynomial(reducers[i], reducers[j], _lcm(a, b, rweights), p)
+                        assert _reduce(s, reducers, p) == {}
+        assert shared_pairs > 0
 
     def test_rejects_non_homogeneous(self):
         with pytest.raises(StructureError):
