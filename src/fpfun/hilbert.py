@@ -1,5 +1,6 @@
-"""Exact Hilbert series arithmetic: integer Laurent polynomials, rational
-series with denominators kept as products of (1 - t^d) factors, Hilbert-Samuel
+"""Exact Hilbert series arithmetic: integer Laurent polynomials, multiplied
+only by (1 - t^d) factors and divided only exactly, rational series with
+denominators kept as products of (1 - t^d) factors, Hilbert-Samuel
 multiplicities, and the exact quotient H_M / H_R of a finite-length module's
 series by a ring's series.
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import comb
 from typing import Mapping
 
@@ -34,6 +36,8 @@ class LaurentPolynomialZ:
         for e, c in coeffs.items():
             if not isinstance(e, int):
                 raise StructureError(f"exponent {e!r} is not an integer")
+            if not isinstance(c, int):
+                raise StructureError(f"coefficient {c!r} is not an integer")
             if c:
                 clean[e] = c
         object.__setattr__(self, "coeffs", clean)
@@ -48,11 +52,6 @@ class LaurentPolynomialZ:
     @classmethod
     def one(cls) -> "LaurentPolynomialZ":
         return cls({0: 1})
-
-    @classmethod
-    def one_minus_power(cls, d: int) -> "LaurentPolynomialZ":
-        """The factor 1 - t^d, for d >= 1."""
-        return cls({0: 1, d: -1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -72,19 +71,24 @@ class LaurentPolynomialZ:
     def items_sorted(self):
         return sorted(self.coeffs.items())
 
-    def __add__(self, other: "LaurentPolynomialZ") -> "LaurentPolynomialZ":
-        res = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            res[e] = res.get(e, 0) + c
-        return LaurentPolynomialZ(res)
+    def times_one_minus(self, degrees) -> "LaurentPolynomialZ":
+        """This polynomial times prod(1 - t^d) over d in degrees.
 
-    def __mul__(self, other: "LaurentPolynomialZ") -> "LaurentPolynomialZ":
-        res: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                res[e] = res.get(e, 0) + c1 * c2
-        return LaurentPolynomialZ(res)
+        Each factor is one shifted subtraction on the dense coefficient list;
+        a degree that is not a positive integer raises StructureError.
+        """
+        degrees = tuple(degrees)
+        for d in degrees:
+            if not isinstance(d, int) or d < 1:
+                raise StructureError(f"factor degree {d!r} must be a positive integer")
+        if self.is_zero():
+            return self
+        work = _dense(self)
+        for d in degrees:
+            shifted = chain(repeat(0, d), work)
+            work = [a - b for a, b in zip(chain(work, repeat(0, d)), shifted)]
+        # a Betti polynomial is sparse: skip the zeros before building a dict
+        return LaurentPolynomialZ({e: c for e, c in enumerate(work, self.valuation) if c})
 
     def value_at_one(self) -> int:
         return sum(self.coeffs.values())
@@ -164,19 +168,6 @@ class HilbertSeries:
                 raise StructureError(f"denominator degree {d!r} must be a positive integer")
         object.__setattr__(self, "denominator_degrees", degs)
 
-    def denominator_polynomial(self) -> LaurentPolynomialZ:
-        """The expanded product of the (1 - t^d) factors."""
-        out = LaurentPolynomialZ.one()
-        for d in self.denominator_degrees:
-            out = out * LaurentPolynomialZ.one_minus_power(d)
-        return out
-
-    def equal_as_rational(self, other: "HilbertSeries") -> bool:
-        """Exact equality of rational functions by cross multiplication."""
-        left = self.numerator * other.denominator_polynomial()
-        right = other.numerator * self.denominator_polynomial()
-        return left == right
-
 
 def series_of_table(table: GradedLengthTable) -> HilbertSeries:
     """The (polynomial) Hilbert series of a finite-length graded quotient."""
@@ -233,15 +224,15 @@ def hilbert_samuel(series: HilbertSeries):
 def chi_series(h_m: HilbertSeries, h_r: HilbertSeries) -> LaurentPolynomialZ:
     """The exact quotient H_M / H_R as a Laurent polynomial.
 
-    With H = N / prod(1 - t^d) on both sides this is one division,
-    (N_M * D_R) / (N_R * D_M).  When M has a finite graded free resolution
-    over R, this is the alternating sum of its graded Betti numbers.  A
-    quotient that is not a Laurent polynomial raises InexactDivisionError
-    rather than truncating.  A divisor of 1, as for a finite-length M over a
-    ring with numerator 1, returns the product without a division.
+    With H = N / prod(1 - t^d) on both sides this is (N_M * D_R) / (N_R * D_M):
+    two times_one_minus products and one division.  When M has a finite graded
+    free resolution over R, this is the alternating sum of its graded Betti
+    numbers.  A quotient that is not a Laurent polynomial raises
+    InexactDivisionError rather than truncating.  A divisor of 1, as for a
+    finite-length M over a ring with numerator 1, skips the division.
     """
-    numerator = h_m.numerator * h_r.denominator_polynomial()
-    divisor = h_r.numerator * h_m.denominator_polynomial()
+    numerator = h_m.numerator.times_one_minus(h_r.denominator_degrees)
+    divisor = h_r.numerator.times_one_minus(h_m.denominator_degrees)
     if divisor == LaurentPolynomialZ.one():
         return numerator
     return numerator.divide_exact(divisor)

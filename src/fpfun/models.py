@@ -18,7 +18,7 @@ from numbers import Rational
 from typing import Sequence
 
 from .errors import ModelConstructionError
-from .hilbert import HilbertSeries, LaurentPolynomialZ
+from .hilbert import LaurentPolynomialZ
 
 # Inside this radius the numerator is evaluated by its Taylor expansion; the
 # direct quotient loses about |y|^(-d) ulp to cancellation outside it.
@@ -124,7 +124,8 @@ def model_hsop(ring_multiplicity, degrees: Sequence[int]) -> ExponentialPolynomi
     """Model e_R * prod_j (1 - exp(-i d_j y)) / (iy)^d for a parameter ideal.
 
     This is the finite projective dimension model of the Koszul numerator
-    prod_j (1 - t^(d_j)), the denominator of H_S for the parameter subring S.
+    prod_j (1 - t^(d_j)), the denominator of H_S for the parameter subring S,
+    expanded by LaurentPolynomialZ.times_one_minus.
     Its value at the origin is d_1 * ... * d_d * e_R, the Hilbert-Kunz
     multiplicity of an ideal generated by a homogeneous system of parameters
     of these degrees.
@@ -138,7 +139,7 @@ def model_hsop(ring_multiplicity, degrees: Sequence[int]) -> ExponentialPolynomi
     for d in degrees:
         if not isinstance(d, int) or d < 1:
             raise ModelConstructionError(f"parameter degree {d!r} must be a positive integer")
-    koszul = HilbertSeries(LaurentPolynomialZ.one(), degrees).denominator_polynomial()
+    koszul = LaurentPolynomialZ.one().times_one_minus(degrees)
     return model_finite_pd(e, koszul, len(degrees))
 
 

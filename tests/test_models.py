@@ -216,7 +216,7 @@ class TestModelFinitePd:
 
     def test_pair_of_powers_form(self):
         d1, d2 = 3, 4
-        betti = LaurentPolynomialZ({0: 1, d1: -1}) * LaurentPolynomialZ({0: 1, d2: -1})
+        betti = LaurentPolynomialZ({0: 1, d1: -1, d2: -1, d1 + d2: 1})
         model = model_finite_pd(1, betti, 2)
         y = 1.3
         direct = (
