@@ -10,14 +10,15 @@ identity: quadrature_fourier integrates each 1/q interval of the samples
 scales fn_eval (ell_j scaled by q^(-d)).  Both take the interval factor
 exp(-iy/q) - 1 from one cancellation-free step, so the bridge holds at tiny
 |y| as well.  Both sum the integer lengths ell_j with the same kernel
-(fp._phase_sums) and apply their scale factor once to that sum, so the two
-sides round alike.  When p = 2 the scale factors are powers of two and the
-gap is exactly 0; otherwise it measures the rounding of the scale factors.
+(fp._phase_sums), from the same block moments cached on the level table,
+and apply their scale factor once to that sum, so the two sides round
+alike.  When p = 2 the scale factors are powers of two and the gap is
+exactly 0; otherwise it measures the rounding of the scale factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -30,13 +31,16 @@ class DensityTable:
     """Samples x = j/q -> g_n(x) = q^(1-d) * ell_j, all exact rationals.
 
     ``lengths`` is the level's length table itself (degree j -> nonzero
-    ell_j, ascending in j), shared and not copied.
+    ell_j, ascending in j), shared and not copied, and ``phase_moments`` is
+    that table's cache of packed kernel moments, so the quadrature reuses
+    what fn_eval built.
     """
 
     n: int
     p: int
     d: int
     lengths: Mapping
+    phase_moments: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def q(self) -> int:
@@ -79,7 +83,9 @@ def density_table(problem: ProblemSpec, n: int) -> DensityTable:
             "density samples need dimension at least 1; a zero-dimensional problem "
             "concentrates at the origin and has no function-valued density"
         )
-    return DensityTable(n=n, p=problem.prime, d=d, lengths=problem.table(n).lengths)
+    table = problem.table(n)
+    return DensityTable(n=n, p=problem.prime, d=d, lengths=table.lengths,
+                        phase_moments=table.phase_moments)
 
 
 def gn_fourier_exact(problem: ProblemSpec, n: int, y: complex) -> complex:
@@ -99,7 +105,8 @@ def quadrature_fourier(table: DensityTable, y: complex) -> complex:
 
     Each interval contributes its sample q^(1-d) * ell_j times
     exp(-iyj/q) * (exp(-iy/q) - 1) / (-iy).  The kernel sums the integers
-    ell_j * exp(-iyj/q), the factor q^(1-d) is applied once to that sum, and
+    ell_j * exp(-iyj/q) from the block moments the table shares with
+    fn_eval, the factor q^(1-d) is applied once to that sum, and
     the interval factor comes from the shared interval step.  Independent of
     gn_fourier_exact: this path never calls fn_eval.  The y -> 0 limit branch
     returns the step function's mass.  A sum that is not finite raises
@@ -109,6 +116,5 @@ def quadrature_fourier(table: DensityTable, y: complex) -> complex:
         return complex(float(table.mass()))
     y = complex(y)
     q = table.q
-    lengths = table.lengths
-    total = _phase_sums(list(lengths), lengths.values(), [-1j * y / q])[0] / q ** (table.d - 1)
+    total = _phase_sums(table.lengths, [-1j * y / q], table.phase_moments)[0] / q ** (table.d - 1)
     return total * _interval_step(y / q) / (-1j * y)

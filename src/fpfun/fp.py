@@ -14,11 +14,14 @@ polynomials obtained through the Hilbert-series quotient identity.
 
 Every sum of exp(-i*y*j/q) terms over an integer table (F_n, the density
 quadrature, betti_limit_check and cm_chi_eval) goes through one kernel,
-``_phase_sums``.  It packs the table once per call and takes each block of
-128 degrees as one exact integer inner product per point, so a whole grid
-shares one packing and only one rounding per block remains.  fp_limit
-evaluates each level over the whole grid in one call.  A sum that is not
-finite raises OverflowError.  Measured, cm_chi_eval is within 8.4e-15
+``_phase_sums``.  It cuts the table into blocks of ``span`` degrees and
+writes each block sum as sum_k delta^k B_k with delta = exp(w) - 1 and the
+exact integer binomial moments B_k = sum_r C(r, k) v_r, which do not depend
+on the point.  The moments of a level table are packed once per span and
+cached on the table, so fp_limit, fn_eval, the density transforms and
+betti_limit_check share one build per level, and a point then costs about
+2 (K + 1) <= 32 big-integer products and one anchor per block.  A sum that
+is not finite raises OverflowError.  Measured, cm_chi_eval is within 6.4e-15
 relative of F_n(y) * prod(q (1 - z^d_i) / (d_i iy)) on the built-in problems
 at q = 256 and 16384 for |y| >= 0.5.
 """
@@ -42,6 +45,7 @@ from .hilbert import (
     LaurentPolynomialZ,
     chi_series,
     hilbert_samuel,
+    positive_degrees,
     series_of_ring,
     series_of_table,
 )
@@ -53,16 +57,15 @@ from .ideals import (
     graded_lengths,
 )
 
-# Degrees per block of _phase_sums: one slot per block in each packed column,
-# one anchor per block.
-_BLOCK = 128
-# Bits the smallest phase of a block keeps: enough that its rounding stays
-# below the double rounding of the phase, while the largest fixed phase at
-# Re w = 0 (2^56) stays within two 30-bit digits of a Python integer.
+# A table's span, its degrees per block, is the largest power of two at most
+# its extent over _BLOCKS, so a level-14 table of 82k degrees has 160 blocks
+# of 512.
+_BLOCKS = 128
+# A block sum keeps this many bits below the sum of |v| over the block, both
+# in the truncated binomial series and in the fixed-point multipliers.
 _FRACTION_BITS = 56
-# 2^s times the largest phase of a block stays below 2^1024.
-_MAX_SCALE_BITS = 1020
-_LN2 = math.log(2)
+# A point's span keeps rho = span * |exp(w) - 1| at most this.
+_RHO = 0.5
 # The machine word of the packed columns.
 _WORD = "I"
 _WORD_BITS = 8 * array(_WORD).itemsize
@@ -155,85 +158,81 @@ def fn_eval(problem: ProblemSpec, n: int, y: complex) -> complex:
     """Evaluate the level-n normalized Hilbert series at the complex point y.
 
     The coefficients stay exact integers; complex arithmetic enters only in
-    the final sum, which ``_phase_sums`` takes in exact blocks.  At y = 0 the
-    value is the exact rational q^(-d) * total length, converted at the
-    boundary.  A sum that is not finite raises OverflowError.
+    the final sum, which ``_phase_sums`` takes from the level's exact block
+    moments.  At y = 0 the value is the exact rational q^(-d) * total length,
+    converted at the boundary.  A sum that is not finite raises OverflowError.
     """
     return _fn_values(problem, n, [y])[0]
 
 
 def _fn_values(problem: ProblemSpec, n: int, ys: Sequence[complex]) -> list:
-    """F_n at each point of ys, from one packing of the level's table.
+    """F_n at each point of ys, from the level table's cached block moments.
 
-    Each value is bit-identical to fn_eval at that point alone.
+    The moments are built on the first call at a level that needs them and
+    serve every later call; the span of a point depends only on the table
+    and the point, so each value is bit-identical to fn_eval at that point
+    alone, whatever the table served before.
     """
     table = problem.table(n)
     q = problem.prime ** n
     scale = q ** problem.dimension
     ws = [-1j * complex(y) / q for y in ys if y != 0]
-    lengths = table.lengths
-    sums = iter(_phase_sums(list(lengths), lengths.values(), ws) if ws else ())
+    sums = iter(_phase_sums(table.lengths, ws, table.phase_moments) if ws else ())
     return [
         next(sums) / scale if y != 0 else complex(float(Fraction(table.total(), scale)))
         for y in ys
     ]
 
 
-def _phase_sums(degrees: Sequence[int], values: Iterable[int], ws: Sequence[complex]) -> list:
-    """sum(v * exp(w * j)) for each w in ws, over integer degrees j and values v.
+def _phase_sums(terms: Mapping, ws: Iterable[complex], moments: dict | None = None) -> list:
+    """sum(v * exp(w * j)) over the items j -> v of ``terms``, for each w in ws.
 
-    The degrees must ascend, as the keys of a GradedLengthTable do; ``values``
-    holds the integers paired with them.  Blocks of _BLOCK degrees run from
-    the first degree, and a degree missing from the table counts as a zero
-    value.  The table is packed once per call (``_columns``): for each offset
-    r < _BLOCK, one integer holds that offset's value from every block, one
-    fixed-width slot per block.  For each w the phases exp(w * r) are
-    rounded to integers at a scale 2^s (``_fixed_phases``), and one integer
-    inner product of them with the columns holds every block's exact sum in
-    its slot.  Each block sum is rounded once to a float, scaled by 2^-s and
-    multiplied by its anchor exp(w * a).
+    ``terms`` maps ascending integer degrees to integers, as the lengths of a
+    GradedLengthTable do.  Blocks of ``span`` consecutive degrees run from the
+    first degree.  With delta = exp(w) - 1, taken from sinh without
+    cancellation, the block from degree a sums to
 
-    The block sums are exact for the phases rounded to _FRACTION_BITS bits
-    below the smallest phase of the block, which is finer than the double
-    rounding of the phases themselves, so only the anchor products and the
-    final sum round: the error is about (N/_BLOCK) * u * sum(|terms|) for N
-    degrees.  The phases stop at the span of the degrees, so a short table
-    never forms exp(w * r) past its last degree.  A phase, anchor, block sum
-    or total that is not finite raises OverflowError.
+        exp(w a) * sum_r v_(a+r) (1 + delta)^r = exp(w a) * sum_k delta^k B_k,
+        B_k = sum_r C(r, k) v_(a+r),
+
+    and the B_k are exact integers that do not depend on w.  ``_Moments``
+    packs them over the blocks once per span, and ``moments`` keeps them by
+    span: a table passes its own cache, so every call on it shares one build
+    per span, while by default they last for this call only.  The span is
+    the table's (``_table_span``), halved until span * |delta| <= 1/2, so it
+    depends only on the table and w, and a grid value is bit-identical to the
+    same point alone.  Span 1 is the direct sum.
+
+    A block sum is within about 2^-55 * sum(|v|) of exact before its one
+    rounding: the series stops where its tail is at most 2^-56 * sum(|v|),
+    and the fixed-point multipliers add at most a quarter of that.  The
+    anchor products and the final sum add about (N/span) * u * sum(|terms|)
+    for N degrees.  A w, anchor, block sum or total that is not finite
+    raises OverflowError.
     """
     ws = list(ws)
-    if not degrees or not ws:
+    if not terms or not ws:
         return [0j] * len(ws)
-    first = degrees[0]
-    extent = degrees[-1] - first + 1
-    span = min(_BLOCK, extent)
-    blocks = -(-extent // span)
-    plans = [_fixed_phases(w, span) for w in ws]
-    dense = list(values)
-    if len(dense) < extent:
-        gapped = [0] * extent
-        for j, v in zip(degrees, dense):
-            gapped[j - first] = v
-        dense = gapped
-    dense += [0] * (blocks * span - extent)
-    columns, width = _columns(dense, span, max(bits for _, _, bits, _, _ in plans))
-    # 2^(8 width - 1) added to every slot keeps each one non-negative, so no
-    # borrow crosses a slot boundary and each slot reads back on its own
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * blocks, "little")
-    slots = [slice(i, i + width) for i in range(0, width * blocks, width)]
-    anchor_degrees = range(first, first + blocks * span, span)
+    if moments is None:
+        moments = {}
+    widest = _table_span(next(reversed(terms)) - next(iter(terms)) + 1)
     out = []
-    for w, s, _, fixed_re, fixed_im in plans:
+    for w in ws:
         try:
-            parts = []
-            for fixed in (fixed_re, fixed_im):
-                packed = (sum(map(mul, fixed, columns)) + bias).to_bytes(width * blocks, "little")
-                block_sums = map(sub, map(int.from_bytes, map(packed.__getitem__, slots),
-                                          repeat("little")), repeat(half))
-                parts.append(map(truediv, block_sums, repeat(1 << s)))
-            anchors = map(cmath.exp, map(mul, repeat(w), anchor_degrees))
-            total = sum(map(mul, map(complex, *parts), anchors), 0j)
+            if not cmath.isfinite(w):
+                raise OverflowError
+            delta = 2 * cmath.sinh(w / 2) * cmath.exp(w / 2)
+            span = widest
+            while span > 1 and not span * abs(delta) <= _RHO:  # a nan delta too
+                span //= 2
+            if span == 1:
+                phases = map(cmath.exp, map(mul, repeat(w), terms))
+                total = sum(map(mul, terms.values(), phases), 0j)
+            else:
+                packed = moments.get(span)
+                if packed is None:
+                    packed = moments.setdefault(span, _Moments(terms, span))
+                total = packed.value(w, delta)
         except OverflowError:
             raise _not_finite(w) from None
         if not cmath.isfinite(total):
@@ -242,63 +241,155 @@ def _phase_sums(degrees: Sequence[int], values: Iterable[int], ws: Sequence[comp
     return out
 
 
-def _fixed_phases(w: complex, span: int) -> tuple:
-    """(w, s, bits, fixed_re, fixed_im): exp(w * r) for r < span at scale 2^s.
+def _table_span(extent: int) -> int:
+    """The largest power of two at most extent / _BLOCKS, and at least 1."""
+    return 1 << max(0, (extent // _BLOCKS).bit_length() - 1)
 
-    fixed_re and fixed_im hold round(2^s * Re exp(w r)) and the same for Im;
-    every one of them is below 2^bits in size.  Over the span |exp(w r)|
-    runs between 1 and 2^end.  s gives the smallest phase _FRACTION_BITS
-    bits, unless 2^s times the largest would leave the float range, and is
-    never negative.
+
+def _order(rho: float) -> int:
+    """The least K with sum(rho^k / k! for k > K) <= 2^-_FRACTION_BITS."""
+    k, term = 0, rho  # term = rho^(k+1) / (k+1)!, and the tail is below term / (1 - rho/(k+2))
+    while term > math.ldexp(1 - rho / (k + 2), -_FRACTION_BITS):
+        k += 1
+        term *= rho / (k + 1)
+    return k
+
+
+# The most moments a span needs: 15 at rho = 1/2.
+_MAX_ORDER = _order(_RHO)
+
+
+class _Moments:
+    """The binomial moments B_k, k <= K, of the kept blocks of span degrees,
+    packed one integer per k; K = min(15, span - 1).
+
+    ``starts`` holds the first degree of each kept block.  packed[k] is the
+    sum over them of B_k * 2^(top - scales[k]) in a signed slot of ``width``
+    bytes per block, lowest block first, where top = max(scales): the
+    moments are pre-shifted to one scale.  Multiplier k is delta^k rounded at
+    2^scales[k], with
+    scales[k] = 56 + ceil(log2 C(span - 1, k)) + ceil(log2(K + 1)) + 2,
+    so as |B_k| <= C(span - 1, k) * sum(|v|), the K + 1 multipliers' roundings
+    together cost at most 2^-58 * sum(|v|) per block.
     """
-    if not cmath.isfinite(w):
-        raise _not_finite(w)
-    end = w.real * (span - 1) / _LN2
-    try:
-        s = max(0, math.ceil(min(_FRACTION_BITS - min(end, 0.0), _MAX_SCALE_BITS - max(end, 0.0))))
-        scale = math.ldexp(1.0, s)
-        phases = [cmath.exp(w * r) for r in range(span)]
-        fixed_re = [round(z.real * scale) for z in phases]
-        fixed_im = [round(z.imag * scale) for z in phases]
-    except OverflowError:
-        raise _not_finite(w) from None
-    return w, s, s + math.ceil(max(end, 0.0)) + 1, fixed_re, fixed_im
+
+    __slots__ = ("span", "starts", "scales", "packed", "width")
+
+    def __init__(self, terms: Mapping, span: int):
+        self.span = span
+        self.starts, dense = _blocks(terms, span)
+        order = min(_MAX_ORDER, span - 1)
+        extra = _FRACTION_BITS + order.bit_length() + 2
+        self.scales = [extra + (math.comb(span - 1, k) - 1).bit_length() for k in range(order + 1)]
+        top = max(self.scales)
+        parts, words, bound = _parts(dense)
+        # a slot holds 2^top * sum|v| * sum_k |delta|^k C(span - 1, k), under
+        # 2^(top + 1) * sum|v|, with its sign
+        slot = -(-(top + bound.bit_length() + 2) // _WORD_BITS)
+        self.width = slot * _WORD_BITS // 8
+        # Horner in (1 + x) from the top offset down: after offset r,
+        # acc[k] = sum(C(r' - r, k) * column r' for r' >= r)
+        acc = [0] * (order + 1)
+        for column in _columns(parts, words, span, slot):
+            for k in range(order, 0, -1):
+                acc[k] += acc[k - 1]
+            acc[0] += column
+        self.packed = [a << (top - s) for a, s in zip(acc, self.scales)]
+
+    def value(self, w: complex, delta: complex) -> complex:
+        """The sum of the blocks at w, with delta = exp(w) - 1."""
+        order = min(len(self.scales) - 1, _order(self.span * abs(delta)))
+        fixed_re, fixed_im, power = [], [], 1 + 0j
+        for scale in self.scales[: order + 1]:
+            z = power * math.ldexp(1.0, scale)
+            fixed_re.append(round(z.real))
+            fixed_im.append(round(z.imag))
+            power *= delta
+        width, blocks = self.width, len(self.starts)
+        size = width * blocks
+        # 2^(8 width - 1) added to every slot keeps each one non-negative, so
+        # no borrow crosses a slot boundary and each slot reads back on its own
+        half = 1 << (8 * width - 1)
+        bias = int.from_bytes((bytes(width - 1) + b"\x80") * blocks, "little")
+        unit = 1 << max(self.scales)
+        re_im = []
+        for fixed in (fixed_re, fixed_im):
+            packed = (sum(map(mul, fixed, self.packed)) + bias).to_bytes(size, "little")
+            slots = map(slice, range(0, size, width), range(width, size + width, width))
+            block_sums = map(sub, map(int.from_bytes, map(packed.__getitem__, slots),
+                                      repeat("little")), repeat(half))
+            re_im.append(map(truediv, block_sums, repeat(unit)))
+        anchors = map(cmath.exp, map(mul, repeat(w), self.starts))
+        return sum(map(mul, map(complex, *re_im), anchors), 0j)
 
 
-def _columns(dense: list, span: int, fixed_bits: int) -> tuple:
-    """The packed columns of a dense table, and their slot width in bytes.
+def _blocks(terms: Mapping, span: int) -> tuple:
+    """(starts, dense): the first degree of each kept block of span degrees
+    from the first term, and the values of the kept blocks, span each, a
+    missing degree as 0.
 
-    Column r is the sum over blocks b of dense[b * span + r] * 2^(8 width b).
-    A slot holds, sign included, any block sum of the values times integers
-    below 2^fixed_bits.  The values go in machine words; a negative value or
-    one wider than a word splits the table into its positive part minus its
-    negative part, each in as many words per value as the widest needs.
+    A table that fills at least half its extent keeps every block; a sparser
+    one, such as a Betti polynomial, keeps only the blocks that hold a term.
     """
-    blocks = len(dense) // span
+    first = next(iter(terms))
+    extent = next(reversed(terms)) - first + 1
+    if 2 * len(terms) >= extent:
+        if len(terms) == extent:
+            dense = list(terms.values())
+        else:
+            dense = [0] * extent
+            for j, v in terms.items():
+                dense[j - first] = v
+        blocks = -(-extent // span)
+        dense += [0] * (blocks * span - extent)
+        return range(first, first + blocks * span, span), dense
+    index: dict = {}
+    for j in terms:
+        index.setdefault((j - first) // span, len(index))
+    dense = [0] * (len(index) * span)
+    for j, v in terms.items():
+        b, r = divmod(j - first, span)
+        dense[index[b] * span + r] = v
+    return [first + b * span for b in index], dense
+
+
+def _parts(dense: list) -> tuple:
+    """(parts, words, bound): the values in machine words, and sum(|v|).
+
+    A negative value or one wider than a word splits the table into its
+    positive part minus its negative part, each in as many words per value
+    as the widest needs.
+    """
     try:
-        parts, words, bound = [array(_WORD, dense)], 1, sum(dense)
+        return [array(_WORD, dense)], 1, sum(dense)
     except OverflowError:
         pos = [v if v > 0 else 0 for v in dense]
         neg = [-v if v < 0 else 0 for v in dense]
-        words = max(1, -(-max(max(pos), max(neg)).bit_length() // _WORD_BITS))
-        parts, bound = [_words(pos, words), _words(neg, words)], sum(pos) + sum(neg)
-    # bound * 2^fixed_bits exceeds every block sum in size
-    slot = -(-(bound.bit_length() + fixed_bits + 1) // _WORD_BITS)
-    width = slot * _WORD_BITS // 8
-    packed = []
+        words = -(-max(max(pos), max(neg)).bit_length() // _WORD_BITS)
+        return [_words(pos, words), _words(neg, words)], words, sum(pos) + sum(neg)
+
+
+def _columns(parts: list, words: int, span: int, slot: int):
+    """The packed columns of a table in parts, from offset span - 1 down to 0.
+
+    Column r is the sum over blocks b of the value at b * span + r times
+    2^(slot words * b): the first part minus the second, if there is one.
+    One buffer per part serves every column, so only one column is held at a
+    time.
+    """
+    blocks = len(parts[0]) // (span * words)
+    buffers = []
     for part in parts:
         if sys.byteorder == "big":
             part.byteswap()  # so that every word reads little-endian in the columns
-        # each column writes the same word positions, so one buffer serves all
-        column = array(_WORD, bytes(width * blocks))
-        columns = []
-        for r in range(span):
+        buffers.append(array(_WORD, bytes(slot * blocks * part.itemsize)))
+    for r in reversed(range(span)):
+        ints = []
+        for part, column in zip(parts, buffers):
             for i in range(words):
                 column[i::slot] = part[r * words + i::span * words]
-            columns.append(int.from_bytes(column, "little"))
-        packed.append(columns)
-    columns = packed[0] if len(packed) == 1 else list(map(sub, *packed))
-    return columns, width
+            ints.append(int.from_bytes(column, "little"))
+        yield ints[0] if len(ints) == 1 else ints[0] - ints[1]
 
 
 def _words(part: list, words: int) -> array:
@@ -388,10 +479,9 @@ def betti_alternating_polynomial(
     return chi_series(series_of_table(problem.table(n)), hsop_series)
 
 
-def _betti_terms(problem: ProblemSpec, degrees: tuple, n: int) -> tuple:
-    """The exponents and the coefficients of B_n, in ascending degree."""
-    terms = betti_alternating_polynomial(problem, degrees, n).items_sorted()
-    return [j for j, _ in terms], [c for _, c in terms]
+def _betti_terms(problem: ProblemSpec, degrees: tuple, n: int) -> dict:
+    """The terms j -> B(j, n) of B_n, in ascending degree."""
+    return dict(betti_alternating_polynomial(problem, degrees, n).items_sorted())
 
 
 @dataclass(frozen=True)
@@ -421,13 +511,13 @@ def betti_limit_check(
     ell_j.  B_n and F_n each take one kernel call for the whole grid.
     """
     degrees = _checked_degrees(hsop_degrees)
-    exponents, coefficients = _betti_terms(problem, degrees, n_max)
+    terms = _betti_terms(problem, degrees, n_max)
     y_grid = list(y_grid)
     if any(y == 0 for y in y_grid):
         raise EvaluationDomainError("betti_limit_check needs nonzero grid points")
     q = problem.prime ** n_max
     us = [complex(y) / q for y in y_grid]
-    sums = _phase_sums(exponents, coefficients, [-1j * u for u in us])
+    sums = _phase_sums(terms, [-1j * u for u in us])
     deviations = {}
     for y, u, total, fn in zip(y_grid, us, sums, _fn_values(problem, n_max, y_grid)):
         denom = 1.0 + 0j
@@ -456,12 +546,12 @@ def cm_chi_eval(
     chi(R/(hsop), R/I^[q]), so this is the chi form; the caller asserts it.
     """
     degrees = _checked_degrees(hsop_degrees)
-    exponents, coefficients = _betti_terms(problem, degrees, n)
+    terms = _betti_terms(problem, degrees, n)
     y_grid = list(y_grid)
     if any(y == 0 for y in y_grid):
         raise EvaluationDomainError("the chi form has a pole at y = 0; use the series path")
     q, scale = problem.prime ** n, math.prod(degrees)
-    sums = _phase_sums(exponents, coefficients, [-1j * complex(y) / q for y in y_grid])
+    sums = _phase_sums(terms, [-1j * complex(y) / q for y in y_grid])
     return {
         y: total / (scale * (1j * complex(y)) ** len(degrees))
         for y, total in zip(y_grid, sums)
@@ -469,10 +559,4 @@ def cm_chi_eval(
 
 
 def _checked_degrees(hsop_degrees: Sequence[int]) -> tuple:
-    degrees = tuple(hsop_degrees)
-    if not degrees:
-        raise StructureError("need at least one parameter degree")
-    for d in degrees:
-        if not isinstance(d, int) or d < 1:
-            raise StructureError(f"parameter degree {d!r} must be a positive integer")
-    return degrees
+    return positive_degrees(hsop_degrees, "parameter degree", at_least_one=True)

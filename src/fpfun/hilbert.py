@@ -74,21 +74,9 @@ class LaurentPolynomialZ:
     def times_one_minus(self, degrees) -> "LaurentPolynomialZ":
         """This polynomial times prod(1 - t^d) over d in degrees.
 
-        Each factor is one shifted subtraction on the dense coefficient list;
-        a degree that is not a positive integer raises StructureError.
+        A degree that is not a positive integer raises StructureError.
         """
-        degrees = tuple(degrees)
-        for d in degrees:
-            if not isinstance(d, int) or d < 1:
-                raise StructureError(f"factor degree {d!r} must be a positive integer")
-        if self.is_zero():
-            return self
-        work = _dense(self)
-        for d in degrees:
-            shifted = chain(repeat(0, d), work)
-            work = [a - b for a, b in zip(chain(work, repeat(0, d)), shifted)]
-        # a Betti polynomial is sparse: skip the zeros before building a dict
-        return LaurentPolynomialZ({e: c for e, c in enumerate(work, self.valuation) if c})
+        return _times_one_minus(self, positive_degrees(degrees, "factor degree"))
 
     def value_at_one(self) -> int:
         return sum(self.coeffs.values())
@@ -141,6 +129,37 @@ class LaurentPolynomialZ:
         return "LaurentPolynomialZ(" + " + ".join(parts) + ")"
 
 
+def positive_degrees(degrees, what: str, error=StructureError, at_least_one=False) -> tuple:
+    """``degrees`` as a tuple of positive integers (a bool is not one).
+
+    Otherwise raises ``error``: "need at least one <what>" for an empty
+    sequence when ``at_least_one`` is set, and "<what> <d> must be a
+    positive integer" for the first degree d that is not one.
+    """
+    degrees = tuple(degrees)
+    if at_least_one and not degrees:
+        raise error(f"need at least one {what}")
+    for d in degrees:
+        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+            raise error(f"{what} {d!r} must be a positive integer")
+    return degrees
+
+
+def _times_one_minus(poly: LaurentPolynomialZ, degrees: tuple) -> LaurentPolynomialZ:
+    """poly * prod(1 - t^d) for checked positive degrees d.
+
+    Each factor is one shifted subtraction on the dense coefficient list.
+    """
+    if poly.is_zero():
+        return poly
+    work = _dense(poly)
+    for d in degrees:
+        shifted = chain(repeat(0, d), work)
+        work = [a - b for a, b in zip(chain(work, repeat(0, d)), shifted)]
+    # a Betti polynomial is sparse: skip the zeros before building a dict
+    return LaurentPolynomialZ({e: c for e, c in enumerate(work, poly.valuation) if c})
+
+
 def _dense(poly: LaurentPolynomialZ):
     """Coefficient list from valuation to degree."""
     v, d = poly.valuation, poly.degree
@@ -162,11 +181,8 @@ class HilbertSeries:
     denominator_degrees: tuple = ()
 
     def __post_init__(self):
-        degs = tuple(sorted(self.denominator_degrees))
-        for d in degs:
-            if not isinstance(d, int) or d < 1:
-                raise StructureError(f"denominator degree {d!r} must be a positive integer")
-        object.__setattr__(self, "denominator_degrees", degs)
+        degs = positive_degrees(self.denominator_degrees, "denominator degree")
+        object.__setattr__(self, "denominator_degrees", tuple(sorted(degs)))
 
 
 def series_of_table(table: GradedLengthTable) -> HilbertSeries:
@@ -231,8 +247,8 @@ def chi_series(h_m: HilbertSeries, h_r: HilbertSeries) -> LaurentPolynomialZ:
     InexactDivisionError rather than truncating.  A divisor of 1, as for a
     finite-length M over a ring with numerator 1, skips the division.
     """
-    numerator = h_m.numerator.times_one_minus(h_r.denominator_degrees)
-    divisor = h_r.numerator.times_one_minus(h_m.denominator_degrees)
+    numerator = _times_one_minus(h_m.numerator, h_r.denominator_degrees)
+    divisor = _times_one_minus(h_r.numerator, h_m.denominator_degrees)
     if divisor == LaurentPolynomialZ.one():
         return numerator
     return numerator.divide_exact(divisor)

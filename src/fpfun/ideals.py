@@ -11,7 +11,7 @@ enumeration and Macaulay-matrix ranks over F_p) cross-check the pipeline.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -242,11 +242,15 @@ class GradedLengthTable:
     ``lengths`` maps degree j to the (arbitrary precision) k-dimension of the
     degree-j piece; only nonzero entries are stored, inserted in ascending
     degree, so iteration runs from the lowest degree to the highest.
+    ``phase_moments`` caches, by span, the packed moments that fp's phase-sum
+    kernel builds from ``lengths``; it takes insert-once writes and plays no
+    part in comparisons.
     """
 
     n: int
     p: int
     lengths: Mapping
+    phase_moments: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def max_degree(self) -> int:
@@ -272,9 +276,10 @@ def series_expansion(numerator: Mapping, degrees: Sequence[int], up_to: int) -> 
     for e, c in numerator.items():
         if e <= up_to:
             out[e] = c
+    # dividing by 1 - t^w is a running sum along each residue class mod w
     for w in degrees:
-        for j in range(w, up_to + 1):
-            out[j] += out[j - w]
+        for r in range(min(w, up_to + 1)):
+            out[r::w] = itertools.accumulate(out[r::w])
     return out
 
 

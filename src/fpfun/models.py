@@ -18,7 +18,7 @@ from numbers import Rational
 from typing import Sequence
 
 from .errors import ModelConstructionError
-from .hilbert import LaurentPolynomialZ
+from .hilbert import LaurentPolynomialZ, _times_one_minus, positive_degrees
 
 # Inside this radius the numerator is evaluated by its Taylor expansion; the
 # direct quotient loses about |y|^(-d) ulp to cancellation outside it.
@@ -125,7 +125,7 @@ def model_hsop(ring_multiplicity, degrees: Sequence[int]) -> ExponentialPolynomi
 
     This is the finite projective dimension model of the Koszul numerator
     prod_j (1 - t^(d_j)), the denominator of H_S for the parameter subring S,
-    expanded by LaurentPolynomialZ.times_one_minus.
+    expanded by the same (1 - t^d) steps as LaurentPolynomialZ.times_one_minus.
     Its value at the origin is d_1 * ... * d_d * e_R, the Hilbert-Kunz
     multiplicity of an ideal generated by a homogeneous system of parameters
     of these degrees.
@@ -133,13 +133,10 @@ def model_hsop(ring_multiplicity, degrees: Sequence[int]) -> ExponentialPolynomi
     e = Fraction(ring_multiplicity)
     if e <= 0:
         raise ModelConstructionError("ring multiplicity must be positive")
-    degrees = tuple(degrees)
-    if not degrees:
-        raise ModelConstructionError("need at least one parameter degree")
-    for d in degrees:
-        if not isinstance(d, int) or d < 1:
-            raise ModelConstructionError(f"parameter degree {d!r} must be a positive integer")
-    koszul = LaurentPolynomialZ.one().times_one_minus(degrees)
+    degrees = positive_degrees(
+        degrees, "parameter degree", ModelConstructionError, at_least_one=True
+    )
+    koszul = _times_one_minus(LaurentPolynomialZ.one(), degrees)
     return model_finite_pd(e, koszul, len(degrees))
 
 

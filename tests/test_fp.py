@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fpfun import fp
+from fpfun.density import density_table, gn_fourier_exact, quadrature_fourier
 from fpfun.algebra import Grading, PrimeField, parse_polynomial
 from fpfun.errors import EvaluationDomainError, StructureError
 from fpfun.fp import (
@@ -265,6 +266,18 @@ class TestBettiLimitCheck:
         with pytest.raises(EvaluationDomainError):
             betti_limit_check(plane, (1, 1), [0.0], 4)
 
+    @pytest.mark.parametrize("degrees, message", [
+        ((), "^need at least one parameter degree$"),
+        ((1, True), "^parameter degree True must be a positive integer$"),
+        ((1, 0), "^parameter degree 0 must be a positive integer$"),
+    ])
+    def test_parameter_degrees_checked(self, plane, degrees, message):
+        for call in (lambda: betti_alternating_polynomial(plane, degrees, 2),
+                     lambda: betti_limit_check(plane, degrees, [1.0], 2),
+                     lambda: cm_chi_eval(plane, degrees, [1.0], 2)):
+            with pytest.raises(StructureError, match=message):
+                call()
+
     def test_large_level_small_y(self, parameter23):
         # q = 16384: a factor 1 - z**d formed from z loses about q/|y| ulps
         report = betti_limit_check(parameter23, (1, 1), (1e-3, 0.01, 0.5, 2 + 1j), 14)
@@ -310,7 +323,7 @@ class TestPhaseSum:
         degrees, values = list(lengths), list(lengths.values())
         for y in points:
             w = -1j * complex(y) / q
-            got = _phase_sums(degrees, iter(values), [w])[0]
+            got = _phase_sums(dict(zip(degrees, values)), [w])[0]
             want = reference_phase_sum(degrees, values, w)
             assert abs(got - want) <= phase_sum_tolerance(degrees, values, w), (y, got, want)
 
@@ -336,16 +349,16 @@ class TestPhaseSum:
     def test_single_entry_and_empty(self):
         self.check({37: 5}, 64)
         self.check({-3: 2}, 8)
-        assert _phase_sums([], iter(()), [-0.5j])[0] == 0j
+        assert _phase_sums({}, [-0.5j])[0] == 0j
 
     def test_short_table_never_forms_powers_past_its_span(self):
         # exp(128 * 6) overflows, but a one-entry table only needs exp(0)
-        assert _phase_sums([0], [1], [6 - 1j])[0] == 1
-        assert _phase_sums([0, 1], [1, 1], [6 - 1j])[0] == 1 + cmath.exp(6 - 1j)
+        assert _phase_sums({0: 1}, [6 - 1j])[0] == 1
+        assert _phase_sums({0: 1, 1: 1}, [6 - 1j])[0] == 1 + cmath.exp(6 - 1j)
 
     def test_non_finite_total_raises(self):
         with pytest.raises(OverflowError):
-            _phase_sums([0, 1, 2], [10 ** 308] * 3, [0j])
+            _phase_sums(dict.fromkeys([0, 1, 2], 10 ** 308), [0j])
 
     @pytest.mark.parametrize("name", ["parameter23", "cusp", "weighted_plane"])
     def test_small_levels_at_large_imaginary_parts(self, request, name):
@@ -368,7 +381,7 @@ class TestPhaseSum:
         for size, w in ((300, -10), (300, -10 + 3j), (128, 5.5)):
             degrees = list(range(size))
             values = [1 + j % 7 for j in degrees]
-            got = _phase_sums(degrees, values, [w])[0]
+            got = _phase_sums(dict(zip(degrees, values)), [w])[0]
             want = reference_phase_sum(degrees, values, w)
             assert abs(got - want) <= phase_sum_tolerance(degrees, values, w), (w, got, want)
 
@@ -381,15 +394,109 @@ class TestPhaseSum:
             ([0, 128], [10 ** 308, 10 ** 308], 0j),  # the total of finite blocks
             ([0, 1], [1, 1], complex("nan")),  # w itself
             ([0, 1], [1, 1], complex(0, math.inf)),
+            ([0, 10 ** 7], [1, 1], 1e-4),  # an anchor of two blocks of span 4096
+            (list(range(300)), [10 ** 308] * 300, 1e-6j),  # a block sum of span 2
         ],
     )
     def test_every_non_finite_path_raises_one_message(self, degrees, values, w):
         with pytest.raises(OverflowError, match=r"^phase sum with w=.* is not finite$"):
-            _phase_sums(degrees, values, [w])
+            _phase_sums(dict(zip(degrees, values)), [w])
 
     def test_no_points_and_no_entries(self):
-        assert _phase_sums([0, 1], [1, 1], []) == []
-        assert _phase_sums([], [], [1j, 2j]) == [0j, 0j]
+        assert _phase_sums({0: 1, 1: 1}, []) == []
+        assert _phase_sums({}, [1j, 2j]) == [0j, 0j]
+
+
+def direct_moments(terms, span, start, order):
+    """B_k = sum_r C(r, k) v_(start + r) for k <= order, one term at a time."""
+    return [
+        sum(math.comb(r, k) * terms.get(start + r, 0) for r in range(span))
+        for k in range(order + 1)
+    ]
+
+
+def counting_builds(monkeypatch):
+    """Replace the moment builder by one that records (terms, span) per build."""
+    builds = []
+
+    class Counting(fp._Moments):
+        __slots__ = ()
+
+        def __init__(self, terms, span):
+            builds.append((terms, span))
+            super().__init__(terms, span)
+
+    monkeypatch.setattr(fp, "_Moments", Counting)
+    return builds
+
+
+class TestPhaseMoments:
+    def check_packed(self, terms, span):
+        packed = fp._Moments(terms, span)
+        order = min(15, span - 1)
+        assert packed.scales == [
+            56 + (math.comb(span - 1, k) - 1).bit_length() + order.bit_length() + 2
+            for k in range(order + 1)
+        ]
+        first = min(terms)
+        holding = {first + (j - first) // span * span for j in terms}
+        assert holding <= set(packed.starts)
+        top, slot = max(packed.scales), 8 * packed.width
+        for k, got in enumerate(packed.packed):
+            want = sum(
+                direct_moments(terms, span, start, order)[k] << (top - packed.scales[k] + slot * i)
+                for i, start in enumerate(packed.starts)
+            )
+            assert got == want, (span, k)
+
+    def test_series_order_at_the_largest_rho(self):
+        assert fp._order(0.5) == 15
+        assert fp._order(0.0) == 0
+
+    def test_random_signed_gapped_and_multi_word(self):
+        rng = random.Random(11)
+        for size, extent, magnitude, span in (
+            (300, 400, 10 ** 6, 16),  # nearly dense, signed
+            (200, 4000, 2 ** 40, 8),  # gapped, values past one word
+            (150, 3000, 2 ** 130, 32),  # several words per value
+            (3, 90_000, 10 ** 9, 512),  # sparse: only the blocks that hold a term
+        ):
+            degrees = sorted(rng.sample(range(-50, extent), size))
+            terms = {j: rng.choice((-1, 1)) * rng.randint(1, magnitude) for j in degrees}
+            self.check_packed(terms, span)
+
+    def test_sparse_polynomial_packs_only_its_blocks(self):
+        packed = fp._Moments({0: 1, 32768: -2, 49152: 1, 81920: 3}, 512)
+        assert list(packed.starts) == [0, 32768, 49152, 81920]
+
+    def test_level_table(self, cusp):
+        lengths = cusp.table(10).lengths
+        self.check_packed(lengths, fp._table_span(max(lengths) - min(lengths) + 1))
+
+    def test_one_build_per_level_for_every_caller(self, monkeypatch):
+        builds = counting_builds(monkeypatch)
+        problem = parameter_problem(2, 3)
+        grid = [0.5, 2 + 1j, 7.25 - 0.5j]
+        fp_limit(problem, grid, 8)
+        table = density_table(problem, 8)
+        for y in grid:
+            gn_fourier_exact(problem, 8, y)
+            quadrature_fourier(table, y)
+        betti_limit_check(problem, (1, 1), grid, 8)
+        level = problem.table(8).lengths
+        assert [span for terms, span in builds if terms is level] == [8]
+
+    def test_values_do_not_depend_on_earlier_points(self):
+        # at q = 256 the points take spans 8, 1 and 4; each order builds a
+        # different span first
+        points = [0.5, 10 + 1j, 100.0, 1e-6, 3 - 2j, 30.0]
+        values = []
+        for order in (points, points[::-1]):
+            problem = parameter_problem(2, 3)
+            table = density_table(problem, 8)
+            values.append({y: (fn_eval(problem, 8, y), quadrature_fourier(table, y))
+                           for y in order})
+        assert values[0] == values[1]
 
 
 class TestCmChiEval:

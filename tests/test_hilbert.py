@@ -84,6 +84,16 @@ class TestLaurentPolynomial:
             with pytest.raises(StructureError, match="positive integer"):
                 LaurentPolynomialZ.zero().times_one_minus((bad,))
 
+    def test_times_one_minus_refuses_a_boolean_degree(self):
+        with pytest.raises(StructureError, match="^factor degree True must be a positive integer$"):
+            ONE.times_one_minus((1, True))
+
+    def test_series_refuses_a_boolean_denominator_degree(self):
+        for bad in (True, 0):
+            message = f"^denominator degree {bad} must be a positive integer$"
+            with pytest.raises(StructureError, match=message):
+                HilbertSeries(ONE, (2, bad))
+
     def test_non_integer_coefficient_refused(self):
         for bad in (0.5, 1.0, Fraction(1, 2), "1", None):
             with pytest.raises(StructureError, match="coefficient"):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fpfun import hilbert, models
 from fpfun.errors import ModelConstructionError
 from fpfun.fp import fp_limit, hk_multiplicity, series_coefficient_estimate
 from fpfun.hilbert import LaurentPolynomialZ
@@ -160,9 +161,22 @@ class TestModelHsop:
             ((1, ()), "at least one parameter degree"),
             ((1, (2, 0, -1)), "parameter degree 0 "),
             ((1, (2, 1.0)), "parameter degree 1.0 "),
+            ((1, (2, True)), "parameter degree True "),
         ):
             with pytest.raises(ModelConstructionError, match=message):
                 model_hsop(*args)
+
+    def test_checks_its_degrees_once(self, monkeypatch):
+        checks, check = [], hilbert.positive_degrees
+
+        def counting(degrees, *args, **kwargs):
+            checks.append(tuple(degrees))
+            return check(degrees, *args, **kwargs)
+
+        monkeypatch.setattr(models, "positive_degrees", counting)
+        monkeypatch.setattr(hilbert, "positive_degrees", counting)
+        model_hsop(1, (1, 2))
+        assert checks == [(1, 2)]
 
     def test_matches_plane_limit(self, plane):
         model = model_hsop(1, (1, 1))
