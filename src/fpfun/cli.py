@@ -265,18 +265,29 @@ def _parse_grid_shorthand(text: str):
         raise ParseError(f"cannot read y grid {text!r}: {exc}")
 
 
+def _limits(problem: ProblemSpec, grid, n_max: int) -> list:
+    """(y, LimitEstimate) for each grid point in grid order, repeats included."""
+    estimates = fp_limit(problem, grid, n_max) if grid else {}
+    return [(y, estimates[y]) for y in grid]
+
+
+def _point(keys, row, est) -> dict:
+    """A json point: the row under keys, with the estimate's tail-fit diagnostics."""
+    return dict(zip(keys, row), differences=est.differences,
+                cauchy_constants=est.cauchy_constants)
+
+
 def cmd_eval(args) -> Output:
     pf = load_problem_file(args.file)
     n_max = _level(args.n_max, pf, "--n-max")
     problem = pf.to_problem()
-    grid = _resolve_grid(args, pf)
-    estimates = fp_limit(problem, grid, n_max) if grid else {}
+    limits = _limits(problem, _resolve_grid(args, pf), n_max)
     rows = [
         (y.real, y.imag, n_max, est.value.real, est.value.imag, est.error_bound)
-        for y, est in estimates.items()
+        for y, est in limits
     ]
     keys = ("y_re", "y_im", "f_re", "f_im", "err_bound")
-    points = _records(keys, [row[:2] + row[3:] for row in rows])
+    points = [_point(keys, row[:2] + row[3:], est) for row, (_, est) in zip(rows, limits)]
     columns = ("y_re", "y_im", "n", "F_re", "F_im", "err_bound")
     return Output(columns, rows, {"n": n_max, "points": points})
 
@@ -307,12 +318,11 @@ def cmd_compare(args) -> Output:
     n_max = _level(args.n_max, pf, "--n-max")
     problem = pf.to_problem()
     model, _ = build_model(args.method, pf, problem, args.hn_json)
-    grid = _resolve_grid(args, pf)
-    estimates = fp_limit(problem, grid, n_max) if grid else {}
+    limits = _limits(problem, _resolve_grid(args, pf), n_max)
     rows = []
     worst_dev = 0.0
     all_ok = True
-    for y, est in estimates.items():
+    for y, est in limits:
         mval = eval_model(model, y)
         dev = abs(est.value - mval)
         ok = dev <= est.error_bound + _COMPARISON_SLACK
@@ -324,7 +334,7 @@ def cmd_compare(args) -> Output:
     doc = {
         "method": args.method,
         "n": n_max,
-        "points": _records(keys, rows),
+        "points": [_point(keys, row, est) for row, (_, est) in zip(rows, limits)],
         "max_deviation": worst_dev,
         "pass": all_ok,
     }

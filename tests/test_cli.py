@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from fpfun.cli import main
+from fpfun.fp import fp_limit
+from fpfun.suite import plane_problem
 from fpfun.problems import MAX_GRID_POINTS, parse_y_grid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -83,6 +85,64 @@ class TestEval:
             ["eval", "--file", problem("plane.json"), "--n-max", "3", "--out", str(target)]
         ) == 0
         assert target.read_text().startswith("y_re,y_im,n,F_re,F_im,err_bound")
+
+
+class TestGridRows:
+    GRID = ["--y-grid", "[[0.5, 0], [1, 0]]"]
+    # bytes written before the json points carried diagnostics; levels <= 3
+    # sum term by term, so the values are exact to the last digit
+    EVAL_CSV = (
+        "y_re,y_im,n,F_re,F_im,err_bound\n"
+        "0.5,0,3,0.88738794989234282,-0.41505798838929125,0.061972941895933428\n"
+        "1,0,3,0.59009751134761512,-0.70659552344499565,0.12082925824129405\n"
+    )
+    COMPARE_ROWS = (
+        "y_re,y_im,F_re,F_im,model_re,model_im,deviation,bound,ok\n"
+        "0.5,0,0.88738794989234282,-0.41505798838929125,0.85945127165042301,"
+        "-0.46952036960203802,0.061209549569941353,0.061972941895933428,1\n"
+        "1,0,0.59009751134761512,-0.70659552344499565,0.49675144828342194,"
+        "-0.7736445427901113,0.1149306681644461,0.12082925824129405,1\n"
+    )
+
+    @pytest.mark.parametrize(
+        "command, fmt, expected",
+        [
+            (["eval"], "csv", EVAL_CSV),
+            (["compare", "--method", "hsop"], "csv", COMPARE_ROWS),
+            (["compare", "--method", "hsop"], "text",
+             COMPARE_ROWS + "max_deviation=0.1149306681644461 result=PASS\n"),
+        ],
+    )
+    def test_csv_and_text_bytes(self, command, fmt, expected, capsys):
+        argv = [*command, "--file", problem("plane.json"), "--n-max", "3", "--format", fmt]
+        assert main(argv + self.GRID) == 0
+        assert capsys.readouterr() == (expected, "")
+
+    @pytest.mark.parametrize(
+        "command, grid",
+        [(["eval"], "[[1, 0], [2, 0], [1, 0]]"), (["compare", "--method", "hsop"], "[[1, 0], [1, 0]]")],
+    )
+    def test_repeated_points_keep_their_rows(self, command, grid, capsys):
+        argv = [*command, "--file", problem("plane.json"), "--n-max", "3", "--y-grid", grid]
+        main(argv + ["--format", "csv"])
+        rows = capsys.readouterr().out.splitlines()[1:]
+        ys = [row.split(",")[:2] for row in rows]
+        assert ys == [[str(int(p[0])), "0"] for p in json.loads(grid)]
+        assert rows[0] == rows[-1]
+        main(argv + ["--format", "json"])
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert [p["y_re"] for p in points] == [p[0] for p in json.loads(grid)]
+
+    @pytest.mark.parametrize("command", [["eval"], ["compare", "--method", "hsop"]])
+    def test_json_points_carry_the_tail_fit(self, command, capsys):
+        argv = [*command, "--file", problem("plane.json"), "--n-max", "4", "--format", "json"]
+        main(argv + self.GRID)
+        points = json.loads(capsys.readouterr().out)["points"]
+        estimates = fp_limit(plane_problem(), [0.5, 1.0], 4)
+        for point, est in zip(points, estimates.values(), strict=True):
+            assert point["differences"] == list(est.differences)
+            assert len(point["differences"]) == 4
+            assert point["cauchy_constants"] == list(est.cauchy_constants)
 
 
 class TestClosed:

@@ -395,7 +395,7 @@ class TestPhaseSum:
             ([0, 1], [1, 1], complex("nan")),  # w itself
             ([0, 1], [1, 1], complex(0, math.inf)),
             ([0, 10 ** 7], [1, 1], 1e-4),  # an anchor of two blocks of span 4096
-            (list(range(300)), [10 ** 308] * 300, 1e-6j),  # a block sum of span 2
+            (list(range(300)), [10 ** 308] * 300, 1e-6j),  # a block sum merged from span 2
         ],
     )
     def test_every_non_finite_path_raises_one_message(self, degrees, values, w):
@@ -416,8 +416,9 @@ def direct_moments(terms, span, start, order):
 
 
 def counting_builds(monkeypatch):
-    """Replace the moment builder by one that records (terms, span) per build."""
-    builds = []
+    """Replace the moment builder by one that records (terms, span) per
+    Horner build and, apart, (span, degrees covered) per merge."""
+    builds, merges = [], []
 
     class Counting(fp._Moments):
         __slots__ = ()
@@ -426,8 +427,12 @@ def counting_builds(monkeypatch):
             builds.append((terms, span))
             super().__init__(terms, span)
 
+        def merged(self):
+            merges.append((self.span, self.span * len(self.starts)))
+            return super().merged()
+
     monkeypatch.setattr(fp, "_Moments", Counting)
-    return builds
+    return builds, merges
 
 
 class TestPhaseMoments:
@@ -441,10 +446,10 @@ class TestPhaseMoments:
         first = min(terms)
         holding = {first + (j - first) // span * span for j in terms}
         assert holding <= set(packed.starts)
-        top, slot = max(packed.scales), 8 * packed.width
+        slot = 8 * packed.width
         for k, got in enumerate(packed.packed):
             want = sum(
-                direct_moments(terms, span, start, order)[k] << (top - packed.scales[k] + slot * i)
+                direct_moments(terms, span, start, order)[k] << (slot * i)
                 for i, start in enumerate(packed.starts)
             )
             assert got == want, (span, k)
@@ -473,8 +478,47 @@ class TestPhaseMoments:
         lengths = cusp.table(10).lengths
         self.check_packed(lengths, fp._table_span(max(lengths) - min(lengths) + 1))
 
+    def test_merged_spans_equal_direct_builds(self, cusp, parameter23):
+        rng = random.Random(12)
+        tables = [cusp.table(10).lengths, parameter23.table(14).lengths]
+        for size, extent, magnitude in (
+            (300, 400, 10 ** 6),  # signed
+            (2500, 4000, 2 ** 40),  # gapped, values past one word
+            (2000, 3000, 2 ** 130),  # several words per value
+        ):
+            degrees = sorted(rng.sample(range(-50, extent), size))
+            tables.append({j: rng.choice((-1, 1)) * rng.randint(1, magnitude) for j in degrees})
+        for terms in tables:
+            extent = max(terms) - min(terms) + 1
+            span = fp._table_span(extent)
+            merged = fp._Moments(terms, span)
+            while span < extent:  # up to the span of one block
+                merged, span = merged.merged(), 2 * span
+                direct = fp._Moments(terms, span)
+                assert merged.span == direct.span == span
+                assert merged.scales == direct.scales and merged.width == direct.width
+                assert list(merged.starts) == list(direct.starts)
+                assert merged.packed == direct.packed, (extent, span)
+            assert len(merged.starts) == 1
+
+    def test_point_reads_few_blocks(self, parameter23, monkeypatch):
+        # at q = 16384 the table span is 512 (160 blocks); y = 1 and y = 8 take
+        # spans 8192 and 1024
+        served = []
+        value = fp._Moments.value
+
+        def counting(self, w, delta):
+            served.append(len(self.starts))
+            return value(self, w, delta)
+
+        monkeypatch.setattr(fp._Moments, "value", counting)
+        for y, most in ((1.0, 10), (8.0, 80)):
+            served.clear()
+            fn_eval(parameter23, 14, y)
+            assert served and max(served) <= most, (y, served)
+
     def test_one_build_per_level_for_every_caller(self, monkeypatch):
-        builds = counting_builds(monkeypatch)
+        builds, merges = counting_builds(monkeypatch)
         problem = parameter_problem(2, 3)
         grid = [0.5, 2 + 1j, 7.25 - 0.5j]
         fp_limit(problem, grid, 8)
@@ -485,18 +529,25 @@ class TestPhaseMoments:
         betti_limit_check(problem, (1, 1), grid, 8)
         level = problem.table(8).lengths
         assert [span for terms, span in builds if terms is level] == [8]
+        # level 8 covers 160 blocks of its table span 8, and y = 0.5 takes
+        # span 256: each span in between is merged once
+        assert sorted(span for span, covered in merges if covered == 1280) == [8, 16, 32, 64, 128]
 
     def test_values_do_not_depend_on_earlier_points(self):
-        # at q = 256 the points take spans 8, 1 and 4; each order builds a
-        # different span first
-        points = [0.5, 10 + 1j, 100.0, 1e-6, 3 - 2j, 30.0]
-        values = []
-        for order in (points, points[::-1]):
-            problem = parameter_problem(2, 3)
+        # at q = 256 the table span is 8; the points take spans 256, 8, 1,
+        # 2048, 32, 4, 2048 and 64, so each order reaches a span by another
+        # path, and a fresh table reaches it alone
+        points = [0.5, 10 + 1j, 100.0, 1e-6, 3 - 2j, 30.0, 0.05, 2.0]
+
+        def serve(order, problem):
             table = density_table(problem, 8)
-            values.append({y: (fn_eval(problem, 8, y), quadrature_fourier(table, y))
-                           for y in order})
-        assert values[0] == values[1]
+            return {y: (fn_eval(problem, 8, y), quadrature_fourier(table, y)) for y in order}
+
+        values = [serve(order, parameter_problem(2, 3)) for order in (points, points[::-1])]
+        alone = {}
+        for y in points:
+            alone.update(serve([y], parameter_problem(2, 3)))
+        assert values[0] == values[1] == alone
 
 
 class TestCmChiEval:
