@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .density import density_table, gn_fourier_exact, quadrature_fourier
+from .density import density_table, direct_fourier, quadrature_fourier
 from .errors import (
     ColengthError,
     EvaluationDomainError,
@@ -364,7 +364,7 @@ def cmd_density(args) -> Output:
     for y in grid:
         if y == 0:
             continue
-        gap = abs(gn_fourier_exact(problem, n, y) - quadrature_fourier(table, y))
+        gap = abs(direct_fourier(table, y) - quadrature_fourier(table, y))
         worst = max(worst, gap)
         side.append(("y={}+{}i bridge_gap={}", y.real, y.imag, gap))
     side.append(("max_bridge_gap={}", worst))

@@ -4,16 +4,15 @@ transforms.
 The level-n density sample is the step function g_n(x) = q^(1-d) * ell_j on
 [j/q, (j+1)/q), read in place from the level's exact length table.  Its
 Fourier transform relates to the level-n function by the exact identity
-gn_hat(y) = F_n(y) * (1 - exp(-iy/q)) / (iy/q).  The bridge checks that
-identity: quadrature_fourier integrates each 1/q interval of the samples
-(ell_j scaled by q^(1-d)) and never calls fn_eval, while gn_fourier_exact
-scales fn_eval (ell_j scaled by q^(-d)).  Both take the interval factor
-exp(-iy/q) - 1 from one cancellation-free step, so the bridge holds at tiny
-|y| as well.  Both sum the integer lengths ell_j with the same kernel
-(fp._phase_sums), from the same block moments cached on the level table,
-and apply their scale factor once to that sum, so the two sides round
-alike.  When p = 2 the scale factors are powers of two and the gap is
-exactly 0; otherwise it measures the rounding of the scale factors.
+gn_hat(y) = F_n(y) * (1 - exp(-iy/q)) / (iy/q).  quadrature_fourier
+integrates each 1/q interval of the samples and gn_fourier_exact scales
+fn_eval; both take the sum of ell_j * exp(-iyj/q) from the phase-sum kernel
+(fp._phase_sums) with the same cached block moments, and the interval
+factor exp(-iy/q) - 1 from one cancellation-free step that keeps tiny |y|
+accurate, so the two differ only in where a scale factor is applied.  The
+bridge checks the kernel instead: direct_fourier is the same transform with
+that sum taken term by term (fp._direct_sum, one exponential per entry),
+and the bridge gap is its distance from quadrature_fourier.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import EvaluationDomainError
-from .fp import ProblemSpec, _interval_step, _phase_sums, fn_eval
+from .fp import ProblemSpec, _direct_sum, _interval_step, _phase_sums, fn_eval
 
 
 @dataclass(frozen=True)
@@ -107,14 +106,24 @@ def quadrature_fourier(table: DensityTable, y: complex) -> complex:
     exp(-iyj/q) * (exp(-iy/q) - 1) / (-iy).  The kernel sums the integers
     ell_j * exp(-iyj/q) from the block moments the table shares with
     fn_eval, the factor q^(1-d) is applied once to that sum, and
-    the interval factor comes from the shared interval step.  Independent of
-    gn_fourier_exact: this path never calls fn_eval.  The y -> 0 limit branch
-    returns the step function's mass.  A sum that is not finite raises
-    OverflowError.
+    the interval factor comes from the shared interval step.  The y -> 0
+    limit branch returns the step function's mass.  A sum that is not finite
+    raises OverflowError.
     """
+    return _transform(table, y, lambda w: _phase_sums(table.lengths, [w], table.phase_moments)[0])
+
+
+def direct_fourier(table: DensityTable, y: complex) -> complex:
+    """quadrature_fourier with the sum of ell_j * exp(-iyj/q) taken term by
+    term (fp._direct_sum), not from the block moments: the bridge's reference."""
+    return _transform(table, y, lambda w: _direct_sum(table.lengths, w))
+
+
+def _transform(table: DensityTable, y: complex, phase_sum) -> complex:
+    """The transform at y from phase_sum(w), the sum of ell_j * exp(w j)."""
     if y == 0:
         return complex(float(table.mass()))
     y = complex(y)
     q = table.q
-    total = _phase_sums(table.lengths, [-1j * y / q], table.phase_moments)[0] / q ** (table.d - 1)
+    total = phase_sum(-1j * y / q) / q ** (table.d - 1)
     return total * _interval_step(y / q) / (-1j * y)

@@ -1,11 +1,24 @@
+import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
-from fpfun.density import DensityTable, density_table, gn_fourier_exact, quadrature_fourier
+from fpfun import fp
+from fpfun.cli import main
+from fpfun.density import (
+    DensityTable,
+    density_table,
+    direct_fourier,
+    gn_fourier_exact,
+    quadrature_fourier,
+)
 from fpfun.errors import EvaluationDomainError
-from fpfun.fp import ProblemSpec, fn_eval, hk_multiplicity
+from fpfun.fp import ProblemSpec, betti_limit_check, fn_eval, hk_multiplicity
+from fpfun.selfcheck import SelfCheckFailure, check_fourier_bridge
+
+PLANE_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "problems", "plane.json")
 
 GRID = (0.5, 1.0, 2.0, 4.0, -1.5)
 TINY = (1e-4, 1e-6, 1e-8, 1e-12, 1e-8 + 1e-8j)
@@ -60,13 +73,16 @@ class TestDensityTable:
 
 class TestFourierBridge:
     def test_exact_equals_quadrature(self, suite_problems):
+        # level 8 is the first at which every suite table reaches the blocks
         for name, (problem, _) in suite_problems.items():
-            for n in range(4):
+            for n in (*range(4), 8):
                 table = density_table(problem, n)
                 for y in GRID + TINY:
                     gap = abs(
                         gn_fourier_exact(problem, n, y) - quadrature_fourier(table, y)
                     )
+                    assert gap <= 1e-10, (name, n, y)
+                    gap = abs(direct_fourier(table, y) - quadrature_fourier(table, y))
                     assert gap <= 1e-10, (name, n, y)
 
     def test_bridge_at_large_q(self, parameter23):
@@ -76,6 +92,7 @@ class TestFourierBridge:
         for y in (0.640625 + 0.734375j, 0.5 + 1j, 1 + 2j):
             gap = abs(gn_fourier_exact(parameter23, n, y) - quadrature_fourier(table, y))
             assert gap <= 1e-10, y
+            assert abs(direct_fourier(table, y) - quadrature_fourier(table, y)) <= 1e-10, y
 
     def test_exact_transform_at_tiny_u(self, suite_problems):
         # (1 - exp(-iu)) / (iu) = sum_k (-iu)^k / (k+1)!, four terms exact to
@@ -112,6 +129,38 @@ class TestFourierBridge:
         ]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 1e-2
+
+
+class TestWrongKernelIsCaught:
+    """Every block sum of the phase-sum kernel scaled by ``scale``: at 1 the
+    bridge, the Betti check and the density report pass, at 1.01 each fails,
+    because each compares the kernel with the direct per-term sum."""
+
+    @pytest.fixture(params=[1.0, 1.01])
+    def scale(self, request, monkeypatch):
+        value = fp._Moments.value
+        monkeypatch.setattr(
+            fp._Moments, "value", lambda self, w, delta: request.param * value(self, w, delta)
+        )
+        return request.param
+
+    @pytest.mark.parametrize("levels", [2, 3])  # selftest --quick and the full selftest
+    def test_selfcheck_bridge(self, scale, levels):
+        if scale == 1:
+            assert check_fourier_bridge(levels=levels) > 0
+        else:
+            with pytest.raises(SelfCheckFailure, match="^Fourier bridge gap"):
+                check_fourier_bridge(levels=levels)
+
+    def test_betti_limit_check(self, scale, suite_problems):
+        for name, (problem, hsop) in suite_problems.items():
+            worst = betti_limit_check(problem, hsop, GRID, 8).max_deviation
+            assert (worst > 1e-9) == (scale != 1), (name, worst)
+
+    def test_density_report(self, scale, capsys):
+        assert main(["density", "--file", PLANE_FILE, "--n", "8", "--format", "json"]) == 0
+        gap = json.loads(capsys.readouterr().out)["max_bridge_gap"]
+        assert (gap > 1e-10) == (scale != 1), gap
 
 
 class TestUniformConvergenceEcho:
