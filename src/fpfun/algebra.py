@@ -20,10 +20,15 @@ ExponentVector = tuple  # tuple[int, ...]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
-    if n < 2:
+    """Whether n is a prime below 3317044064679887385961981.
+
+    Miller-Rabin with the bases 2 to 41 is exact below that number, the
+    least strong pseudoprime to all of them; no fixed base set certifies
+    every larger prime, so every n from it on reads False.
+    """
+    if n < 2 or n >= 3317044064679887385961981:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     for q in small:
         if n % q == 0:
             return n == q
@@ -52,7 +57,9 @@ class PrimeField:
 
     def __post_init__(self):
         if not isinstance(self.p, int) or not is_prime(self.p):
-            raise StructureError(f"characteristic must be prime, got {self.p!r}")
+            raise StructureError(
+                f"characteristic must be a prime below 3317044064679887385961981, got {self.p!r}"
+            )
 
 
 @dataclass(frozen=True)

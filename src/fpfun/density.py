@@ -31,8 +31,8 @@ class DensityTable:
 
     ``lengths`` is the level's length table itself (degree j -> nonzero
     ell_j, ascending in j), shared and not copied, and ``phase_moments`` is
-    that table's cache of packed kernel moments, built and merged per span,
-    so the quadrature reuses every span fn_eval built or merged.
+    that table's cache of the kernel's float moment rows, built and merged
+    per span, so the quadrature reuses every span fn_eval built or merged.
     """
 
     n: int

@@ -242,11 +242,11 @@ class GradedLengthTable:
     ``lengths`` maps degree j to the (arbitrary precision) k-dimension of the
     degree-j piece; only nonzero entries are stored, inserted in ascending
     degree, so iteration runs from the lowest degree to the highest.
-    ``phase_moments`` caches, by span, the packed moments that fp's phase-sum
-    kernel takes from ``lengths``: one Horner build at the table's span, each
-    coarser span merged exactly from the one below it, and a finer span built
-    only when a point needs it.  It takes insert-once writes and plays no part
-    in comparisons.
+    ``phase_moments`` caches, by span, the binomial moments, as float rows,
+    that fp's phase-sum kernel takes from ``lengths``: one exact Horner build
+    at the table's span, each coarser span merged in floating point from the
+    one below it, and a finer span built only when a point needs it.  It
+    takes insert-once writes and plays no part in comparisons.
     """
 
     n: int

@@ -171,7 +171,10 @@ def problem_file_from_dict(data, origin: str = "<memory>") -> ProblemFile:
     except KeyError as exc:
         raise ParseError(f"{origin}: missing required key {exc}")
     if not isinstance(prime, int) or not is_prime(prime):
-        raise ParseError(f"{origin}: 'prime' must be a prime integer, got {prime!r}")
+        raise ParseError(
+            f"{origin}: 'prime' must be a prime integer below 3317044064679887385961981, "
+            f"got {prime!r}"
+        )
     if not isinstance(variables, list) or not variables:
         raise ParseError(f"{origin}: 'variables' must be a nonempty list")
     names = []

@@ -33,6 +33,16 @@ class TestPrimeField:
 
     def test_accepts_large_prime(self):
         PrimeField(1000003)
+        PrimeField(2 ** 61 - 1)
+
+    def test_rejects_strong_pseudoprime_to_bases_up_to_37(self):
+        # 399165290221 * 798330580441 passes Miller-Rabin at every base 2..37
+        with pytest.raises(StructureError):
+            PrimeField(318665857834031151167461)
+
+    def test_rejects_characteristics_no_fixed_bases_certify(self):
+        with pytest.raises(StructureError, match="below 3317044064679887385961981"):
+            PrimeField(3317044064679887385961981)
 
 
 class TestWeightedDegree:

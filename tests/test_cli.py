@@ -333,6 +333,16 @@ class TestErrorPaths:
         )
         assert main(["hk", "--file", path, "--n", "2"]) == 2
 
+    @pytest.mark.parametrize("prime", [318665857834031151167461, 3317044064679887385961981])
+    def test_uncertified_prime_rejected(self, tmp_path, capsys, prime):
+        path = write(
+            tmp_path,
+            "pseudoprime.json",
+            {"prime": prime, "variables": [{"name": "X", "degree": 1}], "ideal": ["X"]},
+        )
+        assert main(["hk", "--file", path, "--n", "2"]) == 2
+        assert "'prime' must be a prime integer" in capsys.readouterr().err
+
     def test_infinite_colength_exits_3(self, tmp_path, capsys):
         path = write(
             tmp_path,

@@ -2,6 +2,8 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
 
@@ -311,7 +313,10 @@ def even_weight_table(n):
 
 
 # |y| from 1e-12 to 8, and Im y from -40 to 40; each w is -iy/q for the table's q
-PHASE_POINTS = (1e-12, 1e-6, 1e-3, 0.5, 2.0, -8.0, 1 - 40j, 1 - 2j, 1 + 2j, 1 + 40j)
+PHASE_POINTS = (
+    1e-12, 1e-6, 1e-3, 0.5, 1.0, 2.0, 4.0, -8.0, 8 + 1j, 1 - 40j, 1 - 2j, 1 + 2j, 1 + 40j,
+    0.5 + 3j, 1 + 30j, 0.640625 + 0.734375j,
+)
 
 
 # Large |Im y| at small q: the phases of one block span many binary orders
@@ -332,13 +337,17 @@ class TestPhaseSum:
             want = reference_phase_sum(degrees, values, w)
             assert abs(got - want) <= phase_sum_tolerance(degrees, values, w), (y, got, want)
 
-    def test_contiguous_table(self, parameter23):
-        self.check(parameter23.table(14).lengths, 2 ** 14)
+    def test_contiguous_table(self, parameter23, three_generator):
+        for problem in (parameter23, three_generator):
+            lengths = problem.table(14).lengths
+            assert len(lengths) == max(lengths) - min(lengths) + 1
+            self.check(lengths, 2 ** 14)
 
-    def test_table_with_gaps(self, cusp):
-        lengths = cusp.table(14).lengths
-        assert len(lengths) < max(lengths) + 1
-        self.check(lengths, 2 ** 14)
+    def test_table_with_gaps(self, cusp, weighted_plane):
+        for problem in (cusp, weighted_plane):
+            lengths = problem.table(14).lengths
+            assert len(lengths) < max(lengths) - min(lengths) + 1
+            self.check(lengths, 2 ** 14)
 
     def test_every_odd_degree_missing(self):
         lengths = even_weight_table(10)
@@ -416,12 +425,17 @@ class TestPhaseSum:
         assert _phase_sums({}, [1j, 2j], {}) == [0j, 0j]
 
 
-def direct_moments(terms, span, start, order):
-    """B_k = sum_r C(r, k) v_(start + r) for k <= order, one term at a time."""
-    return [
-        sum(math.comb(r, k) * terms.get(start + r, 0) for r in range(span))
-        for k in range(order + 1)
-    ]
+def direct_moments(terms, span, order):
+    """rows[k][b] = B_k = sum_r C(r, k) v_(a + r) exactly, for k <= order and
+    the blocks b of span degrees from the first term, block b from degree a."""
+    first = min(terms)
+    blocks = -(-(max(terms) - first + 1) // span)
+    values = [terms.get(first + i, 0) for i in range(blocks * span)]
+    rows, column = [], [1] * span  # column[r] = C(r, k)
+    for _ in range(order + 1):
+        rows.append([sum(map(mul, column, values[b * span : (b + 1) * span])) for b in range(blocks)])
+        column = [0, *accumulate(column[:-1])]
+    return rows
 
 
 def counting_builds(monkeypatch):
@@ -446,22 +460,12 @@ def counting_builds(monkeypatch):
 
 class TestPhaseMoments:
     def check_packed(self, terms, span):
-        packed = fp._Moments(terms, span)
-        order = min(15, span - 1)
-        assert packed.scales == [
-            56 + (math.comb(span - 1, k) - 1).bit_length() + order.bit_length() + 2
-            for k in range(order + 1)
-        ]
+        # the build is exact up to one rounding of each moment
+        moments = fp._Moments(terms, span)
         first = min(terms)
-        holding = {first + (j - first) // span * span for j in terms}
-        assert holding <= set(packed.starts)
-        slot = 8 * packed.width
-        for k, got in enumerate(packed.packed):
-            want = sum(
-                direct_moments(terms, span, start, order)[k] << (slot * i)
-                for i, start in enumerate(packed.starts)
-            )
-            assert got == want, (span, k)
+        exact = direct_moments(terms, span, min(15, span - 1))
+        assert list(moments.starts) == list(range(first, first + len(exact[0]) * span, span))
+        assert [row.tolist() for row in moments.rows] == [list(map(float, row)) for row in exact]
 
     def test_series_order_at_the_largest_rho(self):
         assert fp._order(0.5) == 15
@@ -483,7 +487,9 @@ class TestPhaseMoments:
         lengths = cusp.table(10).lengths
         self.check_packed(lengths, fp._table_span(max(lengths) - min(lengths) + 1))
 
-    def test_merged_spans_equal_direct_builds(self, cusp, parameter23):
+    def test_merged_spans_stay_within_the_merge_bound(self, cusp, parameter23):
+        # a build rounds each moment once, and a merge to an order-K span adds
+        # at most (K + 3) u relative to each moment it makes
         rng = random.Random(12)
         tables = [cusp.table(10).lengths, parameter23.table(14).lengths]
         for size, extent, magnitude in (
@@ -496,14 +502,19 @@ class TestPhaseMoments:
         for terms in tables:
             extent = max(terms) - min(terms) + 1
             span = fp._table_span(extent)
-            merged = fp._Moments(terms, span)
+            merged, roundings = fp._Moments(terms, span), 1
             while span < extent:  # up to the span of one block
                 merged, span = merged.merged(), 2 * span
-                direct = fp._Moments(terms, span)
-                assert merged.span == direct.span == span
-                assert merged.scales == direct.scales and merged.width == direct.width
-                assert list(merged.starts) == list(direct.starts)
-                assert merged.packed == direct.packed, (extent, span)
+                order = min(15, span - 1)
+                roundings += order + 3
+                bound = roundings * 2.0 ** -53 / (1 - roundings * 2.0 ** -53)
+                exact = direct_moments(terms, span, order)
+                assert merged.span == span
+                assert list(merged.starts) == list(range(min(terms), max(terms) + 1, span))
+                assert len(merged.rows) == len(exact)
+                for k, (got, want) in enumerate(zip(merged.rows, exact)):
+                    for g, b in zip(got, want):
+                        assert abs(int(g) - b) <= bound * b, (extent, span, k)
             assert len(merged.starts) == 1
 
     def test_point_reads_few_blocks(self, parameter23, monkeypatch):
