@@ -400,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_flag=False, n_max_flag=False, method_flag=False):
+    def common(p, n_flag=False, n_max_flag=False, method_flag=False, grid_flag=True):
         p.add_argument("--file", required=True, help="problem file (JSON)")
         if n_flag:
             p.add_argument("--n", type=int, default=None, help="level n (default: options.n_max)")
@@ -415,12 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument("--hn-json", dest="hn_json", default=None,
                            help="Harder-Narasimhan data as JSON (method hn)")
-        p.add_argument("--y-grid", dest="y_grid", default=None,
-                       help="JSON y grid or lo:hi:count shorthand")
+        if grid_flag:
+            p.add_argument("--y-grid", dest="y_grid", default=None,
+                           help="JSON y grid or lo:hi:count shorthand")
         p.add_argument("--out", default=None, help="write the main output to this file")
 
     p_hk = sub.add_parser("hk", help="Hilbert-Kunz multiplicities across levels 0..n")
-    common(p_hk, n_flag=True)
+    common(p_hk, n_flag=True, grid_flag=False)
     p_hk.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_hk.set_defaults(func=cmd_hk)
 

@@ -7,8 +7,8 @@ Fourier transform relates to the level-n function by the exact identity
 gn_hat(y) = F_n(y) * (1 - exp(-iy/q)) / (iy/q).  quadrature_fourier
 integrates each 1/q interval of the samples and gn_fourier_exact scales
 fn_eval; both take the sum of ell_j * exp(-iyj/q) from the phase-sum kernel
-(fp._phase_sums) with the same cached block moments, and the interval
-factor exp(-iy/q) - 1 from one cancellation-free step that keeps tiny |y|
+(fp._phase_sums) over the same level table, and the interval factor
+exp(-iy/q) - 1 from one cancellation-free step that keeps tiny |y|
 accurate, so the two differ only in where a scale factor is applied.  The
 bridge checks the kernel instead: direct_fourier is the same transform with
 that sum taken term by term (fp._direct_sum, one exponential per entry),
@@ -17,41 +17,33 @@ and the bridge gap is its distance from quadrature_fourier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import EvaluationDomainError
 from .fp import ProblemSpec, _direct_sum, _interval_step, _phase_sums, fn_eval
+from .ideals import GradedLengthTable
 
 
 @dataclass(frozen=True)
 class DensityTable:
-    """Samples x = j/q -> g_n(x) = q^(1-d) * ell_j, all exact rationals.
+    """Samples x = j/q -> g_n(x) = q^(1-d) * ell_j, all exact rationals, read
+    in place from the level's own length table ``table``."""
 
-    ``lengths`` is the level's length table itself (degree j -> nonzero
-    ell_j, ascending in j), shared and not copied, and ``phase_moments`` is
-    that table's cache of the kernel's float moment rows, built and merged
-    per span, so the quadrature reuses every span fn_eval built or merged.
-    """
-
-    n: int
-    p: int
+    table: GradedLengthTable
     d: int
-    lengths: Mapping
-    phase_moments: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def q(self) -> int:
-        return self.p ** self.n
+        return self.table.p ** self.table.n
 
     @property
     def entries(self):
-        """The pairs (j, ell_j) in ascending j: a view of ``lengths``."""
-        return self.lengths.items()
+        """The pairs (j, ell_j) in ascending j: a view of the table's lengths."""
+        return self.table.lengths.items()
 
     def value_at_index(self, j: int) -> Fraction:
-        return Fraction(self.lengths.get(j, 0), self.q ** (self.d - 1))
+        return Fraction(self.table.lengths.get(j, 0), self.q ** (self.d - 1))
 
     def value_at(self, x) -> Fraction:
         """Step-function value g_n(x) = q^(1-d) * ell_floor(x*q)."""
@@ -66,12 +58,12 @@ class DensityTable:
 
     def mass(self) -> Fraction:
         """Exact integral of the step function; equals F_n(0)."""
-        return Fraction(sum(self.lengths.values()), self.q ** self.d)
+        return Fraction(self.table.total(), self.q ** self.d)
 
     def support_right_endpoint(self) -> Fraction:
-        if not self.lengths:
+        if not self.table.lengths:
             return Fraction(0)
-        return Fraction(next(reversed(self.lengths)) + 1, self.q)
+        return Fraction(next(reversed(self.table.lengths)) + 1, self.q)
 
 
 def density_table(problem: ProblemSpec, n: int) -> DensityTable:
@@ -82,9 +74,7 @@ def density_table(problem: ProblemSpec, n: int) -> DensityTable:
             "density samples need dimension at least 1; a zero-dimensional problem "
             "concentrates at the origin and has no function-valued density"
         )
-    table = problem.table(n)
-    return DensityTable(n=n, p=problem.prime, d=d, lengths=table.lengths,
-                        phase_moments=table.phase_moments)
+    return DensityTable(problem.table(n), d)
 
 
 def gn_fourier_exact(problem: ProblemSpec, n: int, y: complex) -> complex:
@@ -104,19 +94,18 @@ def quadrature_fourier(table: DensityTable, y: complex) -> complex:
 
     Each interval contributes its sample q^(1-d) * ell_j times
     exp(-iyj/q) * (exp(-iy/q) - 1) / (-iy).  The kernel sums the integers
-    ell_j * exp(-iyj/q) from the block moments the table shares with
-    fn_eval, the factor q^(1-d) is applied once to that sum, and
-    the interval factor comes from the shared interval step.  The y -> 0
-    limit branch returns the step function's mass.  A sum that is not finite
-    raises OverflowError.
+    ell_j * exp(-iyj/q) over the level table fn_eval reads, the factor
+    q^(1-d) is applied once to that sum, and the interval factor comes from
+    the shared interval step.  The y -> 0 limit branch returns the step
+    function's mass.  A sum that is not finite raises OverflowError.
     """
-    return _transform(table, y, lambda w: _phase_sums(table.lengths, [w], table.phase_moments)[0])
+    return _transform(table, y, lambda w: _phase_sums(table.table, [w])[0])
 
 
 def direct_fourier(table: DensityTable, y: complex) -> complex:
     """quadrature_fourier with the sum of ell_j * exp(-iyj/q) taken term by
     term (fp._direct_sum), not from the block moments: the bridge's reference."""
-    return _transform(table, y, lambda w: _direct_sum(table.lengths, w))
+    return _transform(table, y, lambda w: _direct_sum(table.table.lengths, w))
 
 
 def _transform(table: DensityTable, y: complex, phase_sum) -> complex:

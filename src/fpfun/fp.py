@@ -13,23 +13,12 @@ Hilbert-Kunz multiplicities, power-series moment estimators, and alternating
 Betti polynomials obtained through the Hilbert-series quotient identity.
 
 Sums of exp(-i*y*j/q) terms over a level table (F_n and the density
-transforms) go through the kernel ``_phase_sums``.  It cuts the table into
-blocks of ``span`` degrees and writes each block sum as sum_k delta^k B_k
-with delta = exp(w) - 1 and the non-negative binomial moments
-B_k = sum_r C(r, k) v_r, which do not depend on the point.  A level table's
-moments are built once at the table's span, exactly by Horner's rule over
-packed integer columns, rounded once into a row of per-block floats per k,
-and cached on the table, so fp_limit, fn_eval and the density transforms
-share one build per level.  Each coarser span 2s is merged in floating
-point from span s, B_k(2s) = E_k + sum_j C(s, k - j) O_j for each even
-block E and the odd block O after it, and cached too.  A point takes the
-largest power-of-two span with span * |delta| <= 1/2, up to one block, so
-it reads about 2 |w| N blocks of a table of N degrees, for K <= 15 Horner
-steps over every block at once and one anchor per block.  ``_direct_sum``
-takes everything else, one exponential per term per point added exactly by
-math.fsum: the kernel's span-1 points, the density bridge's reference and
-the Betti polynomial B_n of betti_limit_check and cm_chi_eval (3 or 4 terms
-on the built-in problems).  A sum that is not finite raises OverflowError.
+transforms) go through the kernel ``_phase_sums``, which serves them from
+block moments cached on the table.  ``_direct_sum`` takes everything else,
+one exponential per term per point added exactly by math.fsum: the
+kernel's span-1 points, the density bridge's reference and the Betti
+polynomial B_n of betti_limit_check and cm_chi_eval (3 or 4 terms on the
+built-in problems).  A sum that is not finite raises OverflowError.
 Measured, cm_chi_eval is within 5.3e-15 relative of F_n(y) *
 prod(q (1 - z^d_i) / (d_i iy)) on the built-in problems at q = 256 and
 16384 for |y| >= 0.5.
@@ -70,9 +59,9 @@ from .ideals import (
 # largest power of two at most its extent over _BLOCKS, so a level-14 table of
 # 82k degrees has 160 blocks of 512; coarser spans are merged from it.
 _BLOCKS = 128
-# A block's binomial series stops where its tail is at most 2^-_FRACTION_BITS
+# A block's binomial series stops where its tail is at most 2^-_TAIL_BITS
 # times the sum of its values.
-_FRACTION_BITS = 56
+_TAIL_BITS = 56
 # A point's span keeps rho = span * |exp(w) - 1| at most this.
 _RHO = 0.5
 # The machine word of the packed columns.
@@ -189,28 +178,28 @@ def _fn_values(problem: ProblemSpec, n: int, ys: Sequence[complex]) -> list:
     q = problem.prime ** n
     scale = q ** problem.dimension
     ws = [-1j * complex(y) / q for y in ys if y != 0]
-    sums = iter(_phase_sums(table.lengths, ws, table.phase_moments) if ws else ())
+    sums = iter(_phase_sums(table, ws) if ws else ())
     return [
         next(sums) / scale if y != 0 else complex(float(Fraction(table.total(), scale)))
         for y in ys
     ]
 
 
-def _phase_sums(terms: Mapping, ws: Iterable[complex], moments: dict) -> list:
-    """sum(v * exp(w * j)) over the items j -> v of ``terms``, for each w in ws.
+def _phase_sums(table: GradedLengthTable, ws: Iterable[complex]) -> list:
+    """sum(v * exp(w * j)) over the lengths j -> v of ``table``, for each w in ws.
 
-    ``terms`` is the lengths of a GradedLengthTable: ascending integer
-    degrees to non-negative integers.  Blocks of ``span`` consecutive
-    degrees run from the first degree, a missing degree counting as 0.
-    With delta = exp(w) - 1, taken from sinh without cancellation, the
-    block from degree a sums to
+    Blocks of ``span`` consecutive degrees run from the table's first
+    degree, a missing degree counting as 0.  With delta = exp(w) - 1, taken
+    from sinh without cancellation, the block from degree a sums to
 
         exp(w a) * sum_r v_(a+r) (1 + delta)^r = exp(w a) * sum_k delta^k B_k,
         B_k = sum_r C(r, k) v_(a+r),
 
-    and the B_k are non-negative integers that do not depend on w.
-    ``moments`` is the table's cache of them by span, as float rows, so
-    every call on the table shares the work.
+    and the B_k are non-negative integers that do not depend on w.  The
+    table's ``phase_moments`` caches them by span, as float rows, with
+    insert-once writes, so fn_eval, fp_limit and the density transforms
+    share one build per level.  A build that meets a negative length
+    raises StructureError.
 
     A point takes the largest power-of-two span with span * |delta| <= 1/2,
     capped at the span that covers the terms in one block, and so reads
@@ -241,6 +230,7 @@ def _phase_sums(terms: Mapping, ws: Iterable[complex], moments: dict) -> list:
     OverflowError.
     """
     ws = list(ws)
+    terms = table.lengths
     if not terms or not ws:
         return [0j] * len(ws)
     extent = next(reversed(terms)) - next(iter(terms)) + 1
@@ -258,7 +248,7 @@ def _phase_sums(terms: Mapping, ws: Iterable[complex], moments: dict) -> list:
             if span == 1:
                 total = _direct_sum(terms, w)
             else:
-                total = _moments_at(terms, span, built, moments).value(w, delta)
+                total = _moments_at(table, span, built).value(w, delta)
         except OverflowError:
             raise _not_finite(w) from None
         if not cmath.isfinite(total):
@@ -286,15 +276,16 @@ def _direct_sum(terms: Mapping, w: complex) -> complex:
     return total
 
 
-def _moments_at(terms: Mapping, span: int, built: int, moments: dict) -> _Moments:
-    """The moments of terms at span, kept in ``moments``: built at or below
-    the table span ``built``, merged from span / 2 above it."""
+def _moments_at(table: GradedLengthTable, span: int, built: int) -> _Moments:
+    """The moments of the table's lengths at span, kept in its cache: built
+    at or below the table span ``built``, merged from span / 2 above it."""
+    moments = table.phase_moments
     packed = moments.get(span)
     if packed is None:
         if span > built:
-            packed = _moments_at(terms, span // 2, built, moments).merged()
+            packed = _moments_at(table, span // 2, built).merged()
         else:
-            packed = _Moments(terms, span)
+            packed = _Moments(table.lengths, span)
         packed = moments.setdefault(span, packed)
     return packed
 
@@ -305,9 +296,9 @@ def _table_span(extent: int) -> int:
 
 
 def _order(rho: float) -> int:
-    """The least K with sum(rho^k / k! for k > K) <= 2^-_FRACTION_BITS."""
+    """The least K with sum(rho^k / k! for k > K) <= 2^-_TAIL_BITS."""
     k, term = 0, rho  # term = rho^(k+1) / (k+1)!, and the tail is below term / (1 - rho/(k+2))
-    while term > math.ldexp(1 - rho / (k + 2), -_FRACTION_BITS):
+    while term > math.ldexp(1 - rho / (k + 2), -_TAIL_BITS):
         k += 1
         term *= rho / (k + 1)
     return k
@@ -335,7 +326,7 @@ class _Moments:
         order = min(_MAX_ORDER, span - 1)
         # the largest moment is at most C(span - 1, min(K, (span - 1) // 2)) * sum(v)
         largest = math.comb(span - 1, min(order, (span - 1) // 2)) * sum(dense)
-        slot = -(-largest.bit_length() // _WORD_BITS)
+        slot = max(1, -(-largest.bit_length() // _WORD_BITS))  # a word for all zeros too
         # Horner in (1 + x) from the top offset down: after offset r,
         # acc[k] = sum(C(r' - r, k) * column r' for r' >= r)
         acc = [0] * (order + 1)
@@ -422,10 +413,13 @@ def _columns(dense: list, span: int, slot: int):
 
 def _words(dense: list) -> tuple:
     """(part, words): non-negative integers in ``words`` machine words each,
-    least significant first, as many as the widest value needs."""
+    least significant first, as many as the widest value needs; a negative
+    value raises StructureError."""
     try:
         return array(_WORD, dense), 1
-    except OverflowError:  # a value wider than one word
+    except OverflowError:  # a value wider than one word, or a negative one
+        if min(dense) < 0:
+            raise StructureError("the phase-sum kernel needs non-negative lengths") from None
         words = -(-max(dense).bit_length() // _WORD_BITS)
         mask = (1 << _WORD_BITS) - 1
         shifts = range(0, words * _WORD_BITS, _WORD_BITS)

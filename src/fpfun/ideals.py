@@ -241,18 +241,19 @@ class GradedLengthTable:
 
     ``lengths`` maps degree j to the (arbitrary precision) k-dimension of the
     degree-j piece; only nonzero entries are stored, inserted in ascending
-    degree, so iteration runs from the lowest degree to the highest.
-    ``phase_moments`` caches, by span, the binomial moments, as float rows,
-    that fp's phase-sum kernel takes from ``lengths``: one exact Horner build
-    at the table's span, each coarser span merged in floating point from the
-    one below it, and a finer span built only when a point needs it.  It
-    takes insert-once writes and plays no part in comparisons.
+    degree, so iteration runs from the lowest degree to the highest; other
+    degree orders are refused.  ``phase_moments`` is the cache of fp's
+    phase-sum kernel and plays no part in comparisons.
     """
 
     n: int
     p: int
     lengths: Mapping
-    phase_moments: dict = field(default_factory=dict, compare=False, repr=False)
+    phase_moments: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if list(self.lengths) != sorted(self.lengths):
+            raise StructureError("a length table's degrees must be strictly ascending")
 
     @property
     def max_degree(self) -> int:

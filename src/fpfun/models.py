@@ -204,13 +204,23 @@ class HNData:
         rank_sum = sum(r for _, r in factors)
         if rank_sum != self.rank_s:
             raise ModelConstructionError(
-                f"violated relation: sum of factor ranks = {rank_sum} != rank_s = {self.rank_s}"
+                f"violated relation: sum of factor ranks = {_shown(rank_sum)} "
+                f"!= rank_s = {_shown(self.rank_s)}"
             )
         weighted = sum(mu * r for mu, r in factors)
         if weighted != -self.delta_r:
             raise ModelConstructionError(
-                f"violated relation: sum of mu_s * r_s = {weighted} != -delta_r = {-self.delta_r}"
+                f"violated relation: sum of mu_s * r_s = {_shown(weighted)} "
+                f"!= -delta_r = {_shown(-self.delta_r)}"
             )
+
+
+def _shown(x) -> str:
+    """str(x), or a placeholder for a number str() refuses (over 4300 digits)."""
+    try:
+        return str(x)
+    except ValueError:
+        return "<over 4300 digits>"
 
 
 def model_from_hn(data: HNData) -> ExponentialPolynomialModel:

@@ -46,6 +46,13 @@ class TestHk:
         assert doc["stable_value"] == "4"
         assert [lvl["hk"] for lvl in doc["levels"]] == ["4", "4", "4", "4"]
 
+    def test_no_y_grid_flag(self, capsys):
+        # hk reads no grid, so it takes no --y-grid
+        with pytest.raises(SystemExit) as exit_info:
+            main(["hk", "--file", problem("plane.json"), "--n", "3", "--y-grid", "1:2:3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --y-grid 1:2:3" in capsys.readouterr().err
+
 
 class TestEval:
     def test_csv_columns_and_zero_row(self, capsys):
@@ -816,6 +823,8 @@ class TestExitCodes:
         assert failed.stderr == "parse error: --n must be non-negative\n"
 
     LONG = "9" * 5000  # more digits than int() and str() convert
+    # a slope of 10^5000, whose slope-weighted rank sum str() refuses
+    LONG_SLOPE_HN = '{"delta_r": 1, "rank": 1, "factors": [["1e5000", 1]]}'
 
     @pytest.mark.parametrize(
         "argv, edit, code, message",
@@ -860,11 +869,25 @@ class TestExitCodes:
                 2, "parse error: ideal[0]: integer of 5000 digits is too long at position 2",
             ),
             (["hk"], ('"name": "X"', '"name": "X\u00e9"'), 2, "parse error: cannot read problem"),
+            (
+                ["closed", "--method", "hn", "--hn-json", LONG_SLOPE_HN], None,
+                3, "error: violated relation: sum of mu_s * r_s = <over 4300 digits> != -delta_r",
+            ),
+            (
+                ["compare", "--method", "hn", "--n-max", "2", "--hn-json", LONG_SLOPE_HN], None,
+                3, "error: violated relation: sum of mu_s * r_s = <over 4300 digits> != -delta_r",
+            ),
+            (
+                ["closed", "--method", "hn"],
+                ('"options": {', f'"options": {{"hn": {LONG_SLOPE_HN}, '),
+                3, "error: violated relation: sum of mu_s * r_s = <over 4300 digits> != -delta_r",
+            ),
         ],
         ids=[
             "grid-count-string", "grid-count-string-in-file", "hn-rank-string",
             "hn-rank-string-in-file", "plane-level-15000", "cusp-level-1e7", "long-n-max",
-            "long-grid-point", "long-hn-delta", "long-exponent", "not-utf8",
+            "long-grid-point", "long-hn-delta", "long-exponent", "not-utf8", "long-hn-slope",
+            "long-hn-slope-compare", "long-hn-slope-in-file",
         ],
     )
     def test_bad_input_ends_in_a_documented_exit_code(self, argv, edit, code, message, tmp_path):

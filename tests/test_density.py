@@ -14,8 +14,9 @@ from fpfun.density import (
     gn_fourier_exact,
     quadrature_fourier,
 )
-from fpfun.errors import EvaluationDomainError
+from fpfun.errors import EvaluationDomainError, StructureError
 from fpfun.fp import ProblemSpec, betti_limit_check, fn_eval, hk_multiplicity
+from fpfun.ideals import GradedLengthTable
 from fpfun.selfcheck import SelfCheckFailure, check_fourier_bridge
 
 PLANE_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "problems", "plane.json")
@@ -63,6 +64,34 @@ class TestDensityTable:
         flat = ProblemSpec(plane.ring, plane.ideal, dim_override=0)
         with pytest.raises(EvaluationDomainError):
             density_table(flat, 2)
+
+    def test_view_of_the_level_table(self, parameter23):
+        table = density_table(parameter23, 6)
+        assert table.table is parameter23.table(6)
+        assert table == DensityTable(parameter23.table(6), 2)
+        # the phase-sum cache belongs to the length table and is no argument
+        with pytest.raises(TypeError):
+            GradedLengthTable(6, 2, {}, phase_moments={})
+        with pytest.raises(TypeError):
+            DensityTable(table.table, 2, phase_moments={})
+
+    @pytest.mark.parametrize("lengths", [{600: 1, 0: 1}, {300: 2, 1: 1, 700: 3}, {3: 1, 0: 1}])
+    def test_degrees_out_of_order_refused(self, lengths):
+        # accepted, at n = 8 the first makes quadrature_fourier raise
+        # IndexError and the second puts it 1.2e-5 off direct_fourier, and
+        # at n = 1 the third gives a support right endpoint of 1/2 for 2
+        with pytest.raises(StructureError, match="^a length table's degrees must be strictly"):
+            GradedLengthTable(8, 2, lengths)
+
+    def test_negative_length_refused_by_the_kernel(self):
+        # the kernel's block moments assume non-negative lengths; summed
+        # anyway, this table puts quadrature_fourier 1.5e-5 off direct_fourier
+        lengths = {j: 1 + j % 5 for j in range(600)}
+        lengths[300] = -3
+        table = DensityTable(GradedLengthTable(8, 2, lengths), 2)
+        assert abs(direct_fourier(table, 0.5)) > 0.01
+        with pytest.raises(StructureError, match="^the phase-sum kernel needs non-negative"):
+            quadrature_fourier(table, 0.5)
 
     def test_support_right_endpoint_bounded(self, suite_problems):
         for name, (problem, _) in suite_problems.items():
@@ -117,7 +146,7 @@ class TestFourierBridge:
         assert quadrature_fourier(table, 0) == 1.0 + 0j
 
     def test_empty_table(self):
-        table = DensityTable(n=1, p=2, d=2, lengths={})
+        table = DensityTable(GradedLengthTable(1, 2, {}), 2)
         assert quadrature_fourier(table, 0) == 0j
         assert quadrature_fourier(table, 1.0) == 0j
 

@@ -24,7 +24,7 @@ from fpfun.fp import (
     series_coefficient_estimate,
 )
 from fpfun.hilbert import LaurentPolynomialZ
-from fpfun.ideals import HomogeneousIdeal, RingPresentation, series_expansion
+from fpfun.ideals import GradedLengthTable, HomogeneousIdeal, RingPresentation, series_expansion
 from fpfun.suite import parameter_problem
 
 GRID = (0.5, 1.0, 2.0, 4.0)
@@ -324,8 +324,8 @@ LARGE_IM_POINTS = (1 + 30j, 1 - 30j, 1 - 40j, 0.5 + 3j, 1 + 10j)
 
 
 def kernel_sum(terms, w):
-    """The phase-sum kernel at one point, with a fresh moment cache."""
-    return _phase_sums(terms, [w], {})[0]
+    """The phase-sum kernel at one point, on a fresh table of the terms."""
+    return _phase_sums(GradedLengthTable(0, 2, terms), [w])[0]
 
 
 class TestPhaseSum:
@@ -366,6 +366,10 @@ class TestPhaseSum:
         self.check({-3: 2}, 8, phase_sum=fp._direct_sum)
         assert kernel_sum({}, -0.5j) == 0j
         assert fp._direct_sum({}, -0.5j) == 0j
+
+    def test_all_zero_lengths(self):
+        # the build takes one machine word per slot even when every moment is 0
+        assert kernel_sum({0: 0, 600: 0}, -0.5j / 256) == 0
 
     def test_short_table_never_forms_powers_past_its_span(self):
         # exp(128 * 6) overflows, but a one-entry table only needs exp(0)
@@ -421,8 +425,8 @@ class TestPhaseSum:
             kernel_sum(dict(zip(degrees, values)), w)
 
     def test_no_points_and_no_entries(self):
-        assert _phase_sums({0: 1, 1: 1}, [], {}) == []
-        assert _phase_sums({}, [1j, 2j], {}) == [0j, 0j]
+        assert _phase_sums(GradedLengthTable(0, 2, {0: 1, 1: 1}), []) == []
+        assert _phase_sums(GradedLengthTable(0, 2, {}), [1j, 2j]) == [0j, 0j]
 
 
 def direct_moments(terms, span, order):

@@ -267,6 +267,14 @@ class TestModelFromHn:
         with pytest.raises(ModelConstructionError, match="mu_s"):
             HNData(1, 1, ((Fraction(-2), 1),))
 
+    def test_sums_too_long_to_print(self):
+        # str() refuses a number of over 4300 digits; the relation is still named
+        big = 10 ** 5000
+        with pytest.raises(ModelConstructionError, match=r"ranks = <over 4300 digits> != rank_s = 1$"):
+            HNData(1, 1, ((Fraction(-1), big),))
+        with pytest.raises(ModelConstructionError, match=r"r_s = <over 4300 digits> != -delta_r = -1$"):
+            HNData(1, 1, ((Fraction(big), 1),))
+
     def test_slopes_must_decrease(self):
         with pytest.raises(ModelConstructionError, match="decreasing"):
             HNData(2, 2, ((Fraction(-1), 1), (Fraction(-1), 1)))
