@@ -10,15 +10,17 @@ uniformly on compact sets to an entire function; this module evaluates F_n,
 estimates the limit with a geometric tail estimate (not a bound) fitted from
 successive differences, and exposes the exact-integer quantities behind it:
 Hilbert-Kunz multiplicities, power-series moment estimators, and alternating
-Betti polynomials obtained through the Hilbert-series quotient identity.
+Betti polynomials obtained through the Hilbert-series quotient identity
+from each level's exact staircase numerator.
 
 Sums of exp(-i*y*j/q) terms over a level table (F_n and the density
 transforms) go through the kernel ``_phase_sums``, which serves them from
 block moments cached on the table.  ``_direct_sum`` takes everything else,
 one exponential per term per point added exactly by math.fsum: the
 kernel's span-1 points, the density bridge's reference and the Betti
-polynomial B_n of betti_limit_check and cm_chi_eval (3 or 4 terms on the
-built-in problems).  A sum that is not finite raises OverflowError.
+polynomial B_n of betti_limit_check and cm_chi_eval, which comes from the
+level's staircase numerator, not its table (3 or 4 terms on the built-in
+problems).  A sum that is not finite raises OverflowError.
 Measured, cm_chi_eval is within 5.3e-15 relative of F_n(y) *
 prod(q (1 - z^d_i) / (d_i iy)) on the built-in problems at q = 256 and
 16384 for |y| >= 0.5.
@@ -198,8 +200,8 @@ def _phase_sums(table: GradedLengthTable, ws: Iterable[complex]) -> list:
     and the B_k are non-negative integers that do not depend on w.  The
     table's ``phase_moments`` caches them by span, as float rows, with
     insert-once writes, so fn_eval, fp_limit and the density transforms
-    share one build per level.  A build that meets a negative length
-    raises StructureError.
+    share one build per level.  A build that meets a negative length, or a
+    degree or length that is not an integer, raises StructureError.
 
     A point takes the largest power-of-two span with span * |delta| <= 1/2,
     capped at the span that covers the terms in one block, and so reads
@@ -233,8 +235,11 @@ def _phase_sums(table: GradedLengthTable, ws: Iterable[complex]) -> list:
     terms = table.lengths
     if not terms or not ws:
         return [0j] * len(ws)
-    extent = next(reversed(terms)) - next(iter(terms)) + 1
-    built = _table_span(extent)
+    try:
+        extent = next(reversed(terms)) - next(iter(terms)) + 1
+        built = _table_span(extent)
+    except (TypeError, AttributeError):  # a first or last degree that is not an integer
+        raise _not_integers() from None
     widest = 1 << (extent - 1).bit_length() if built > 1 else 1
     out = []
     for w in ws:
@@ -285,7 +290,10 @@ def _moments_at(table: GradedLengthTable, span: int, built: int) -> _Moments:
         if span > built:
             packed = _moments_at(table, span // 2, built).merged()
         else:
-            packed = _Moments(table.lengths, span)
+            try:
+                packed = _Moments(table.lengths, span)
+            except (TypeError, AttributeError):  # a degree or length that is not an integer
+                raise _not_integers() from None
         packed = moments.setdefault(span, packed)
     return packed
 
@@ -426,6 +434,10 @@ def _words(dense: list) -> tuple:
         return array(_WORD, [v >> k & mask for v in dense for k in shifts]), words
 
 
+def _not_integers() -> StructureError:
+    return StructureError("the phase-sum kernel needs integer degrees and lengths")
+
+
 def _not_finite(w: complex) -> OverflowError:
     return OverflowError(f"phase sum with w={w} is not finite")
 
@@ -496,8 +508,11 @@ def betti_alternating_polynomial(
 
     With S the polynomial subring on a homogeneous system of parameters of
     degrees hsop_degrees, the polynomial sum_j B(j, n) t^j is the exact
-    quotient H_{R/I^[q]}(t) / H_S(t); the division is exact because H_S is
-    1 / prod(1 - t^d).
+    quotient H_{R/I^[q]}(t) / H_S(t) = N_n(t) * prod(1 - t^d) / prod(1 - t^w),
+    with N_n the level's staircase numerator over the ring's weights w
+    (``series_of_table``).  chi_series cancels the factors d and w share and
+    works on the terms of N_n, so the cost follows the sizes of N_n and B_n,
+    not of the level table.
     """
     degrees = _checked_degrees(hsop_degrees)
     hsop_series = HilbertSeries(LaurentPolynomialZ.one(), degrees)

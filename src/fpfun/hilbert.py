@@ -2,7 +2,7 @@
 only by (1 - t^d) factors and divided only exactly, rational series with
 denominators kept as products of (1 - t^d) factors, Hilbert-Samuel
 multiplicities, and the exact quotient H_M / H_R of a finite-length module's
-series by a ring's series.
+series by a ring's series, taken on the terms of the two numerators.
 
 Everything here is exact integer arithmetic; complex evaluation of the
 resulting polynomials happens in fp and models.
@@ -10,10 +10,12 @@ resulting polynomials happens in fp and models.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import accumulate, compress, count, groupby, repeat
 from math import comb
+from operator import ne, sub
 from typing import Mapping
 
 from .errors import InexactDivisionError, StructureError
@@ -95,7 +97,9 @@ class LaurentPolynomialZ:
         top = divisor.degree - low
         lead = divisor.coeffs[divisor.degree]
         terms = [(e - low, c) for e, c in divisor.coeffs.items()]
-        work = _dense(self)
+        work = [0] * (self.degree - self.valuation + 1)
+        for e, c in self.coeffs.items():
+            work[e - self.valuation] = c
         if len(work) <= top:
             raise InexactDivisionError("quotient would not be a Laurent polynomial")
         quot = [0] * (len(work) - top)
@@ -146,26 +150,42 @@ def positive_degrees(degrees, what: str, error=StructureError, at_least_one=Fals
 
 
 def _times_one_minus(poly: LaurentPolynomialZ, degrees: tuple) -> LaurentPolynomialZ:
-    """poly * prod(1 - t^d) for checked positive degrees d.
-
-    Each factor is one shifted subtraction on the dense coefficient list.
-    """
-    if poly.is_zero():
-        return poly
-    work = _dense(poly)
+    """poly * prod(1 - t^d) for checked positive degrees d."""
+    coeffs = poly.coeffs
     for d in degrees:
-        shifted = chain(repeat(0, d), work)
-        work = [a - b for a, b in zip(chain(work, repeat(0, d)), shifted)]
-    # a Betti polynomial is sparse: skip the zeros before building a dict
-    return LaurentPolynomialZ({e: c for e, c in enumerate(work, poly.valuation) if c})
+        coeffs = _shift_subtract(coeffs, d)
+    return LaurentPolynomialZ(coeffs)
 
 
-def _dense(poly: LaurentPolynomialZ):
-    """Coefficient list from valuation to degree."""
-    v, d = poly.valuation, poly.degree
-    out = [0] * (d - v + 1)
-    for e, c in poly.coeffs.items():
-        out[e - v] = c
+def _shift_subtract(coeffs: Mapping, d: int) -> dict:
+    """The terms of coeffs * (1 - t^d): each term, less its copy shifted up by d."""
+    out = dict(coeffs)
+    for e, c in coeffs.items():
+        out[e + d] = out.get(e + d, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def _over_one_minus(coeffs: Mapping, d: int) -> dict:
+    """The terms of coeffs / (1 - t^d), some of them 0: a running sum along
+    each residue class mod d.
+
+    The quotient's coefficient at e is the sum of the coefficients at e,
+    e - d, e - 2d, ...; the partial sum at each term fills the exponents of
+    its class up to the class's next term.  The quotient is a Laurent
+    polynomial exactly when every class sums to 0; otherwise
+    InexactDivisionError is raised.
+    """
+    out = {}
+    # the exponents of each class in ascending order, as the sort is stable
+    for _, exps in groupby(sorted(sorted(coeffs), key=d.__rmod__), d.__rmod__):
+        exps = list(exps)
+        sums = list(accumulate(map(coeffs.__getitem__, exps)))
+        if sums[-1]:
+            raise InexactDivisionError(f"the quotient by 1 - t^{d} is not a Laurent polynomial")
+        out.update(zip(exps, sums))
+        for i in compress(count(), map(ne, map(sub, exps[1:], exps), repeat(d))):
+            if sums[i]:
+                out.update(dict.fromkeys(range(exps[i] + d, exps[i + 1], d), sums[i]))
     return out
 
 
@@ -186,8 +206,9 @@ class HilbertSeries:
 
 
 def series_of_table(table: GradedLengthTable) -> HilbertSeries:
-    """The (polynomial) Hilbert series of a finite-length graded quotient."""
-    return HilbertSeries(LaurentPolynomialZ(dict(table.lengths)), ())
+    """The Hilbert series of a finite-length graded quotient, as the table's
+    numerator over the (1 - t^w) factors of its weights."""
+    return HilbertSeries(LaurentPolynomialZ(table.numerator), table.weights)
 
 
 def series_of_ring(ring: RingPresentation) -> HilbertSeries:
@@ -240,15 +261,23 @@ def hilbert_samuel(series: HilbertSeries):
 def chi_series(h_m: HilbertSeries, h_r: HilbertSeries) -> LaurentPolynomialZ:
     """The exact quotient H_M / H_R as a Laurent polynomial.
 
-    With H = N / prod(1 - t^d) on both sides this is (N_M * D_R) / (N_R * D_M):
-    two times_one_minus products and one division.  When M has a finite graded
-    free resolution over R, this is the alternating sum of its graded Betti
-    numbers.  A quotient that is not a Laurent polynomial raises
-    InexactDivisionError rather than truncating.  A divisor of 1, as for a
-    finite-length M over a ring with numerator 1, skips the division.
+    With H = N / prod(1 - t^d) on both sides this is (N_M * D_R) / (N_R * D_M).
+    The (1 - t^d) factors the two sides share cancel; N_M is multiplied by
+    each factor left in D_R, one shift-subtract on its terms, divided exactly
+    by N_R unless N_R is 1, and divided by each factor left in D_M, one
+    running sum per residue class mod d.  Every step works on the terms, so
+    the cost follows the sizes of the numerators and the quotient, never a
+    dense range of degrees.  When M has a finite graded free resolution over
+    R, this is the alternating sum of its graded Betti numbers.  A quotient
+    that is not a Laurent polynomial raises InexactDivisionError rather than
+    truncating.
     """
-    numerator = _times_one_minus(h_m.numerator, h_r.denominator_degrees)
-    divisor = _times_one_minus(h_r.numerator, h_m.denominator_degrees)
-    if divisor == LaurentPolynomialZ.one():
-        return numerator
-    return numerator.divide_exact(divisor)
+    by_m, by_r = Counter(h_m.denominator_degrees), Counter(h_r.denominator_degrees)
+    coeffs = h_m.numerator.coeffs
+    for d in (by_r - by_m).elements():
+        coeffs = _shift_subtract(coeffs, d)
+    if h_r.numerator != LaurentPolynomialZ.one():
+        coeffs = LaurentPolynomialZ(coeffs).divide_exact(h_r.numerator).coeffs
+    for d in (by_m - by_r).elements():
+        coeffs = _over_one_minus(coeffs, d)
+    return LaurentPolynomialZ(coeffs)

@@ -242,18 +242,27 @@ class GradedLengthTable:
     ``lengths`` maps degree j to the (arbitrary precision) k-dimension of the
     degree-j piece; only nonzero entries are stored, inserted in ascending
     degree, so iteration runs from the lowest degree to the highest; other
-    degree orders are refused.  ``phase_moments`` is the cache of fp's
-    phase-sum kernel and plays no part in comparisons.
+    degree orders are refused.  ``numerator`` maps exponents to the integer
+    coefficients of the Hilbert numerator over the ring's ``weights``, so the
+    lengths are numerator(t) / prod(1 - t^w); a table built without one is its
+    own numerator over no weights.  ``phase_moments`` is the cache of fp's
+    phase-sum kernel.  Only the lengths take part in comparisons.
     """
 
     n: int
     p: int
     lengths: Mapping
+    numerator: Mapping = field(default=None, compare=False, repr=False)
+    weights: tuple = field(default=(), compare=False, repr=False)
     phase_moments: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if list(self.lengths) != sorted(self.lengths):
             raise StructureError("a length table's degrees must be strictly ascending")
+        if self.numerator is None:
+            if self.weights:
+                raise StructureError("a length table with weights needs their numerator")
+            object.__setattr__(self, "numerator", self.lengths)
 
     @property
     def max_degree(self) -> int:
@@ -286,15 +295,14 @@ def series_expansion(numerator: Mapping, degrees: Sequence[int], up_to: int) -> 
     return out
 
 
-def staircase_numerator(M: MonomialIdeal, grading: Grading, prune_above=None) -> dict:
+def staircase_numerator(M: MonomialIdeal, grading: Grading) -> dict:
     """Signed degree counts sum over generator subsets of (-1)^|S| t^deg(lcm S).
 
     This is the inclusion-exclusion numerator of the standard-monomial
-    generating function.  Subsets whose lcm degree exceeds ``prune_above``
-    contribute nothing below that degree and are pruned.
+    generating function.
     """
     gens = sorted(M.generators, key=lambda g: weighted_degree(g, grading))
-    if prune_above is None and len(gens) > 22:
+    if len(gens) > 22:
         raise StructureError(
             f"{len(gens)} minimal generators is too many for an exact subset walk"
         )
@@ -303,8 +311,6 @@ def staircase_numerator(M: MonomialIdeal, grading: Grading, prune_above=None) ->
 
     def visit(start, lcm, sign):
         d = weighted_degree(lcm, grading)
-        if prune_above is not None and d > prune_above:
-            return
         acc[d] = acc.get(d, 0) + sign
         for k in range(start, len(gens)):
             visit(k + 1, monomial_lcm(lcm, gens[k]), -sign)
@@ -313,24 +319,32 @@ def staircase_numerator(M: MonomialIdeal, grading: Grading, prune_above=None) ->
     return {d: c for d, c in acc.items() if c}
 
 
-def staircase_degree_counts(M: MonomialIdeal, grading: Grading, max_degree: int) -> list:
-    """Standard monomial counts by weighted degree, exact, for 0..max_degree."""
+def staircase_degree_counts(M: MonomialIdeal, grading: Grading, max_degree: int) -> tuple:
+    """(numerator, counts) of the standard monomials of M, both exact.
+
+    ``numerator`` maps degrees to the coefficients of the staircase's Hilbert
+    numerator N over prod(1 - t^w), and ``counts`` lists the number of
+    standard monomials of each weighted degree 0..max_degree.  Up to
+    _SUBSET_CAP generators N is the subset walk's and the counts are its
+    series expansion; above the cap the bounding box is walked and N is the
+    counts times one (1 - t^w) per weight.
+    """
     if M.is_unit:
-        return [0] * (max_degree + 1)
-    if len(M.generators) > _SUBSET_CAP:
-        bounds = M.pure_power_bounds(grading.var_count)
-        if all(b is not None for b in bounds):
-            box = _enumerate_box_counts(M, grading, bounds)
-            out = [0] * (max_degree + 1)
-            for d, c in box.items():
-                if d <= max_degree:
-                    out[d] = c
-            return out
+        return {}, [0] * (max_degree + 1)
+    if len(M.generators) <= _SUBSET_CAP:
+        numerator = staircase_numerator(M, grading)
+        return numerator, series_expansion(numerator, grading.weights, max_degree)
+    bounds = M.pure_power_bounds(grading.var_count)
+    if any(b is None for b in bounds):
         raise StructureError(
             f"more than {_SUBSET_CAP} generators and no bounding box; refusing inclusion-exclusion"
         )
-    numerator = staircase_numerator(M, grading, prune_above=max_degree)
-    return series_expansion(numerator, grading.weights, max_degree)
+    box = _enumerate_box_counts(M, grading, bounds)
+    counts = [box.get(d, 0) for d in range(max_degree + 1)]
+    numerator = [box.get(d, 0) for d in range(max(box) + 1)]
+    for w in grading.weights:
+        numerator = [a - b for a, b in zip(numerator + [0] * w, [0] * w + numerator)]
+    return {d: c for d, c in enumerate(numerator) if c}, counts
 
 
 def _enumerate_box_counts(M: MonomialIdeal, grading: Grading, bounds) -> dict:
@@ -380,8 +394,9 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
     else:
         _check_table_floor(ring, ideal, n)
         M = initial_ideal(buchberger(polys))
+    weights = tuple(ring.grading.weights)
     if M.is_unit:
-        return GradedLengthTable(n, p, {})
+        return GradedLengthTable(n, p, {}, {}, weights)
     bounds = M.pure_power_bounds(ring.grading.var_count)
     for i, b in enumerate(bounds):
         if b is None:
@@ -394,8 +409,8 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
     max_degree = sum((b - 1) * w for b, w in zip(bounds, ring.grading.weights))
     if max_degree + 1 > MAX_TABLE_ENTRIES:
         raise _over_budget(n, max_degree + 1)
-    counts = staircase_degree_counts(M, ring.grading, max_degree)
-    return GradedLengthTable(n, p, {j: c for j, c in enumerate(counts) if c})
+    numerator, counts = staircase_degree_counts(M, ring.grading, max_degree)
+    return GradedLengthTable(n, p, {j: c for j, c in enumerate(counts) if c}, numerator, weights)
 
 
 def _check_table_floor(ring: RingPresentation, ideal: HomogeneousIdeal, n: int):

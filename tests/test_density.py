@@ -93,6 +93,18 @@ class TestDensityTable:
         with pytest.raises(StructureError, match="^the phase-sum kernel needs non-negative"):
             quadrature_fourier(table, 0.5)
 
+    @pytest.mark.parametrize("lengths", [
+        {0.5: 1, 300.5: 1},  # first and last degrees not integers
+        {0: 1.5, 300: 1},  # a length not an integer
+        {0: 1, 150.5: 2, 300: 1},  # a degree inside the table not an integer
+    ])
+    def test_non_integer_table_refused_by_the_kernel(self, lengths):
+        # the direct sum takes any numbers; the kernel's block moments need integers
+        table = DensityTable(GradedLengthTable(8, 2, lengths), 2)
+        assert abs(direct_fourier(table, 0.5)) > 0
+        with pytest.raises(StructureError, match="^the phase-sum kernel needs integer"):
+            quadrature_fourier(table, 0.5)
+
     def test_support_right_endpoint_bounded(self, suite_problems):
         for name, (problem, _) in suite_problems.items():
             ends = [density_table(problem, n).support_right_endpoint() for n in range(1, 6)]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fpfun.errors import InexactDivisionError, StructureError
+from fpfun.fp import betti_alternating_polynomial
 from fpfun.hilbert import (
     HilbertSeries,
     LaurentPolynomialZ,
@@ -165,17 +166,27 @@ class TestSeriesOfRing:
 
 class TestSeriesOfTable:
     def test_transcription(self):
+        # a table built without a numerator is its own numerator over ()
         t = GradedLengthTable(1, 2, {0: 1, 1: 2, 2: 1})
-        assert series_of_table(t).numerator == lp({0: 1, 1: 2, 2: 1})
+        assert series_of_table(t) == HilbertSeries(lp({0: 1, 1: 2, 2: 1}), ())
+
+    def test_weights_need_their_numerator(self):
+        with pytest.raises(StructureError, match="needs their numerator"):
+            GradedLengthTable(1, 2, {0: 1, 1: 2, 2: 1}, weights=(1, 1))
 
     def test_point(self):
         t = GradedLengthTable(0, 2, {0: 1})
         assert series_of_table(t).numerator == ONE
 
     def test_cusp_table(self, cusp):
+        # the table 1 + t^2 + t^3 + t^5 = (1 - t^4)(1 - t^6) / ((1 - t^2)(1 - t^3)),
+        # kept as the level's staircase numerator over the ring's weights
         h = series_of_table(cusp.table(1))
-        assert h.numerator == lp({0: 1, 2: 1, 3: 1, 5: 1})
-        assert h.denominator_degrees == ()
+        assert h.numerator == lp({0: 1, 4: -1, 6: -1, 10: 1})
+        assert h.denominator_degrees == (2, 3)
+        assert series_expansion(h.numerator.coeffs, h.denominator_degrees, 10) == [
+            1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0
+        ]
 
 
 class TestHilbertSamuel:
@@ -288,3 +299,121 @@ class TestChiSeries:
             expected = lp(staircase_numerator(ideal, grading))
             assert chi_series(h_m, h_s) == expected, (ideal.generators, grading.weights)
 
+
+
+def dense_times_one_minus(poly, degrees):
+    """Reference product: one shifted subtraction per factor on the dense
+    coefficient list from the valuation to the degree."""
+    if poly.is_zero():
+        return poly
+    work = [poly.coeffs.get(e, 0) for e in range(poly.valuation, poly.degree + 1)]
+    for d in degrees:
+        work = [a - b for a, b in zip(work + [0] * d, [0] * d + work)]
+    return lp({e: c for e, c in enumerate(work, poly.valuation) if c})
+
+
+def dense_chi(h_m, h_r):
+    """Reference quotient (N_M * D_R) / (N_R * D_M): two dense products and
+    one divide_exact, skipped when the divisor is 1."""
+    numerator = dense_times_one_minus(h_m.numerator, h_r.denominator_degrees)
+    divisor = dense_times_one_minus(h_r.numerator, h_m.denominator_degrees)
+    if divisor == ONE:
+        return numerator
+    return numerator.divide_exact(divisor)
+
+
+def outcome(quotient, h_m, h_r):
+    """The quotient's coefficients, or the name of the error it raised."""
+    try:
+        return quotient(h_m, h_r).coeffs
+    except (InexactDivisionError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+
+
+class TestSparseQuotient:
+    def test_artinian_quotients_match_the_dense_reference(self):
+        # the quotients of test_artinian_quotient_is_the_staircase_numerator,
+        # with the module's series as its table over () and as its staircase
+        # numerator over the weights
+        rng = random.Random(808)
+        for _ in range(200):
+            ideal, grading = random_zero_dimensional_monomial_ideal(rng)
+            h_s = HilbertSeries(ONE, grading.weights)
+            for h_m in (HilbertSeries(lp(enumeration_oracle(ideal, grading)), ()),
+                        HilbertSeries(lp(staircase_numerator(ideal, grading)), grading.weights)):
+                assert chi_series(h_m, h_s) == dense_chi(h_m, h_s), (ideal.generators, grading.weights)
+
+    def test_cusp_leaves_a_division_by_one_minus_t_cubed(self, cusp):
+        # weights (2, 3) against the parameter degree 2: (1 - t^2) cancels
+        # and the numerator is divided by 1 - t^3; the reference takes the
+        # table itself, as B_n was taken before tables carried a numerator
+        hsop = HilbertSeries(ONE, (2,))
+        for n in range(11):
+            table = cusp.table(n)
+            h_m = series_of_table(table)
+            assert h_m.denominator_degrees == (2, 3)
+            expected = dense_chi(HilbertSeries(lp(dict(table.lengths)), ()), hsop)
+            assert chi_series(h_m, hsop) == expected == dense_chi(h_m, hsop), n
+
+    def test_random_quotients_match_the_dense_reference(self):
+        # N_M = A * N_R * prod(D_M) gives the quotient A * prod(D_R); one
+        # extra term makes it inexact, and both sides must then raise
+        rng = random.Random(1919)
+        rings = (ONE, lp({0: 1, 6: -1}), lp({0: 1, 1: 1}), lp({0: 2, 3: -1}))
+        for k in range(300):
+            a = lp({rng.randint(-3, 8): rng.randint(-4, 4) for _ in range(rng.randint(0, 5))})
+            d_m = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 3)))
+            d_r = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 3)))
+            n_r = rng.choice(rings)
+            n_m = schoolbook(schoolbook(a, n_r), one_minus(*d_m))
+            if k % 2:
+                n_m = plus(n_m, lp({rng.randint(-4, 12): rng.choice((-1, 1))}))
+            h_m, h_r = HilbertSeries(n_m, d_m), HilbertSeries(n_r, d_r)
+            expected = outcome(dense_chi, h_m, h_r)
+            assert outcome(chi_series, h_m, h_r) == expected, (n_m, d_m, n_r, d_r)
+            if not k % 2:
+                assert expected == schoolbook(a, one_minus(*d_r)).coeffs
+
+    def test_zero_ring_numerator(self):
+        h_m = HilbertSeries(lp({0: 1, 1: 1}), (1,))
+        for h_r in (HilbertSeries(lp({}), ()), HilbertSeries(lp({}), (2,))):
+            assert outcome(chi_series, h_m, h_r) == "ZeroDivisionError"
+
+    def test_parameter23_level_14_builds_nothing_dense(self, parameter23, monkeypatch):
+        # B_14 = (1 - t^{2q})(1 - t^{3q}) with q = 16384, from a 4-term
+        # numerator: no polynomial above 16 terms and no divide_exact
+        parameter23.table(14)
+        init = LaurentPolynomialZ.__init__
+        sizes = []
+
+        def recording(self, coeffs):
+            sizes.append(len(coeffs))
+            init(self, coeffs)
+
+        def refuse(self, divisor):
+            raise AssertionError("divide_exact called")
+
+        monkeypatch.setattr(LaurentPolynomialZ, "__init__", recording)
+        monkeypatch.setattr(LaurentPolynomialZ, "divide_exact", refuse)
+        q = 2**14
+        betti = betti_alternating_polynomial(parameter23, (1, 1), 14)
+        assert betti == schoolbook(lp({0: 1, 2 * q: -1}), lp({0: 1, 3 * q: -1}))
+        assert sizes and max(sizes) <= 16
+
+    @pytest.mark.parametrize("name", ["parameter23", "cusp", "weighted_plane"])
+    def test_level_14_takes_no_division(self, name, suite_problems, monkeypatch):
+        # the three problems of the limit_eval benchmark workload, at its level
+        problem, hsop = suite_problems[name]
+        problem.table(14)
+        init = LaurentPolynomialZ.__init__
+
+        def small(self, coeffs):
+            assert len(coeffs) <= 16, "a dense polynomial was built"
+            init(self, coeffs)
+
+        def refuse(self, divisor):
+            raise AssertionError("divide_exact called")
+
+        monkeypatch.setattr(LaurentPolynomialZ, "__init__", small)
+        monkeypatch.setattr(LaurentPolynomialZ, "divide_exact", refuse)
+        assert betti_alternating_polynomial(problem, hsop, 14).value_at_one() == 0

@@ -27,6 +27,7 @@ from fpfun.ideals import (
     initial_ideal,
     macaulay_rank_oracle,
     monomials_of_degree,
+    series_expansion,
     staircase_degree_counts,
 )
 from fpfun.problems import load_problem_file
@@ -296,6 +297,50 @@ class TestGradedLengths:
                 assert t.max_degree < c * problem.prime ** n, name
 
 
+def expands_to_lengths(table: GradedLengthTable) -> bool:
+    """The table's numerator over its weights expands to its lengths, read
+    past the numerator's degree and the table's top plus sum(weights), where
+    a match is equality of rational functions."""
+    top = max(max(table.numerator, default=0), table.max_degree + sum(table.weights))
+    expanded = series_expansion(table.numerator, table.weights, top)
+    return expanded == [table.lengths.get(j, 0) for j in range(top + 1)]
+
+
+class TestLevelNumerator:
+    def test_problem_files_every_level(self):
+        for path in sorted(PROBLEMS.glob("*.json")):
+            pf = load_problem_file(str(path))
+            problem = pf.to_problem()
+            for n in range(pf.n_max + 1):
+                table = problem.table(n)
+                assert table.weights == problem.ring.grading.weights, (path.name, n)
+                assert expands_to_lengths(table), (path.name, n)
+
+    def test_random_monomial_ideals_on_both_sides_of_the_subset_cap(self):
+        # even draws have at most _SUBSET_CAP generators (subset walk), odd
+        # draws more (box walk, whose numerator comes from the counts); the
+        # mixed monomials of total degree 4 are an antichain, and pure powers
+        # of degree 5..7 keep every one of them minimal
+        rng = random.Random(1914)
+        mixed = [e for e in itertools.product(range(4), repeat=3) if sum(e) == 4]
+        for k in range(200):
+            many = k % 2
+            count = rng.randint(_SUBSET_CAP - 2, len(mixed)) if many else rng.randint(0, _SUBSET_CAP - 3)
+            powers = [tuple(rng.randint(5, 7) * (i == j) for i in range(3)) for j in range(3)]
+            exps = rng.sample(mixed, count) + powers
+            assert (len(exps) > _SUBSET_CAP) == bool(many)
+            grading = Grading(tuple(rng.choice((1, 1, 2, 3)) for _ in range(3)))
+            ring = RingPresentation(F2, grading, (), ("X", "Y", "Z"))
+            gens = HomogeneousIdeal(tuple(Polynomial(F2, grading, {e: 1}) for e in exps))
+            table = graded_lengths(ring, gens, 0)
+            assert table.lengths == enumeration_oracle(MonomialIdeal.from_exponents(exps), grading)
+            assert expands_to_lengths(table), (grading.weights, exps)
+
+    def test_unit_ideal_has_numerator_zero(self):
+        t = graded_lengths(RingPresentation(F2, STD2, (), ("X", "Y")), ideal("1"), 1)
+        assert (t.numerator, t.weights) == ({}, (1, 1))
+
+
 class TestFrobeniusScaling:
     def test_composition_of_bracket_powers(self):
         i = ideal("X^2", "X*Y", "Y^3")
@@ -421,4 +466,4 @@ class TestStaircaseFallback:
                 for e in itertools.product(*(range(b) for b in bounds)):
                     if not any(all(a <= b for a, b in zip(g, e)) for g in exps):
                         brute[sum(a * w for a, w in zip(e, weights))] += 1
-                assert staircase_degree_counts(m, grading, top) == brute, (weights, exps)
+                assert staircase_degree_counts(m, grading, top)[1] == brute, (weights, exps)
