@@ -28,7 +28,8 @@ from .ideals import GradedLengthTable
 @dataclass(frozen=True)
 class DensityTable:
     """Samples x = j/q -> g_n(x) = q^(1-d) * ell_j, all exact rationals, read
-    in place from the level's own length table ``table``."""
+    in place from the dense run of the level's own length table ``table``;
+    nothing is copied."""
 
     table: GradedLengthTable
     d: int
@@ -39,11 +40,15 @@ class DensityTable:
 
     @property
     def entries(self):
-        """The pairs (j, ell_j) in ascending j: a view of the table's lengths."""
+        """The pairs (j, ell_j) of the nonzero lengths in ascending j: a view
+        of the table's run, whose ``len`` counts the nonzero degrees."""
         return self.table.lengths.items()
 
     def value_at_index(self, j: int) -> Fraction:
-        return Fraction(self.table.lengths.get(j, 0), self.q ** (self.d - 1))
+        lengths = self.table.lengths
+        i = j - lengths.first
+        ell = lengths.run[i] if 0 <= i < len(lengths.run) else 0
+        return Fraction(ell, self.q ** (self.d - 1))
 
     def value_at(self, x) -> Fraction:
         """Step-function value g_n(x) = q^(1-d) * ell_floor(x*q)."""
@@ -61,9 +66,7 @@ class DensityTable:
         return Fraction(self.table.total(), self.q ** self.d)
 
     def support_right_endpoint(self) -> Fraction:
-        if not self.table.lengths:
-            return Fraction(0)
-        return Fraction(next(reversed(self.table.lengths)) + 1, self.q)
+        return Fraction(self.table.max_degree + 1, self.q)
 
 
 def density_table(problem: ProblemSpec, n: int) -> DensityTable:

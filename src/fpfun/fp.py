@@ -52,6 +52,7 @@ from .hilbert import (
 from .ideals import (
     GradedLengthTable,
     HomogeneousIdeal,
+    LengthRun,
     RingPresentation,
     check_ideal_in_ring,
     graded_lengths,
@@ -191,7 +192,8 @@ def _phase_sums(table: GradedLengthTable, ws: Iterable[complex]) -> list:
     """sum(v * exp(w * j)) over the lengths j -> v of ``table``, for each w in ws.
 
     Blocks of ``span`` consecutive degrees run from the table's first
-    degree, a missing degree counting as 0.  With delta = exp(w) - 1, taken
+    degree over its dense run of lengths, read in place, a gap in the run
+    counting as 0.  With delta = exp(w) - 1, taken
     from sinh without cancellation, the block from degree a sums to
 
         exp(w a) * sum_r v_(a+r) (1 + delta)^r = exp(w a) * sum_k delta^k B_k,
@@ -200,8 +202,9 @@ def _phase_sums(table: GradedLengthTable, ws: Iterable[complex]) -> list:
     and the B_k are non-negative integers that do not depend on w.  The
     table's ``phase_moments`` caches them by span, as float rows, with
     insert-once writes, so fn_eval, fp_limit and the density transforms
-    share one build per level.  A build that meets a negative length, or a
-    degree or length that is not an integer, raises StructureError.
+    share one build per level.  The table's constructor has refused degrees
+    that are not integers; a build that meets a negative length, or a
+    length that is not an integer, raises StructureError.
 
     A point takes the largest power-of-two span with span * |delta| <= 1/2,
     capped at the span that covers the terms in one block, and so reads
@@ -235,11 +238,8 @@ def _phase_sums(table: GradedLengthTable, ws: Iterable[complex]) -> list:
     terms = table.lengths
     if not terms or not ws:
         return [0j] * len(ws)
-    try:
-        extent = next(reversed(terms)) - next(iter(terms)) + 1
-        built = _table_span(extent)
-    except (TypeError, AttributeError):  # a first or last degree that is not an integer
-        raise _not_integers() from None
+    extent = len(terms.run)
+    built = _table_span(extent)
     widest = 1 << (extent - 1).bit_length() if built > 1 else 1
     out = []
     for w in ws:
@@ -269,7 +269,8 @@ def _direct_sum(terms: Mapping, w: complex) -> complex:
     imaginary parts exactly, so past each term's own few-ulp rounding the sum
     rounds once, whatever the signs and gaps of the integer terms.  It sums
     the Betti polynomials, the kernel's span-1 points and the bridge's
-    reference transform.  A sum that is not finite raises OverflowError.
+    reference transform; a table's lengths iterate its run in place,
+    skipping its gaps.  A sum that is not finite raises OverflowError.
     """
     try:
         parts = list(map(mul, terms.values(), map(cmath.exp, map(mul, repeat(w), terms))))
@@ -328,17 +329,17 @@ class _Moments:
 
     __slots__ = ("span", "starts", "rows")
 
-    def __init__(self, terms: Mapping, span: int):
+    def __init__(self, lengths: LengthRun, span: int):
         self.span = span
-        self.starts, dense = _blocks(terms, span)
+        self.starts = _blocks(lengths, span)
         order = min(_MAX_ORDER, span - 1)
         # the largest moment is at most C(span - 1, min(K, (span - 1) // 2)) * sum(v)
-        largest = math.comb(span - 1, min(order, (span - 1) // 2)) * sum(dense)
+        largest = math.comb(span - 1, min(order, (span - 1) // 2)) * sum(lengths.run)
         slot = max(1, -(-largest.bit_length() // _WORD_BITS))  # a word for all zeros too
         # Horner in (1 + x) from the top offset down: after offset r,
         # acc[k] = sum(C(r' - r, k) * column r' for r' >= r)
         acc = [0] * (order + 1)
-        for column in _columns(dense, span, slot):
+        for column in _columns(lengths.run, span, slot):
             for k in range(order, 0, -1):
                 acc[k] += acc[k - 1]
             acc[0] += column
@@ -384,34 +385,27 @@ class _Moments:
         return sum(map(mul, sums, anchors), 0j)
 
 
-def _blocks(terms: Mapping, span: int) -> tuple:
-    """(starts, dense): the first degree of each block of span degrees from
-    the first term, and the values of every block in turn, a missing degree
-    as 0."""
-    first = next(iter(terms))
-    extent = next(reversed(terms)) - first + 1
-    if len(terms) == extent:
-        dense = list(terms.values())
-    else:
-        dense = [0] * extent
-        for j, v in terms.items():
-            dense[j - first] = v
-    blocks = -(-extent // span)
-    dense += [0] * (blocks * span - extent)
-    return range(first, first + blocks * span, span), dense
+def _blocks(lengths: LengthRun, span: int) -> range:
+    """The first degree of each block of span degrees from the table's first
+    degree.  The blocks cover the table's run, which the last one may
+    overhang; _columns reads the run in place and counts the overhang as 0."""
+    first, blocks = lengths.first, -(-len(lengths.run) // span)
+    return range(first, first + blocks * span, span)
 
 
-def _columns(dense: list, span: int, slot: int):
-    """The packed columns of the blocks' values, from offset span - 1 down to 0.
+def _columns(run: list, span: int, slot: int):
+    """The packed columns of the blocks' values, read in place from the
+    table's run, from offset span - 1 down to 0.
 
     Column r is the sum over blocks b of the value at b * span + r times
-    2^(slot words * b).  One buffer serves every column, so only one column
-    is held at a time.
+    2^(slot words * b), a degree past the run counting as 0.  One buffer
+    serves every column, so only one column is held at a time.
     """
-    part, words = _words(dense)
+    part, words = _words(run)
+    blocks = -(-len(run) // span)
+    part.frombytes(bytes((blocks * span - len(run)) * words * part.itemsize))
     if sys.byteorder == "big":
         part.byteswap()  # so that every word reads little-endian in the columns
-    blocks = len(part) // (span * words)
     column = array(_WORD, bytes(slot * blocks * part.itemsize))
     for r in reversed(range(span)):
         for i in range(words):

@@ -11,10 +11,12 @@ enumeration and Macaulay-matrix ranks over F_p) cross-check the pipeline.
 from __future__ import annotations
 
 import itertools
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from operator import add
-from typing import Iterable, Mapping, Sequence
+from itertools import compress, count, repeat
+from operator import add, eq, lt, mul
+from typing import Iterable, Sequence
 
 from .algebra import (
     ExponentVector,
@@ -235,14 +237,111 @@ def initial_ideal(basis: GroebnerBasis) -> MonomialIdeal:
     return MonomialIdeal.from_exponents(g.leading_exponents() for g in basis.elements)
 
 
+class LengthRun(Mapping):
+    """A read-only mapping view of a dense run of lengths: degree first + i
+    has length run[i], and the view holds the nonzero ones.
+
+    The run is kept, not copied, and trimmed in place of its zeros at both
+    ends, so its first and last entries are nonzero.  Iteration runs in
+    ascending degree, ``len`` counts the nonzero degrees, and a view equals
+    any mapping with the same nonzero items.
+    """
+
+    __slots__ = ("first", "run", "_count")
+
+    def __init__(self, first: int, run: list):
+        head = next(compress(count(), run), len(run))  # zeros at the start
+        tail = next(compress(count(), reversed(run)), 0)  # zeros at the end
+        del run[len(run) - tail :]
+        del run[:head]
+        self.first = first + head if run else 0
+        self.run = run
+        self._count = len(run) - run.count(0)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return compress(count(self.first), self.run)
+
+    def __reversed__(self):
+        return compress(count(self.first + len(self.run) - 1, -1), reversed(self.run))
+
+    def __getitem__(self, j):
+        i = j - self.first if isinstance(j, int) else -1
+        if 0 <= i < len(self.run) and self.run[i]:
+            return self.run[i]
+        raise KeyError(j)
+
+    def values(self):
+        return _RunValues(self)
+
+    def items(self):
+        return _RunItems(self)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LengthRun):
+            return self.first == other.first and self.run == other.run
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return len(other) == self._count and all(map(eq, map(other.get, self), self.values()))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"LengthRun({dict(self.items())!r})"
+
+
+class _RunValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return filter(None, self._mapping.run)
+
+    def __reversed__(self):
+        return filter(None, reversed(self._mapping.run))
+
+
+class _RunItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.values())
+
+    def __reversed__(self):
+        return zip(reversed(self._mapping), reversed(self._mapping.values()))
+
+
+def _densified(lengths: Mapping, n: int) -> LengthRun:
+    """The run of a mapping's lengths, its degrees checked before it is allocated."""
+    degrees = list(lengths)
+    if not all(isinstance(j, int) for j in degrees):
+        raise StructureError("a length table's degrees must be integers")
+    if not all(map(lt, degrees, degrees[1:])):
+        raise StructureError("a length table's degrees must be strictly ascending")
+    support = [j for j, v in lengths.items() if v]
+    if not support:
+        return LengthRun(0, [])
+    first = support[0]
+    if support[-1] - first + 1 > MAX_TABLE_ENTRIES:
+        raise _over_budget(n, support[-1] - first + 1)
+    run = [0] * (support[-1] - first + 1)
+    for j in support:
+        run[j - first] = lengths[j]
+    return LengthRun(first, run)
+
+
 @dataclass(frozen=True)
 class GradedLengthTable:
     """Exact graded lengths of one Frobenius-power quotient.
 
-    ``lengths`` maps degree j to the (arbitrary precision) k-dimension of the
-    degree-j piece; only nonzero entries are stored, inserted in ascending
-    degree, so iteration runs from the lowest degree to the highest; other
-    degree orders are refused.  ``numerator`` maps exponents to the integer
+    ``lengths`` is a LengthRun: the (arbitrary precision) k-dimensions of the
+    degree pieces as one dense list from the first nonzero degree to the
+    last, seen as a read-only mapping of the nonzero degrees in ascending
+    order.  A table built from any other mapping is densified once here;
+    degrees that are not integers or not strictly ascending, or that span
+    more than MAX_TABLE_ENTRIES, are refused with StructureError before the
+    run is allocated.  ``numerator`` maps exponents to the integer
     coefficients of the Hilbert numerator over the ring's ``weights``, so the
     lengths are numerator(t) / prod(1 - t^w); a table built without one is its
     own numerator over no weights.  ``phase_moments`` is the cache of fp's
@@ -257,8 +356,8 @@ class GradedLengthTable:
     phase_moments: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if list(self.lengths) != sorted(self.lengths):
-            raise StructureError("a length table's degrees must be strictly ascending")
+        if not isinstance(self.lengths, LengthRun):
+            object.__setattr__(self, "lengths", _densified(self.lengths, self.n))
         if self.numerator is None:
             if self.weights:
                 raise StructureError("a length table with weights needs their numerator")
@@ -266,17 +365,19 @@ class GradedLengthTable:
 
     @property
     def max_degree(self) -> int:
-        return max(self.lengths) if self.lengths else -1
+        lengths = self.lengths
+        return lengths.first + len(lengths.run) - 1 if lengths.run else -1
 
     def total(self) -> int:
-        return sum(self.lengths.values())
+        return sum(self.lengths.run)
 
     def moment(self, m: int) -> int:
         """The exact integer sum of j^m times the degree-j length."""
-        return sum(j ** m * c for j, c in self.lengths.items())
+        lengths = self.lengths
+        return sum(map(mul, map(pow, count(lengths.first), repeat(m)), lengths.run))
 
     def items_sorted(self):
-        return sorted(self.lengths.items())
+        return list(self.lengths.items())
 
 
 def series_expansion(numerator: Mapping, degrees: Sequence[int], up_to: int) -> list:
@@ -396,7 +497,7 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
         M = initial_ideal(buchberger(polys))
     weights = tuple(ring.grading.weights)
     if M.is_unit:
-        return GradedLengthTable(n, p, {}, {}, weights)
+        return GradedLengthTable(n, p, LengthRun(0, []), {}, weights)
     bounds = M.pure_power_bounds(ring.grading.var_count)
     for i, b in enumerate(bounds):
         if b is None:
@@ -410,7 +511,7 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
     if max_degree + 1 > MAX_TABLE_ENTRIES:
         raise _over_budget(n, max_degree + 1)
     numerator, counts = staircase_degree_counts(M, ring.grading, max_degree)
-    return GradedLengthTable(n, p, {j: c for j, c in enumerate(counts) if c}, numerator, weights)
+    return GradedLengthTable(n, p, LengthRun(0, counts), numerator, weights)
 
 
 def _check_table_floor(ring: RingPresentation, ideal: HomogeneousIdeal, n: int):

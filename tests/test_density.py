@@ -99,7 +99,13 @@ class TestDensityTable:
         {0: 1, 150.5: 2, 300: 1},  # a degree inside the table not an integer
     ])
     def test_non_integer_table_refused_by_the_kernel(self, lengths):
-        # the direct sum takes any numbers; the kernel's block moments need integers
+        # a degree that is not an integer has no place in the dense run, so the
+        # constructor refuses it; a length is not checked until the kernel's
+        # block moments, which need integers, while the direct sum takes any
+        if not all(isinstance(j, int) for j in lengths):
+            with pytest.raises(StructureError, match="^a length table's degrees must be integers"):
+                GradedLengthTable(8, 2, lengths)
+            return
         table = DensityTable(GradedLengthTable(8, 2, lengths), 2)
         assert abs(direct_fourier(table, 0.5)) > 0
         with pytest.raises(StructureError, match="^the phase-sum kernel needs integer"):

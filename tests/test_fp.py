@@ -484,8 +484,8 @@ class TestPhaseMoments:
             (150, 3000, 2 ** 130, 32),  # several words per value
         ):
             degrees = sorted(rng.sample(range(-50, extent), size))
-            terms = {j: rng.randint(1, magnitude) for j in degrees}
-            self.check_packed(terms, span)
+            terms = GradedLengthTable(0, 2, {j: rng.randint(1, magnitude) for j in degrees})
+            self.check_packed(terms.lengths, span)
 
     def test_level_table(self, cusp):
         lengths = cusp.table(10).lengths
@@ -502,7 +502,7 @@ class TestPhaseMoments:
             (2000, 3000, 2 ** 130),  # several words per value
         ):
             degrees = sorted(rng.sample(range(-50, extent), size))
-            tables.append({j: rng.randint(1, magnitude) for j in degrees})
+            tables.append(GradedLengthTable(0, 2, {j: rng.randint(1, magnitude) for j in degrees}).lengths)
         for terms in tables:
             extent = max(terms) - min(terms) + 1
             span = fp._table_span(extent)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fpfun import selfcheck
 from fpfun.errors import InexactDivisionError, StructureError
 from fpfun.fp import betti_alternating_polynomial
 from fpfun.hilbert import (
@@ -417,3 +418,24 @@ class TestSparseQuotient:
         monkeypatch.setattr(LaurentPolynomialZ, "__init__", small)
         monkeypatch.setattr(LaurentPolynomialZ, "divide_exact", refuse)
         assert betti_alternating_polynomial(problem, hsop, 14).value_at_one() == 0
+
+
+class TestIdentityCheck:
+    def test_divides_on_every_suite_problem(self, monkeypatch):
+        # where the suite's parameter degrees are the ring's weights, B_n is
+        # the staircase numerator itself, so the self test's identity check
+        # adds degrees (1, 2) there, and every suite problem meets a B_n
+        # other than its numerator
+        divided, calls = set(), []
+        build = selfcheck.betti_alternating_polynomial
+
+        def recording(problem, hsop, n):
+            betti = build(problem, hsop, n)
+            calls.append(hsop)
+            if betti != lp(dict(problem.table(n).numerator)):
+                divided.add(problem)
+            return betti
+
+        monkeypatch.setattr(selfcheck, "betti_alternating_polynomial", recording)
+        assert selfcheck.check_ab_identity(levels=2) == len(calls) == 4 * 9
+        assert calls.count((1, 2)) == 4 * 4 and len(divided) == 5

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from fpfun.algebra import (
     parse_polynomial,
 )
 from fpfun import ideals
+from fpfun.density import density_table
 from fpfun.errors import ColengthError, StructureError
 from fpfun.ideals import (
     _SUBSET_CAP,
@@ -295,6 +297,97 @@ class TestGradedLengths:
             for n in range(4):
                 t = problem.table(n)
                 assert t.max_degree < c * problem.prime ** n, name
+
+
+class TestLengthRun:
+    """A table keeps its lengths as one dense run behind a read-only mapping view."""
+
+    def test_level_table_equals_the_dict_built_table(self, suite_problems):
+        for name, (problem, _) in suite_problems.items():
+            for n in (0, 3, 8):
+                table = problem.table(n)
+                plain = dict(table.lengths)
+                built = GradedLengthTable(n, problem.prime, plain)
+                assert table == built and built == table, (name, n)
+                assert table.lengths == plain and plain == table.lengths, (name, n)
+                assert list(table.lengths.items()) == sorted(plain.items()), (name, n)
+                changed = {**plain, table.max_degree: plain[table.max_degree] + 1}
+                assert table.lengths != changed and changed != table.lengths, (name, n)
+                assert table != GradedLengthTable(n, problem.prime, changed), (name, n)
+
+    def test_lengths_count_nonzero_degrees_only(self, weighted_plane):
+        # the benchmark's tracer counts len(table.lengths) and len(entries)
+        table = weighted_plane.table(14)
+        assert (len(table.lengths), table.max_degree + 1) == (81914, 81916)
+        assert len(density_table(weighted_plane, 14).entries) == 81914
+        assert len(list(table.lengths)) == len(list(table.lengths.values())) == 81914
+        assert 1 not in table.lengths and table.lengths.get(1, 0) == 0
+
+    def test_mapping_reads(self):
+        table = GradedLengthTable(3, 2, {-3: 2, -1: 5, 0: 0, 4: 1})
+        lengths = table.lengths
+        assert list(lengths) == [-3, -1, 4] and list(reversed(lengths)) == [4, -1, -3]
+        assert list(lengths.items()) == [(-3, 2), (-1, 5), (4, 1)]
+        assert next(reversed(lengths)) == 4 and next(reversed(lengths.items())) == (4, 1)
+        assert list(lengths.values()) == [2, 5, 1] and list(reversed(lengths.values())) == [1, 5, 2]
+        assert lengths[-1] == 5 and -1 in lengths and 0 not in lengths
+        for outside in (-4, -2, 0, 5, 100, 0.5, "x"):
+            assert lengths.get(outside) is None and lengths.get(outside, 0) == 0, outside
+        with pytest.raises(KeyError):
+            lengths[0]
+        assert (table.max_degree, table.total(), table.moment(1), table.moment(2)) == (4, 8, -7, 39)
+        assert table.items_sorted() == [(-3, 2), (-1, 5), (4, 1)]
+        assert table == GradedLengthTable(3, 2, {-3: 2, -1: 5, 4: 1})
+
+    @pytest.mark.parametrize("lengths", [{}, {0: 0, 600: 0}])
+    def test_empty_table(self, lengths):
+        table = GradedLengthTable(1, 2, lengths)
+        assert len(table.lengths) == 0 and not table.lengths and table.lengths == {}
+        assert list(table.lengths) == [] and next(reversed(table.lengths), None) is None
+        assert (table.max_degree, table.total(), table.moment(2)) == (-1, 0, 0)
+        assert table == GradedLengthTable(1, 2, {})
+
+    def test_run_is_trimmed_in_place(self):
+        run = [0, 0, 3, 0, 0, 1, 0]
+        lengths = ideals.LengthRun(5, run)
+        assert lengths.run is run and run == [3, 0, 0, 1] and lengths.first == 7
+        assert lengths == {7: 3, 10: 1}
+        table = GradedLengthTable(1, 2, {0: 0, 2: 3, 3: 0, 5: 1, 9: 0})
+        assert (table.lengths.first, table.lengths.run) == (2, [3, 0, 0, 1])
+
+    def test_table_over_the_budget_refused_before_allocating(self):
+        # an extent of 2^20 + 1; a run of it would take 8 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(StructureError, match=(
+                f"^level 8 needs a length table of {MAX_TABLE_ENTRIES + 1} degrees, "
+                f"over the budget of {MAX_TABLE_ENTRIES}$"
+            )):
+                GradedLengthTable(8, 2, {0: 1, 1 << 20: 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("lengths", [{1: 1, 2.0: 1}, {0: 1, "1": 1}, {None: 1}])
+    def test_degrees_that_are_not_integers_refused(self, lengths):
+        with pytest.raises(StructureError, match="^a length table's degrees must be integers$"):
+            GradedLengthTable(1, 2, lengths)
+
+    @pytest.mark.parametrize("name", ["parameter23", "weighted_plane"])
+    def test_level_table_footprint(self, suite_problems, name):
+        # one list slot and one int per degree: under 40 bytes per degree,
+        # where a dict of the nonzero degrees kept about 91
+        problem = suite_problems[name][0]
+        graded_lengths(problem.ring, problem.ideal, 2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = graded_lengths(problem.ring, problem.ideal, 14)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 48 * (table.max_degree + 1), kept / (table.max_degree + 1)
 
 
 def expands_to_lengths(table: GradedLengthTable) -> bool:
