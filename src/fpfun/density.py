@@ -28,8 +28,8 @@ from .ideals import GradedLengthTable
 @dataclass(frozen=True)
 class DensityTable:
     """Samples x = j/q -> g_n(x) = q^(1-d) * ell_j, all exact rationals, read
-    in place from the dense run of the level's own length table ``table``;
-    nothing is copied."""
+    in place from the dense run of the level's own length table ``table``,
+    whose entry j is ell_j; nothing is copied."""
 
     table: GradedLengthTable
     d: int
@@ -45,10 +45,7 @@ class DensityTable:
         return self.table.lengths.items()
 
     def value_at_index(self, j: int) -> Fraction:
-        lengths = self.table.lengths
-        i = j - lengths.first
-        ell = lengths.run[i] if 0 <= i < len(lengths.run) else 0
-        return Fraction(ell, self.q ** (self.d - 1))
+        return Fraction(self.table.lengths.get(j, 0), self.q ** (self.d - 1))
 
     def value_at(self, x) -> Fraction:
         """Step-function value g_n(x) = q^(1-d) * ell_floor(x*q)."""

@@ -191,10 +191,10 @@ def _fn_values(problem: ProblemSpec, n: int, ys: Sequence[complex]) -> list:
 def _phase_sums(table: GradedLengthTable, ws: Iterable[complex]) -> list:
     """sum(v * exp(w * j)) over the lengths j -> v of ``table``, for each w in ws.
 
-    Blocks of ``span`` consecutive degrees run from the table's first
-    degree over its dense run of lengths, read in place, a gap in the run
-    counting as 0.  With delta = exp(w) - 1, taken
-    from sinh without cancellation, the block from degree a sums to
+    Blocks of ``span`` consecutive degrees run from degree 0 over the
+    table's dense run of lengths, read in place, a gap in the run counting
+    as 0.  With delta = exp(w) - 1, taken from sinh without cancellation,
+    the block from degree a sums to
 
         exp(w a) * sum_r v_(a+r) (1 + delta)^r = exp(w a) * sum_k delta^k B_k,
         B_k = sum_r C(r, k) v_(a+r),
@@ -203,8 +203,8 @@ def _phase_sums(table: GradedLengthTable, ws: Iterable[complex]) -> list:
     table's ``phase_moments`` caches them by span, as float rows, with
     insert-once writes, so fn_eval, fp_limit and the density transforms
     share one build per level.  The table's constructor has refused degrees
-    that are not integers; a build that meets a negative length, or a
-    length that is not an integer, raises StructureError.
+    that are not non-negative integers; a build that meets a negative
+    length, or a length that is not an integer, raises StructureError.
 
     A point takes the largest power-of-two span with span * |delta| <= 1/2,
     capped at the span that covers the terms in one block, and so reads
@@ -321,9 +321,11 @@ class _Moments:
     """The binomial moments B_k, k <= K, of the blocks of span degrees, one
     row of per-block floats per k; K = min(15, span - 1).
 
-    ``starts`` holds the first degree of each block and rows[k][b] is B_k of
-    block b.  A build rounds each exact moment once, to within u = 2^-53 of
-    it relative; a merge adds at most (K + 3) u relative to each of its
+    ``starts`` holds the first degree of each block, b * span for block b,
+    and rows[k][b] is B_k of block b.  The blocks cover the table's run,
+    which the last one may overhang; _columns counts the overhang as 0.  A
+    build rounds each exact moment once, to within u = 2^-53 of it
+    relative; a merge adds at most (K + 3) u relative to each of its
     moments, all non-negative.
     """
 
@@ -331,7 +333,7 @@ class _Moments:
 
     def __init__(self, lengths: LengthRun, span: int):
         self.span = span
-        self.starts = _blocks(lengths, span)
+        self.starts = range(0, -(-len(lengths.run) // span) * span, span)
         order = min(_MAX_ORDER, span - 1)
         # the largest moment is at most C(span - 1, min(K, (span - 1) // 2)) * sum(v)
         largest = math.comb(span - 1, min(order, (span - 1) // 2)) * sum(lengths.run)
@@ -383,14 +385,6 @@ class _Moments:
             sums = list(map(add, map(mul, sums, repeat(delta)), row))
         anchors = map(cmath.exp, map(mul, repeat(w), self.starts))
         return sum(map(mul, sums, anchors), 0j)
-
-
-def _blocks(lengths: LengthRun, span: int) -> range:
-    """The first degree of each block of span degrees from the table's first
-    degree.  The blocks cover the table's run, which the last one may
-    overhang; _columns reads the run in place and counts the overhang as 0."""
-    first, blocks = lengths.first, -(-len(lengths.run) // span)
-    return range(first, first + blocks * span, span)
 
 
 def _columns(run: list, span: int, slot: int):
@@ -513,11 +507,6 @@ def betti_alternating_polynomial(
     return chi_series(series_of_table(problem.table(n)), hsop_series)
 
 
-def _betti_terms(problem: ProblemSpec, degrees: tuple, n: int) -> dict:
-    """The terms j -> B(j, n) of B_n, in ascending degree."""
-    return dict(betti_alternating_polynomial(problem, degrees, n).items_sorted())
-
-
 @dataclass(frozen=True)
 class BettiCheckReport:
     """Per-point deviation between the Betti form and the direct evaluation."""
@@ -547,7 +536,7 @@ def betti_limit_check(
     of size ell_j.
     """
     degrees = _checked_degrees(hsop_degrees)
-    terms = _betti_terms(problem, degrees, n_max)
+    terms = betti_alternating_polynomial(problem, degrees, n_max).coeffs
     y_grid = list(y_grid)
     if any(y == 0 for y in y_grid):
         raise EvaluationDomainError("betti_limit_check needs nonzero grid points")
@@ -582,7 +571,7 @@ def cm_chi_eval(
     chi(R/(hsop), R/I^[q]), so this is the chi form; the caller asserts it.
     """
     degrees = _checked_degrees(hsop_degrees)
-    terms = _betti_terms(problem, degrees, n)
+    terms = betti_alternating_polynomial(problem, degrees, n).coeffs
     y_grid = list(y_grid)
     if any(y == 0 for y in y_grid):
         raise EvaluationDomainError("the chi form has a pole at y = 0; use the series path")

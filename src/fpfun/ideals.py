@@ -238,23 +238,20 @@ def initial_ideal(basis: GroebnerBasis) -> MonomialIdeal:
 
 
 class LengthRun(Mapping):
-    """A read-only mapping view of a dense run of lengths: degree first + i
-    has length run[i], and the view holds the nonzero ones.
+    """A read-only mapping view of a dense run of lengths: degree j has
+    length run[j], and the view holds the nonzero ones.
 
-    The run is kept, not copied, and trimmed in place of its zeros at both
-    ends, so its first and last entries are nonzero.  Iteration runs in
-    ascending degree, ``len`` counts the nonzero degrees, and a view equals
-    any mapping with the same nonzero items.
+    The run is kept, not copied, and trimmed in place of its zeros at the
+    end, so its last entry is nonzero.  Iteration runs in ascending degree,
+    ``len`` counts the nonzero degrees, and a view equals any mapping with
+    the same nonzero items.
     """
 
-    __slots__ = ("first", "run", "_count")
+    __slots__ = ("run", "_count")
 
-    def __init__(self, first: int, run: list):
-        head = next(compress(count(), run), len(run))  # zeros at the start
-        tail = next(compress(count(), reversed(run)), 0)  # zeros at the end
+    def __init__(self, run: list):
+        tail = next(compress(count(), reversed(run)), len(run))  # zeros at the end
         del run[len(run) - tail :]
-        del run[:head]
-        self.first = first + head if run else 0
         self.run = run
         self._count = len(run) - run.count(0)
 
@@ -262,15 +259,11 @@ class LengthRun(Mapping):
         return self._count
 
     def __iter__(self):
-        return compress(count(self.first), self.run)
-
-    def __reversed__(self):
-        return compress(count(self.first + len(self.run) - 1, -1), reversed(self.run))
+        return compress(count(), self.run)
 
     def __getitem__(self, j):
-        i = j - self.first if isinstance(j, int) else -1
-        if 0 <= i < len(self.run) and self.run[i]:
-            return self.run[i]
+        if isinstance(j, int) and 0 <= j < len(self.run) and self.run[j]:
+            return self.run[j]
         raise KeyError(j)
 
     def values(self):
@@ -281,7 +274,7 @@ class LengthRun(Mapping):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LengthRun):
-            return self.first == other.first and self.run == other.run
+            return self.run == other.run
         if not isinstance(other, Mapping):
             return NotImplemented
         return len(other) == self._count and all(map(eq, map(other.get, self), self.values()))
@@ -298,9 +291,6 @@ class _RunValues(ValuesView):
     def __iter__(self):
         return filter(None, self._mapping.run)
 
-    def __reversed__(self):
-        return filter(None, reversed(self._mapping.run))
-
 
 class _RunItems(ItemsView):
     __slots__ = ()
@@ -308,27 +298,26 @@ class _RunItems(ItemsView):
     def __iter__(self):
         return zip(self._mapping, self._mapping.values())
 
-    def __reversed__(self):
-        return zip(reversed(self._mapping), reversed(self._mapping.values()))
-
 
 def _densified(lengths: Mapping, n: int) -> LengthRun:
-    """The run of a mapping's lengths, its degrees checked before it is allocated."""
+    """The run of a mapping's lengths from degree 0, its degrees checked
+    before it is allocated."""
     degrees = list(lengths)
     if not all(isinstance(j, int) for j in degrees):
         raise StructureError("a length table's degrees must be integers")
     if not all(map(lt, degrees, degrees[1:])):
         raise StructureError("a length table's degrees must be strictly ascending")
+    if degrees and degrees[0] < 0:
+        raise StructureError("a length table's degrees must be non-negative")
     support = [j for j, v in lengths.items() if v]
     if not support:
-        return LengthRun(0, [])
-    first = support[0]
-    if support[-1] - first + 1 > MAX_TABLE_ENTRIES:
-        raise _over_budget(n, support[-1] - first + 1)
-    run = [0] * (support[-1] - first + 1)
+        return LengthRun([])
+    if support[-1] + 1 > MAX_TABLE_ENTRIES:
+        raise _over_budget(n, support[-1] + 1)
+    run = [0] * (support[-1] + 1)
     for j in support:
-        run[j - first] = lengths[j]
-    return LengthRun(first, run)
+        run[j] = lengths[j]
+    return LengthRun(run)
 
 
 @dataclass(frozen=True)
@@ -336,12 +325,12 @@ class GradedLengthTable:
     """Exact graded lengths of one Frobenius-power quotient.
 
     ``lengths`` is a LengthRun: the (arbitrary precision) k-dimensions of the
-    degree pieces as one dense list from the first nonzero degree to the
-    last, seen as a read-only mapping of the nonzero degrees in ascending
-    order.  A table built from any other mapping is densified once here;
-    degrees that are not integers or not strictly ascending, or that span
-    more than MAX_TABLE_ENTRIES, are refused with StructureError before the
-    run is allocated.  ``numerator`` maps exponents to the integer
+    degree pieces as one dense list indexed by degree, from degree 0 to the
+    last nonzero one, seen as a read-only mapping of the nonzero degrees in
+    ascending order.  A table built from any other mapping is densified once
+    here; degrees that are not integers, not strictly ascending or negative,
+    or a last nonzero degree at or past MAX_TABLE_ENTRIES, are refused with
+    StructureError before the run is allocated.  ``numerator`` maps exponents to the integer
     coefficients of the Hilbert numerator over the ring's ``weights``, so the
     lengths are numerator(t) / prod(1 - t^w); a table built without one is its
     own numerator over no weights.  ``phase_moments`` is the cache of fp's
@@ -365,16 +354,14 @@ class GradedLengthTable:
 
     @property
     def max_degree(self) -> int:
-        lengths = self.lengths
-        return lengths.first + len(lengths.run) - 1 if lengths.run else -1
+        return len(self.lengths.run) - 1
 
     def total(self) -> int:
         return sum(self.lengths.run)
 
     def moment(self, m: int) -> int:
         """The exact integer sum of j^m times the degree-j length."""
-        lengths = self.lengths
-        return sum(map(mul, map(pow, count(lengths.first), repeat(m)), lengths.run))
+        return sum(map(mul, map(pow, count(), repeat(m)), self.lengths.run))
 
     def items_sorted(self):
         return list(self.lengths.items())
@@ -497,7 +484,7 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
         M = initial_ideal(buchberger(polys))
     weights = tuple(ring.grading.weights)
     if M.is_unit:
-        return GradedLengthTable(n, p, LengthRun(0, []), {}, weights)
+        return GradedLengthTable(n, p, LengthRun([]), {}, weights)
     bounds = M.pure_power_bounds(ring.grading.var_count)
     for i, b in enumerate(bounds):
         if b is None:
@@ -511,7 +498,7 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
     if max_degree + 1 > MAX_TABLE_ENTRIES:
         raise _over_budget(n, max_degree + 1)
     numerator, counts = staircase_degree_counts(M, ring.grading, max_degree)
-    return GradedLengthTable(n, p, LengthRun(0, counts), numerator, weights)
+    return GradedLengthTable(n, p, LengthRun(counts), numerator, weights)
 
 
 def _check_table_floor(ring: RingPresentation, ideal: HomogeneousIdeal, n: int):

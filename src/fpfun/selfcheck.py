@@ -172,10 +172,10 @@ def check_groebner_vs_rank(rng: random.Random, count=50, max_degree=12) -> int:
     return len(draws)
 
 
-def check_ab_identity(levels=4) -> int:
+def check_ab_identity(levels=4, deep=8) -> int:
     """Each suite Betti polynomial B expands, as B / prod(1 - t^d), to its table,
-    at levels 0..levels and at level 8, where every suite table has over 100
-    times the terms of the staircase numerator that B is built from.
+    at levels 0..levels and at level ``deep``; at level 8 every suite table
+    has over 100 times the terms of the staircase numerator that B is built from.
 
     This division direction shares no code with the quotient that builds B.  The
     expansion runs past B's degree and past the table's top plus sum(d): a match
@@ -191,12 +191,12 @@ def check_ab_identity(levels=4) -> int:
             cases.append((name, problem, (1, 2)))
     checks = 0
     for name, problem, hsop in cases:
-        for n in (*range(levels + 1), 8):
+        for n in (*range(levels + 1), deep):
             betti = betti_alternating_polynomial(problem, hsop, n)
             table = problem.table(n)
-            first, run = table.lengths.first, table.lengths.run
+            run = table.lengths.run
             top = max(betti.degree, table.max_degree + sum(hsop))
-            dense = [0] * first + run + [0] * (top + 1 - first - len(run))
+            dense = run + [0] * (top + 1 - len(run))
             _require(
                 betti.valuation >= 0 and series_expansion(betti.coeffs, hsop, top) == dense,
                 f"Hilbert-series/Betti identity failed on {name!r} with hsop {hsop} at n={n}",

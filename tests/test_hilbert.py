@@ -426,12 +426,13 @@ class TestIdentityCheck:
         # the staircase numerator itself, so the self test's identity check
         # adds degrees (1, 2) there, and every suite problem meets a B_n
         # other than its numerator
-        divided, calls = set(), []
+        divided, calls, levels = set(), [], set()
         build = selfcheck.betti_alternating_polynomial
 
         def recording(problem, hsop, n):
             betti = build(problem, hsop, n)
             calls.append(hsop)
+            levels.add(n)
             if betti != lp(dict(problem.table(n).numerator)):
                 divided.add(problem)
             return betti
@@ -439,3 +440,6 @@ class TestIdentityCheck:
         monkeypatch.setattr(selfcheck, "betti_alternating_polynomial", recording)
         assert selfcheck.check_ab_identity(levels=2) == len(calls) == 4 * 9
         assert calls.count((1, 2)) == 4 * 4 and len(divided) == 5
+        assert levels == {0, 1, 2, 8}
+        levels.clear()
+        assert selfcheck.check_ab_identity(levels=0, deep=3) == 2 * 9 and levels == {0, 3}

@@ -324,36 +324,36 @@ class TestLengthRun:
         assert 1 not in table.lengths and table.lengths.get(1, 0) == 0
 
     def test_mapping_reads(self):
-        table = GradedLengthTable(3, 2, {-3: 2, -1: 5, 0: 0, 4: 1})
+        table = GradedLengthTable(3, 2, {1: 2, 3: 5, 4: 0, 8: 1})
         lengths = table.lengths
-        assert list(lengths) == [-3, -1, 4] and list(reversed(lengths)) == [4, -1, -3]
-        assert list(lengths.items()) == [(-3, 2), (-1, 5), (4, 1)]
-        assert next(reversed(lengths)) == 4 and next(reversed(lengths.items())) == (4, 1)
-        assert list(lengths.values()) == [2, 5, 1] and list(reversed(lengths.values())) == [1, 5, 2]
-        assert lengths[-1] == 5 and -1 in lengths and 0 not in lengths
-        for outside in (-4, -2, 0, 5, 100, 0.5, "x"):
+        assert list(lengths) == [1, 3, 8]
+        assert list(lengths.items()) == [(1, 2), (3, 5), (8, 1)]
+        assert list(lengths.values()) == [2, 5, 1]
+        assert lengths[3] == 5 and 3 in lengths and 4 not in lengths
+        for outside in (-1, 0, 2, 4, 9, 100, 0.5, "x"):
             assert lengths.get(outside) is None and lengths.get(outside, 0) == 0, outside
         with pytest.raises(KeyError):
-            lengths[0]
-        assert (table.max_degree, table.total(), table.moment(1), table.moment(2)) == (4, 8, -7, 39)
-        assert table.items_sorted() == [(-3, 2), (-1, 5), (4, 1)]
-        assert table == GradedLengthTable(3, 2, {-3: 2, -1: 5, 4: 1})
+            lengths[4]
+        assert (table.max_degree, table.total(), table.moment(1), table.moment(2)) == (8, 8, 25, 111)
+        assert table.items_sorted() == [(1, 2), (3, 5), (8, 1)]
+        assert table == GradedLengthTable(3, 2, {1: 2, 3: 5, 8: 1})
 
     @pytest.mark.parametrize("lengths", [{}, {0: 0, 600: 0}])
     def test_empty_table(self, lengths):
         table = GradedLengthTable(1, 2, lengths)
         assert len(table.lengths) == 0 and not table.lengths and table.lengths == {}
-        assert list(table.lengths) == [] and next(reversed(table.lengths), None) is None
+        assert list(table.lengths) == [] and table.lengths.run == []
         assert (table.max_degree, table.total(), table.moment(2)) == (-1, 0, 0)
         assert table == GradedLengthTable(1, 2, {})
 
     def test_run_is_trimmed_in_place(self):
         run = [0, 0, 3, 0, 0, 1, 0]
-        lengths = ideals.LengthRun(5, run)
-        assert lengths.run is run and run == [3, 0, 0, 1] and lengths.first == 7
-        assert lengths == {7: 3, 10: 1}
+        lengths = ideals.LengthRun(run)
+        assert lengths.run is run and run == [0, 0, 3, 0, 0, 1]
+        assert lengths == {2: 3, 5: 1}
         table = GradedLengthTable(1, 2, {0: 0, 2: 3, 3: 0, 5: 1, 9: 0})
-        assert (table.lengths.first, table.lengths.run) == (2, [3, 0, 0, 1])
+        assert table.lengths.run == [0, 0, 3, 0, 0, 1]
+        assert ideals.LengthRun([0, 0, 0]).run == []
 
     def test_table_over_the_budget_refused_before_allocating(self):
         # an extent of 2^20 + 1; a run of it would take 8 MiB
@@ -364,6 +364,18 @@ class TestLengthRun:
                 f"over the budget of {MAX_TABLE_ENTRIES}$"
             )):
                 GradedLengthTable(8, 2, {0: 1, 1 << 20: 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("lengths", [{-1: 1, 1 << 19: 1}, {-3: 0, 0: 1}])
+    def test_negative_degree_refused_before_allocating(self, lengths):
+        # the run is indexed by degree from 0; a run to degree 2^19 would take 4 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(StructureError, match="^a length table's degrees must be non-negative$"):
+                GradedLengthTable(8, 2, lengths)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -408,6 +420,7 @@ class TestLevelNumerator:
                 table = problem.table(n)
                 assert table.weights == problem.ring.grading.weights, (path.name, n)
                 assert expands_to_lengths(table), (path.name, n)
+                assert table.lengths.run[0] == 1, (path.name, n)  # the run starts at degree 0
 
     def test_random_monomial_ideals_on_both_sides_of_the_subset_cap(self):
         # even draws have at most _SUBSET_CAP generators (subset walk), odd
@@ -428,6 +441,7 @@ class TestLevelNumerator:
             table = graded_lengths(ring, gens, 0)
             assert table.lengths == enumeration_oracle(MonomialIdeal.from_exponents(exps), grading)
             assert expands_to_lengths(table), (grading.weights, exps)
+            assert table.lengths.run[0] == 1, (grading.weights, exps)
 
     def test_unit_ideal_has_numerator_zero(self):
         t = graded_lengths(RingPresentation(F2, STD2, (), ("X", "Y")), ideal("1"), 1)
