@@ -267,7 +267,7 @@ def _parse_grid_shorthand(text: str):
 
 def _limits(problem: ProblemSpec, grid, n_max: int) -> list:
     """(y, LimitEstimate) for each grid point in grid order, repeats included."""
-    estimates = fp_limit(problem, grid, n_max) if grid else {}
+    estimates = fp_limit(problem, grid, n_max)
     return [(y, estimates[y]) for y in grid]
 
 

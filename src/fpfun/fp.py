@@ -15,12 +15,13 @@ from each level's exact staircase numerator.
 
 Sums of exp(-i*y*j/q) terms over a level table (F_n and the density
 transforms) go through the kernel ``_phase_sums``, which serves them from
-block moments cached on the table.  ``_direct_sum`` takes everything else,
-one exponential per term per point added exactly by math.fsum: the
-kernel's span-1 points, the density bridge's reference and the Betti
-polynomial B_n of betti_limit_check and cm_chi_eval, which comes from the
-level's staircase numerator, not its table (3 or 4 terms on the built-in
-problems).  A sum that is not finite raises OverflowError.
+block moments cached on the table, each span built once by Horner's rule
+and none coarser than the table's own span.  ``_direct_sum`` takes
+everything else, one exponential per term per point added exactly by
+math.fsum: the kernel's span-1 points, the density bridge's reference and
+the Betti polynomial B_n of betti_limit_check and cm_chi_eval, which comes
+from the level's staircase numerator, not its table (3 or 4 terms on the
+built-in problems).  A sum that is not finite raises OverflowError.
 Measured, cm_chi_eval is within 5.3e-15 relative of F_n(y) *
 prod(q (1 - z^d_i) / (d_i iy)) on the built-in problems at q = 256 and
 16384 for |y| >= 0.5.
@@ -58,10 +59,10 @@ from .ideals import (
     graded_lengths,
 )
 
-# A table's span, the degrees per block of its one Horner build, is the
-# largest power of two at most its extent over _BLOCKS, so a level-14 table of
-# 82k degrees has 160 blocks of 512; coarser spans are merged from it.
-_BLOCKS = 128
+# A table's span, the coarsest any of its points takes, is the largest power of
+# two at most its extent over _BLOCKS, so a level-14 table of 82k degrees has
+# 80 blocks of 1024; each span a point takes is built once by Horner's rule.
+_BLOCKS = 64
 # A block's binomial series stops where its tail is at most 2^-_TAIL_BITS
 # times the sum of its values.
 _TAIL_BITS = 56
@@ -202,32 +203,26 @@ def _phase_sums(table: GradedLengthTable, ws: Iterable[complex]) -> list:
     and the B_k are non-negative integers that do not depend on w.  The
     table's ``phase_moments`` caches them by span, as float rows, with
     insert-once writes, so fn_eval, fp_limit and the density transforms
-    share one build per level.  The table's constructor has refused degrees
+    share one build per span.  The table's constructor has refused degrees
     that are not non-negative integers; a build that meets a negative
     length, or a length that is not an integer, raises StructureError.
 
     A point takes the largest power-of-two span with span * |delta| <= 1/2,
-    capped at the span that covers the terms in one block, and so reads
-    about 2 |w| N blocks for N degrees.  ``_Moments`` builds the moments at
-    the table's span (``_table_span``) and at any finer span a point needs
-    by Horner's rule; a coarser span 2s comes from span s by the merge of
-    each even block E with the odd block O after it,
-
-        B_k(2s) = E_k + sum_(j <= k) C(s, k - j) O_j,
-
-    in floating point.  The span depends only on the terms and w, and a
+    capped at the table's span (``_table_span``), and so reads about
+    2 |w| N blocks for N degrees, and never fewer than the table's span
+    reads, _BLOCKS to 2 * _BLOCKS.  ``_Moments`` builds the moments at each
+    span a point takes by Horner's rule, once per span; no span above the
+    table's is built.  The span depends only on the table and w, and a
     span's moments only on the span, so a grid value is bit-identical to
     the same point alone, whatever was served before.  Span 1, which a
     table of fewer than 2 * _BLOCKS degrees always takes, is ``_direct_sum``.
 
     With u = 2^-53, a build rounds each B_k once, to within u of it
-    relative, and each of the m <= 8 merges above the table's span adds at
-    most (K + 3) u relative, as every term is non-negative.  The series
-    stops where its tail is at most 2^-56 * sum(v) over the block; a step of
-    the complex Horner rule in delta costs at most (1 + sqrt(5)) u; and
-    sum_k |delta|^k B_k <= e^(1/2) * sum(v).  So a block sum is within about
-    (1 + m (K + 3) + 3.3 K) u e^(1/2) sum(v) of exact, under
-    3.6e-14 * sum(v), and the anchor products and the final sum add about
+    relative.  The series stops where its tail is at most 2^-56 * sum(v)
+    over the block; a step of the complex Horner rule in delta costs at
+    most (1 + sqrt(5)) u; and sum_k |delta|^k B_k <= e^(1/2) * sum(v).  So
+    a block sum is within about (1 + 3.3 K) u e^(1/2) sum(v) of exact, under
+    9.3e-15 * sum(v), and the anchor products and the final sum add about
     (N/span) * u * sum(|terms|).  Measured against a per-term fsum, the
     worst error is 1.27e-15 * sum(|terms|) on parameter23, cusp,
     weighted_plane and three_generator at levels 0 to 14 and |y| from 1e-12
@@ -238,22 +233,20 @@ def _phase_sums(table: GradedLengthTable, ws: Iterable[complex]) -> list:
     terms = table.lengths
     if not terms or not ws:
         return [0j] * len(ws)
-    extent = len(terms.run)
-    built = _table_span(extent)
-    widest = 1 << (extent - 1).bit_length() if built > 1 else 1
+    cap = _table_span(len(terms.run))
     out = []
     for w in ws:
         try:
             if not cmath.isfinite(w):
                 raise OverflowError
             delta = 2 * cmath.sinh(w / 2) * cmath.exp(w / 2)
-            span = widest
+            span = cap
             while span > 1 and not span * abs(delta) <= _RHO:  # a nan delta too
                 span //= 2
             if span == 1:
                 total = _direct_sum(terms, w)
             else:
-                total = _moments_at(table, span, built).value(w, delta)
+                total = _moments_at(table, span).value(w, delta)
         except OverflowError:
             raise _not_finite(w) from None
         if not cmath.isfinite(total):
@@ -282,19 +275,16 @@ def _direct_sum(terms: Mapping, w: complex) -> complex:
     return total
 
 
-def _moments_at(table: GradedLengthTable, span: int, built: int) -> _Moments:
-    """The moments of the table's lengths at span, kept in its cache: built
-    at or below the table span ``built``, merged from span / 2 above it."""
+def _moments_at(table: GradedLengthTable, span: int) -> _Moments:
+    """The moments of the table's lengths at span, built once and kept in
+    its cache."""
     moments = table.phase_moments
     packed = moments.get(span)
     if packed is None:
-        if span > built:
-            packed = _moments_at(table, span // 2, built).merged()
-        else:
-            try:
-                packed = _Moments(table.lengths, span)
-            except (TypeError, AttributeError):  # a degree or length that is not an integer
-                raise _not_integers() from None
+        try:
+            packed = _Moments(table.lengths, span)
+        except (TypeError, AttributeError):  # a degree or length that is not an integer
+            raise _not_integers() from None
         packed = moments.setdefault(span, packed)
     return packed
 
@@ -323,10 +313,8 @@ class _Moments:
 
     ``starts`` holds the first degree of each block, b * span for block b,
     and rows[k][b] is B_k of block b.  The blocks cover the table's run,
-    which the last one may overhang; _columns counts the overhang as 0.  A
-    build rounds each exact moment once, to within u = 2^-53 of it
-    relative; a merge adds at most (K + 3) u relative to each of its
-    moments, all non-negative.
+    which the last one may overhang; _columns counts the overhang as 0.  The
+    build rounds each exact moment once, to within u = 2^-53 of it relative.
     """
 
     __slots__ = ("span", "starts", "rows")
@@ -353,29 +341,6 @@ class _Moments:
             self.rows.append(array("d", [
                 float(int.from_bytes(data[i : i + width], "little")) for i in range(0, size, width)
             ]))
-
-    def merged(self) -> _Moments:
-        """The moments at twice the span.
-
-        Blocks 2c and 2c + 1 at span s, E and O, make block c at span 2s:
-        sum_r C(r, k) v_r over 2s degrees splits at s, and
-        C(s + r, k) = sum_j C(s, k - j) C(r, j), so B_k = E_k + sum_j C(s, k - j) O_j.
-        A moment past span s - 1 is 0, and so is a missing last odd block.
-        """
-        out = _Moments.__new__(_Moments)
-        out.span, out.starts = 2 * self.span, self.starts[::2]
-        order = min(_MAX_ORDER, out.span - 1)
-        steps = [float(math.comb(self.span, m)) for m in range(order + 1)]
-        rows = [row.tolist() for row in self.rows]
-        odd = [row[1::2] + [0.0] * (len(row) % 2) for row in rows]
-        zeros = [0.0] * len(out.starts)
-        out.rows = []
-        for k in range(order + 1):
-            acc = rows[k][::2] if k < len(rows) else zeros
-            for j, row in enumerate(odd[: k + 1]):
-                acc = list(map(add, acc, map(mul, repeat(steps[k - j]), row)))
-            out.rows.append(array("d", acc))
-        return out
 
     def value(self, w: complex, delta: complex) -> complex:
         """The sum of the blocks at w, with delta = exp(w) - 1."""
@@ -409,7 +374,7 @@ def _columns(run: list, span: int, slot: int):
 
 def _words(dense: list) -> tuple:
     """(part, words): non-negative integers in ``words`` machine words each,
-    least significant first, as many as the widest value needs; a negative
+    least significant first, as many as the largest value needs; a negative
     value raises StructureError."""
     try:
         return array(_WORD, dense), 1
@@ -447,11 +412,14 @@ def fp_limit(problem: ProblemSpec, y_grid: Sequence[complex], n_max: int) -> dic
     Returns, per point, the level-n_max value together with a tail estimate
     of the geometric Cauchy form fitted from the observed successive
     differences at that point (see LimitEstimate).  Requires n_max >= 2.
+    An empty grid returns {} and builds no level table.
     """
     if n_max < 2:
         raise StructureError("n_max must be at least 2 to fit a tail bound")
-    p = problem.prime
     y_grid = list(y_grid)
+    if not y_grid:
+        return {}
+    p = problem.prime
     levels = [_fn_values(problem, m, y_grid) for m in range(n_max + 1)]
     out = {}
     for i, y in enumerate(y_grid):

@@ -125,6 +125,12 @@ class TestFpLimit:
         with pytest.raises(StructureError):
             fp_limit(plane, GRID, 1)
 
+    def test_empty_grid_builds_no_table(self):
+        # level 18 of parameter23 is past the table budget, yet nothing is asked
+        problem = parameter_problem(2, 3)
+        assert fp_limit(problem, [], 40) == {}
+        assert problem._tables == {}
+
     @pytest.mark.parametrize("name", ["parameter23", "cusp"])
     def test_grid_values_equal_single_points(self, request, name):
         # One packing per level serves the whole grid, and every level value
@@ -386,6 +392,13 @@ class TestPhaseSum:
         for n in range(9):
             self.check(problem.table(n).lengths, 2 ** n, LARGE_IM_POINTS)
 
+    @pytest.mark.parametrize("name", ["parameter23", "three_generator", "cusp", "weighted_plane"])
+    def test_middle_levels(self, request, name):
+        # table spans 16 to 512: a point takes the table's span or a finer one
+        problem = request.getfixturevalue(name)
+        for n in range(9, 14):
+            self.check(problem.table(n).lengths, 2 ** n)
+
     def test_values_past_one_machine_word(self):
         rng = random.Random(7)
         degrees = sorted(rng.sample(range(3000), 700))
@@ -417,7 +430,7 @@ class TestPhaseSum:
             ([0, 1], [1, 1], complex("nan")),  # w itself
             ([0, 1], [1, 1], complex(0, math.inf)),
             (list(range(4000)), [1] * 4000, 0.2),  # an anchor past block 1775 of span 2
-            (list(range(300)), [10 ** 308] * 300, 1e-6j),  # a block sum merged from span 2
+            (list(range(300)), [10 ** 308] * 300, 1e-6j),  # a block moment built at span 4
         ],
     )
     def test_every_non_finite_path_raises_one_message(self, degrees, values, w):
@@ -443,8 +456,8 @@ def direct_moments(terms, span, order):
 
 def counting_builds(monkeypatch):
     """Replace the moment builder by one that records (terms, span) per
-    Horner build and, apart, (span, degrees covered) per merge."""
-    builds, merges = [], []
+    Horner build."""
+    builds = []
 
     class Counting(fp._Moments):
         __slots__ = ()
@@ -453,12 +466,8 @@ def counting_builds(monkeypatch):
             builds.append((terms, span))
             super().__init__(terms, span)
 
-        def merged(self):
-            merges.append((self.span, self.span * len(self.starts)))
-            return super().merged()
-
     monkeypatch.setattr(fp, "_Moments", Counting)
-    return builds, merges
+    return builds
 
 
 class TestPhaseMoments:
@@ -489,39 +498,10 @@ class TestPhaseMoments:
         lengths = cusp.table(10).lengths
         self.check_packed(lengths, fp._table_span(max(lengths) - min(lengths) + 1))
 
-    def test_merged_spans_stay_within_the_merge_bound(self, cusp, parameter23):
-        # a build rounds each moment once, and a merge to an order-K span adds
-        # at most (K + 3) u relative to each moment it makes
-        rng = random.Random(12)
-        tables = [cusp.table(10).lengths, parameter23.table(14).lengths]
-        for size, extent, magnitude in (
-            (300, 400, 10 ** 6),  # nearly dense
-            (2500, 4000, 2 ** 40),  # gapped, values past one word
-            (2000, 3000, 2 ** 130),  # several words per value
-        ):
-            degrees = sorted(rng.sample(range(0, extent + 50), size))
-            tables.append(GradedLengthTable(0, 2, {j: rng.randint(1, magnitude) for j in degrees}).lengths)
-        for terms in tables:
-            extent = max(terms) + 1
-            span = fp._table_span(extent)
-            merged, roundings = fp._Moments(terms, span), 1
-            while span < extent:  # up to the span of one block
-                merged, span = merged.merged(), 2 * span
-                order = min(15, span - 1)
-                roundings += order + 3
-                bound = roundings * 2.0 ** -53 / (1 - roundings * 2.0 ** -53)
-                exact = direct_moments(terms, span, order)
-                assert merged.span == span
-                assert list(merged.starts) == list(range(0, max(terms) + 1, span))
-                assert len(merged.rows) == len(exact)
-                for k, (got, want) in enumerate(zip(merged.rows, exact)):
-                    for g, b in zip(got, want):
-                        assert abs(int(g) - b) <= bound * b, (extent, span, k)
-            assert len(merged.starts) == 1
-
     def test_point_reads_few_blocks(self, parameter23, monkeypatch):
-        # at q = 16384 the table span is 512 (160 blocks); y = 1 and y = 8 take
-        # spans 8192 and 1024
+        # at q = 16384 the table span is 1024 (80 blocks), and y = 1 and y = 8
+        # both take it: no point reads fewer blocks than its table's span
+        assert fp._table_span(len(parameter23.table(14).lengths.run)) == 1024
         served = []
         value = fp._Moments.value
 
@@ -530,13 +510,13 @@ class TestPhaseMoments:
             return value(self, w, delta)
 
         monkeypatch.setattr(fp._Moments, "value", counting)
-        for y, most in ((1.0, 10), (8.0, 80)):
+        for y in (1.0, 8.0):
             served.clear()
             fn_eval(parameter23, 14, y)
-            assert served and max(served) <= most, (y, served)
+            assert served == [80], (y, served)
 
     def test_one_build_per_level_for_every_caller(self, monkeypatch):
-        builds, merges = counting_builds(monkeypatch)
+        builds = counting_builds(monkeypatch)
         problem = parameter_problem(2, 3)
         grid = [0.5, 2 + 1j, 7.25 - 0.5j]
         fp_limit(problem, grid, 8)
@@ -545,16 +525,26 @@ class TestPhaseMoments:
             gn_fourier_exact(problem, 8, y)
             quadrature_fourier(table, y)
         betti_limit_check(problem, (1, 1), grid, 8)
-        level = problem.table(8).lengths
-        assert [span for terms, span in builds if terms is level] == [8]
-        # level 8 covers 160 blocks of its table span 8, and y = 0.5 takes
-        # span 256: each span in between is merged once
-        assert sorted(span for span, covered in merges if covered == 1280) == [8, 16, 32, 64, 128]
+        # level 8 has 1279 degrees, so its table span is 16; every grid point
+        # takes it, and no span above it is built or cached
+        table = problem.table(8)
+        assert fp._table_span(len(table.lengths.run)) == 16
+        assert [span for terms, span in builds if terms is table.lengths] == [16]
+        assert list(table.phase_moments) == [16]
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_first_point_builds_one_span(self, n, monkeypatch):
+        # a first one-point fn_eval builds the moments once, at the span it reads
+        builds = counting_builds(monkeypatch)
+        problem = parameter_problem(2, 3)
+        table = problem.table(n)
+        fn_eval(problem, n, 1.5 + 0.25j)
+        assert [span for _, span in builds] == [fp._table_span(len(table.lengths.run))]
+        assert list(table.phase_moments) == [span for _, span in builds]
 
     def test_values_do_not_depend_on_earlier_points(self):
-        # at q = 256 the table span is 8; the points take spans 256, 8, 1,
-        # 2048, 32, 4, 2048 and 64, so each order reaches a span by another
-        # path, and a fresh table reaches it alone
+        # at q = 256 the table span is 16; the points take spans 16, 8, 1,
+        # 16, 16, 4, 16 and 16, and a fresh table serves each point alone
         points = [0.5, 10 + 1j, 100.0, 1e-6, 3 - 2j, 30.0, 0.05, 2.0]
 
         def serve(order, problem):
