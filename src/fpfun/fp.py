@@ -66,8 +66,9 @@ _BLOCKS = 64
 # A block's binomial series stops where its tail is at most 2^-_TAIL_BITS
 # times the sum of its values.
 _TAIL_BITS = 56
-# A point's span keeps rho = span * |exp(w) - 1| at most this.
-_RHO = 0.5
+# A point's span keeps rho = span * |exp(w) - 1| at most this: K stays 15
+# and the error bound below 1e-14, and a table span of q/16 serves |y| <= 9.
+_RHO = 9 / 16
 # The machine word of the packed columns.
 _WORD = "I"
 _WORD_BYTES = array(_WORD).itemsize
@@ -207,9 +208,9 @@ def _phase_sums(table: GradedLengthTable, ws: Iterable[complex]) -> list:
     that are not non-negative integers; a build that meets a negative
     length, or a length that is not an integer, raises StructureError.
 
-    A point takes the largest power-of-two span with span * |delta| <= 1/2,
-    capped at the table's span (``_table_span``), and so reads about
-    2 |w| N blocks for N degrees, and never fewer than the table's span
+    A point takes the largest power-of-two span with span * |delta| <= 9/16,
+    capped at the table's span (``_table_span``), and so reads 1.8 to 3.6
+    times |w| N blocks for N degrees, and never fewer than the table's span
     reads, _BLOCKS to 2 * _BLOCKS.  ``_Moments`` builds the moments at each
     span a point takes by Horner's rule, once per span; no span above the
     table's is built.  The span depends only on the table and w, and a
@@ -220,9 +221,9 @@ def _phase_sums(table: GradedLengthTable, ws: Iterable[complex]) -> list:
     With u = 2^-53, a build rounds each B_k once, to within u of it
     relative.  The series stops where its tail is at most 2^-56 * sum(v)
     over the block; a step of the complex Horner rule in delta costs at
-    most (1 + sqrt(5)) u; and sum_k |delta|^k B_k <= e^(1/2) * sum(v).  So
-    a block sum is within about (1 + 3.3 K) u e^(1/2) sum(v) of exact, under
-    9.3e-15 * sum(v), and the anchor products and the final sum add about
+    most (1 + sqrt(5)) u; and sum_k |delta|^k B_k <= e^(9/16) * sum(v).  So
+    a block sum is within about (1 + 3.3 K) u e^(9/16) sum(v) of exact, under
+    9.9e-15 * sum(v), and the anchor products and the final sum add about
     (N/span) * u * sum(|terms|).  Measured against a per-term fsum, the
     worst error is 1.27e-15 * sum(|terms|) on parameter23, cusp,
     weighted_plane and three_generator at levels 0 to 14 and |y| from 1e-12
@@ -303,7 +304,7 @@ def _order(rho: float) -> int:
     return k
 
 
-# The most moments a span needs: 15 at rho = 1/2.
+# The most moments a span needs: 15 at rho = 9/16.
 _MAX_ORDER = _order(_RHO)
 
 

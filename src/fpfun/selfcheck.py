@@ -207,9 +207,9 @@ def check_ab_identity(levels=4, deep=8) -> int:
 
 def check_fourier_bridge(levels=3, tol=1e-10) -> int:
     """The kernel's interval quadrature agrees with the transform summed term
-    by term, at levels 0..levels and at level 8: a table of fewer than 256
-    degrees takes the direct sum at every point, and level 8 is where every
-    suite table reaches the kernel's blocks."""
+    by term, at levels 0..levels and at level 8: a table of fewer than 128
+    (2 * fp._BLOCKS) degrees takes the direct sum at every point, and level 8
+    is where every suite table reaches the kernel's blocks."""
     grid = (0.5, 1.0, 2.0, 4.0, -1.0, 1.0 + 0.5j)
     checks = 0
     for name, (problem, _) in standard_problems().items():

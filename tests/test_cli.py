@@ -430,6 +430,12 @@ class TestRobustness:
     def test_level_too_small_for_a_tail_fit_exits_3(self, n_max, capsys):
         assert main(["eval", "--file", problem("plane.json"), "--n-max", n_max]) == 3
         assert capsys.readouterr().err == "error: n_max must be at least 2 to fit a tail bound\n"
+        # an empty grid asks for no value, but the level is still checked
+        empty = '{"re_min": 0, "re_max": 1, "count": 0}'
+        for command in (["eval"], ["compare", "--method", "hsop"]):
+            argv = [*command, "--file", problem("plane.json"), "--n-max", n_max, "--y-grid", empty]
+            assert main(argv) == 3
+            assert capsys.readouterr().err == "error: n_max must be at least 2 to fit a tail bound\n"
 
     def test_unwritable_out_path(self, capsys):
         code = main(

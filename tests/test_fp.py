@@ -343,17 +343,21 @@ class TestPhaseSum:
             want = reference_phase_sum(degrees, values, w)
             assert abs(got - want) <= phase_sum_tolerance(degrees, values, w), (y, got, want)
 
+    # levels 9 to 14: table spans 16 to 1024, and a point takes its table's
+    # span or a finer one
     def test_contiguous_table(self, parameter23, three_generator):
         for problem in (parameter23, three_generator):
-            lengths = problem.table(14).lengths
-            assert len(lengths) == max(lengths) - min(lengths) + 1
-            self.check(lengths, 2 ** 14)
+            for n in range(9, 15):
+                lengths = problem.table(n).lengths
+                assert len(lengths) == max(lengths) - min(lengths) + 1
+                self.check(lengths, 2 ** n)
 
     def test_table_with_gaps(self, cusp, weighted_plane):
         for problem in (cusp, weighted_plane):
-            lengths = problem.table(14).lengths
-            assert len(lengths) < max(lengths) - min(lengths) + 1
-            self.check(lengths, 2 ** 14)
+            for n in range(9, 15):
+                lengths = problem.table(n).lengths
+                assert len(lengths) < max(lengths) - min(lengths) + 1
+                self.check(lengths, 2 ** n)
 
     def test_every_odd_degree_missing(self):
         lengths = even_weight_table(10)
@@ -391,13 +395,6 @@ class TestPhaseSum:
         problem = request.getfixturevalue(name)
         for n in range(9):
             self.check(problem.table(n).lengths, 2 ** n, LARGE_IM_POINTS)
-
-    @pytest.mark.parametrize("name", ["parameter23", "three_generator", "cusp", "weighted_plane"])
-    def test_middle_levels(self, request, name):
-        # table spans 16 to 512: a point takes the table's span or a finer one
-        problem = request.getfixturevalue(name)
-        for n in range(9, 14):
-            self.check(problem.table(n).lengths, 2 ** n)
 
     def test_values_past_one_machine_word(self):
         rng = random.Random(7)
@@ -479,6 +476,7 @@ class TestPhaseMoments:
         assert [row.tolist() for row in moments.rows] == [list(map(float, row)) for row in exact]
 
     def test_series_order_at_the_largest_rho(self):
+        assert fp._order(fp._RHO) == fp._order(9 / 16) == 15
         assert fp._order(0.5) == 15
         assert fp._order(0.0) == 0
 
@@ -499,8 +497,9 @@ class TestPhaseMoments:
         self.check_packed(lengths, fp._table_span(max(lengths) - min(lengths) + 1))
 
     def test_point_reads_few_blocks(self, parameter23, monkeypatch):
-        # at q = 16384 the table span is 1024 (80 blocks), and y = 1 and y = 8
-        # both take it: no point reads fewer blocks than its table's span
+        # at q = 16384 the table span is 1024 (80 blocks), and y = 1, y = 8 and
+        # y = 8 + 1i (|y| = 8.06) all take it: no point reads fewer blocks than
+        # its table's span, and span * |delta| <= 9/16 keeps |y| <= 9 on it
         assert fp._table_span(len(parameter23.table(14).lengths.run)) == 1024
         served = []
         value = fp._Moments.value
@@ -510,15 +509,24 @@ class TestPhaseMoments:
             return value(self, w, delta)
 
         monkeypatch.setattr(fp._Moments, "value", counting)
-        for y in (1.0, 8.0):
+        for y in (1.0, 8.0, 8 + 1j):
             served.clear()
             fn_eval(parameter23, 14, y)
             assert served == [80], (y, served)
 
     def test_one_build_per_level_for_every_caller(self, monkeypatch):
         builds = counting_builds(monkeypatch)
+        # a first one-point fn_eval builds the moments once, at the table span
+        for n in (7, 8, 9):
+            problem = parameter_problem(2, 3)
+            table = problem.table(n)
+            builds.clear()
+            fn_eval(problem, n, 1.5 + 0.25j)
+            assert [span for _, span in builds] == [fp._table_span(len(table.lengths.run))]
+            assert list(table.phase_moments) == [span for _, span in builds]
+        builds.clear()
         problem = parameter_problem(2, 3)
-        grid = [0.5, 2 + 1j, 7.25 - 0.5j]
+        grid = [0.5, 2 + 1j, 7.25 - 0.5j, 8 + 1j]
         fp_limit(problem, grid, 8)
         table = density_table(problem, 8)
         for y in grid:
@@ -531,16 +539,12 @@ class TestPhaseMoments:
         assert fp._table_span(len(table.lengths.run)) == 16
         assert [span for terms, span in builds if terms is table.lengths] == [16]
         assert list(table.phase_moments) == [16]
-
-    @pytest.mark.parametrize("n", [7, 8, 9])
-    def test_first_point_builds_one_span(self, n, monkeypatch):
-        # a first one-point fn_eval builds the moments once, at the span it reads
-        builds = counting_builds(monkeypatch)
-        problem = parameter_problem(2, 3)
-        table = problem.table(n)
-        fn_eval(problem, n, 1.5 + 0.25j)
-        assert [span for _, span in builds] == [fp._table_span(len(table.lengths.run))]
-        assert list(table.phase_moments) == [span for _, span in builds]
+        # and every level the limit reads builds its table span alone, or
+        # nothing where the span is 1 and the direct sum takes every point
+        for n in range(9):
+            lengths = problem.table(n).lengths
+            span = fp._table_span(len(lengths.run))
+            assert [s for terms, s in builds if terms is lengths] == ([span] if span > 1 else [])
 
     def test_values_do_not_depend_on_earlier_points(self):
         # at q = 256 the table span is 16; the points take spans 16, 8, 1,
