@@ -5,14 +5,17 @@ The level-n density sample is the step function g_n(x) = q^(1-d) * ell_j on
 [j/q, (j+1)/q), read in place from the level's exact length table.  Its
 Fourier transform relates to the level-n function by the exact identity
 gn_hat(y) = F_n(y) * (1 - exp(-iy/q)) / (iy/q).  quadrature_fourier
-integrates each 1/q interval of the samples and gn_fourier_exact scales
-fn_eval; both take the sum of ell_j * exp(-iyj/q) from the phase-sum kernel
-(fp._phase_sums) over the same level table, and the interval factor
+integrates each 1/q interval of the samples, taking the sum of
+ell_j * exp(-iyj/q) from the phase-sum kernel (fp._phase_sums), and
+gn_fourier_exact scales fn_eval; both take the interval factor
 exp(-iy/q) - 1 from one cancellation-free step that keeps tiny |y|
-accurate, so the two differ only in where a scale factor is applied.  The
-bridge checks the kernel instead: direct_fourier is the same transform with
-that sum taken term by term (fp._direct_sum, one exponential per entry),
-and the bridge gap is its distance from quadrature_fourier.
+accurate.  Over a ring with relations fn_eval reads the same kernel sum, so
+the two differ only in where a scale factor is applied; over a
+relation-free ring fn_eval is a Frobenius product (fp._fn_levels), so their
+gap measures the kernel against it.  The bridge checks the kernel on every
+ring: direct_fourier is the same transform with that sum taken term by term
+(fp._direct_sum, one exponential per entry), and the bridge gap is its
+distance from quadrature_fourier.
 """
 
 from __future__ import annotations
@@ -80,8 +83,9 @@ def density_table(problem: ProblemSpec, n: int) -> DensityTable:
 def gn_fourier_exact(problem: ProblemSpec, n: int, y: complex) -> complex:
     """Closed form of the transform of g_n: F_n(y) * (1 - exp(-iy/q)) / (iy/q).
 
-    fn_eval weights each ell_j by q^(-d); the factor comes from the shared
-    interval step.  At y = 0 the transform equals F_n(0) exactly.
+    fn_eval weights each ell_j by q^(-d), and over a relation-free ring
+    takes the Frobenius product, with no kernel sum; the factor comes from
+    the shared interval step.  At y = 0 the transform equals F_n(0) exactly.
     """
     if y == 0:
         return fn_eval(problem, n, 0)
@@ -94,7 +98,7 @@ def quadrature_fourier(table: DensityTable, y: complex) -> complex:
 
     Each interval contributes its sample q^(1-d) * ell_j times
     exp(-iyj/q) * (exp(-iy/q) - 1) / (-iy).  The kernel sums the integers
-    ell_j * exp(-iyj/q) over the level table fn_eval reads, the factor
+    ell_j * exp(-iyj/q) over the level table, the factor
     q^(1-d) is applied once to that sum, and the interval factor comes from
     the shared interval step.  The y -> 0 limit branch returns the step
     function's mass.  A sum that is not finite raises OverflowError.

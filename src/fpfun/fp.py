@@ -13,15 +13,19 @@ Hilbert-Kunz multiplicities, power-series moment estimators, and alternating
 Betti polynomials obtained through the Hilbert-series quotient identity
 from each level's exact staircase numerator.
 
-Sums of exp(-i*y*j/q) terms over a level table (F_n and the density
-transforms) go through the kernel ``_phase_sums``, which serves them from
-block moments cached on the table, each span built once by Horner's rule
-and none coarser than the table's own span.  ``_direct_sum`` takes
-everything else, one exponential per term per point added exactly by
-math.fsum: the kernel's span-1 points, the density bridge's reference and
-the Betti polynomial B_n of betti_limit_check and cm_chi_eval, which comes
-from the level's staircase numerator, not its table (3 or 4 terms on the
-built-in problems).  A sum that is not finite raises OverflowError.
+Sums of exp(-i*y*j/q) terms over a level table (F_n over a ring with
+relations, and the density transforms) go through the kernel
+``_phase_sums``, which serves them from block moments cached on the table,
+each span built once by Horner's rule and none coarser than the table's own
+span.  Over a relation-free ring, F_n above the highest level whose table
+takes span 1 is that level's value times one Frobenius factor per level
+(Kunz's flatness; ``_fn_levels``), p exponentials per variable, point and
+level, and no moment is built.  ``_direct_sum`` takes everything else, one
+exponential per term per point added exactly by math.fsum: the kernel's
+span-1 points, the density bridge's reference and the Betti polynomial B_n
+of betti_limit_check and cm_chi_eval, which comes from the level's
+staircase numerator, not its table (3 or 4 terms on the built-in problems).
+A sum or product that is not finite raises OverflowError.
 Measured, cm_chi_eval is within 5.3e-15 relative of F_n(y) *
 prod(q (1 - z^d_i) / (d_i iy)) on the built-in problems at q = 256 and
 16384 for |y| >= 0.5.
@@ -164,30 +168,105 @@ def fn_eval(problem: ProblemSpec, n: int, y: complex) -> complex:
     """Evaluate the level-n normalized Hilbert series at the complex point y.
 
     The coefficients stay exact integers; complex arithmetic enters only in
-    the final sum, which ``_phase_sums`` takes from the level's exact block
-    moments.  At y = 0 the value is the exact rational q^(-d) * total length,
-    converted at the boundary.  A sum that is not finite raises OverflowError.
+    the final sum.  Over a ring with relations, ``_phase_sums`` takes it from
+    the level's exact block moments.  Over a relation-free ring, a level up
+    to the highest whose table takes span 1 is the direct per-term sum, and a
+    higher level is that value times one Frobenius factor per level above it
+    (``_fn_levels``); no block moment is built.  At y = 0 the value is the
+    exact rational q^(-d) * total length, converted at the boundary.  A sum
+    or product that is not finite raises OverflowError.
     """
     return _fn_values(problem, n, [y])[0]
 
 
 def _fn_values(problem: ProblemSpec, n: int, ys: Sequence[complex]) -> list:
-    """F_n at each point of ys, from the level table's cached block moments.
+    """F_n at each point of ys (``_fn_levels`` at level n alone)."""
+    (values,) = _fn_levels(problem, ys, n, n)
+    return values
 
-    The moments are built on the first call at a level that needs them and
-    serve every later call; the span of a point depends only on the table
-    and the point, so each value is bit-identical to fn_eval at that point
-    alone, whatever the table served before.
+
+def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], first: int, last: int):
+    """F_m at each point of ys, one list per level m from first to last.
+
+    Every level looks its table up first, so a refused level is refused as
+    before, and y = 0 takes the exact total.  Up to the base level
+    (``_product_base``) a level sums its table through ``_phase_sums``, whose
+    moments serve every later call.  Over a relation-free ring S,
+    Frobenius is flat (Kunz, Amer. J. Math. 91, 1969), so
+    H_{S/I^[pq]}(t) = H_{S/I^[q]}(t^p) * prod_i sum_{a<p} t^(a w_i) for the
+    weights w_i, and above the base F_m(y) = F_(m-1)(y) *
+    ``_frobenius_factor`` / p^d at level m, d the problem's dimension
+    (``dim_override`` too), carried from the base in that order.  A value at
+    level m depends only on the problem, m and the point, so each is
+    bit-identical to fn_eval at that point alone, whatever came before.
     """
-    table = problem.table(n)
-    q = problem.prime ** n
-    scale = q ** problem.dimension
-    ws = [-1j * complex(y) / q for y in ys if y != 0]
-    sums = iter(_phase_sums(table, ws) if ws else ())
-    return [
-        next(sums) / scale if y != 0 else complex(float(Fraction(table.total(), scale)))
-        for y in ys
-    ]
+    points = [complex(y) for y in ys if y != 0]
+    base = values = None
+    for m in range(first, last + 1):
+        table = problem.table(m)
+        if base is None:
+            base = _product_base(problem, last) if points else last
+            if base < first:  # the first level asked for is above the base
+                values = _fn_values(problem, base, points)
+                values = _frobenius_steps(problem, values, points, range(base + 1, first))
+        q = problem.prime ** m
+        scale = q ** problem.dimension
+        if m <= base:
+            ws = [-1j * y / q for y in points]
+            values = [s / scale for s in (_phase_sums(table, ws) if ws else ())]
+        else:
+            values = _frobenius_steps(problem, values, points, (m,))
+        at = iter(values)
+        yield [
+            next(at) if y != 0 else complex(float(Fraction(table.total(), scale))) for y in ys
+        ]
+
+
+def _product_base(problem: ProblemSpec, last: int) -> int:
+    """The level up to which ``_fn_levels`` sums the tables: ``last`` over a
+    ring with relations; otherwise the highest level m <= last whose table
+    takes span 1 (fewer than 2 * _BLOCKS degrees; table sizes grow with the
+    level), or 0 when none does.  It reads no table above ``last``."""
+    if problem.ring.relations:
+        return last
+    m = 0
+    while m < last and _table_span(len(problem.table(m + 1).lengths.run)) == 1:
+        m += 1
+    return m
+
+
+def _frobenius_steps(problem: ProblemSpec, values: list, points: list, levels) -> list:
+    """F_m at each of the points, from values = F_(m-1) there, for each m of
+    levels in turn, over a relation-free ring; a value that is not finite
+    raises OverflowError, naming w = -iy/p^m."""
+    weights, p = problem.ring.grading.weights, problem.prime
+    scale = p ** problem.dimension
+    for m in levels:
+        q = p ** m
+        stepped = []
+        for value, y in zip(values, points):
+            w = -1j * y / q
+            try:
+                value = value * (_frobenius_factor(weights, p, w) / scale)
+            except OverflowError:
+                raise _not_finite(w) from None
+            if not cmath.isfinite(value):
+                raise _not_finite(w)
+            stepped.append(value)
+        values = stepped
+    return values
+
+
+def _frobenius_factor(weights: Sequence[int], p: int, w: complex) -> complex:
+    """prod over the weights of sum(exp(a * weight * w) for a < p): p^d times
+    F_m / F_(m-1) at w = -iy/p^m, one exponential per term.  Its rounding is
+    a few ulps of sum(|terms|), and the product of the terms' moduli over
+    the levels is sum(|terms|) of the level sum, so the carried value keeps
+    an error that scales with sum(|terms|), as the kernel's does."""
+    factor = 1
+    for weight in weights:
+        factor *= sum(cmath.exp(a * weight * w) for a in range(p))
+    return factor
 
 
 def _phase_sums(table: GradedLengthTable, ws: Iterable[complex]) -> list:
@@ -413,7 +492,10 @@ def fp_limit(problem: ProblemSpec, y_grid: Sequence[complex], n_max: int) -> dic
     Returns, per point, the level-n_max value together with a tail estimate
     of the geometric Cauchy form fitted from the observed successive
     differences at that point (see LimitEstimate).  Requires n_max >= 2.
-    An empty grid returns {} and builds no level table.
+    The levels come from one pass of ``_fn_levels``, which over a
+    relation-free ring carries one Frobenius product per point, and each
+    value is fn_eval's at that point and level, bit for bit.  An empty grid
+    returns {} and builds no level table.
     """
     if n_max < 2:
         raise StructureError("n_max must be at least 2 to fit a tail bound")
@@ -421,7 +503,7 @@ def fp_limit(problem: ProblemSpec, y_grid: Sequence[complex], n_max: int) -> dic
     if not y_grid:
         return {}
     p = problem.prime
-    levels = [_fn_values(problem, m, y_grid) for m in range(n_max + 1)]
+    levels = list(_fn_levels(problem, y_grid, 0, n_max))
     out = {}
     for i, y in enumerate(y_grid):
         values = [level[i] for level in levels]
@@ -497,12 +579,13 @@ def betti_limit_check(
     and fn_eval(n, y) are equal by an exact rational-function identity, so
     the deviation measures floating-point error.  Each factor 1 - z^d comes
     from the cancellation-free interval step and B_n(z) from the direct
-    per-term sum, one exponential per term of B_n, while F_n comes from the
-    phase-sum kernel, one call for the whole grid; so the check compares the
-    kernel with an independent sum.  The deviation stays near the rounding
-    of F_n for |y| >= 1e-3.  Below that, cancellation inside B_n(z) itself
-    dominates: B_n has the order-d zero of prod(1 - z^d) at z = 1 and terms
-    of size ell_j.
+    per-term sum, one exponential per term of B_n, while F_n comes from
+    fn_eval's path for the whole grid: the phase-sum kernel over a ring with
+    relations, the Frobenius product over a relation-free ring; so the check
+    compares either with an independent sum.  The deviation stays near the
+    rounding of F_n for |y| >= 1e-3.  Below that, cancellation inside B_n(z)
+    itself dominates: B_n has the order-d zero of prod(1 - z^d) at z = 1 and
+    terms of size ell_j.
     """
     degrees = _checked_degrees(hsop_degrees)
     terms = betti_alternating_polynomial(problem, degrees, n_max).coeffs

@@ -1,14 +1,16 @@
 """Seeded random property suites shared by the CLI self test and the test
 suite: term-order laws, division correctness, the two oracle-agreement
 campaigns (staircase vs enumeration, Groebner vs Macaulay rank), the
-Hilbert-series/Betti identity and the Fourier bridge."""
+Hilbert-series/Betti identity, the Fourier bridge and the Frobenius
+product."""
 
 from __future__ import annotations
 
+import math
 import random
 
 from .algebra import Grading, Polynomial, PrimeField, _heap_key, normal_form
-from .fp import betti_alternating_polynomial, hk_multiplicity
+from .fp import _direct_sum, betti_alternating_polynomial, fn_eval, fp_limit, hk_multiplicity
 from .density import density_table, direct_fourier, quadrature_fourier
 from .ideals import (
     MonomialIdeal,
@@ -24,6 +26,8 @@ from .ideals import (
 from .suite import standard_problems
 
 DEFAULT_SEED = 74025
+# The evaluation points of the Fourier bridge and the Frobenius product checks.
+_POINTS = (0.5, 1.0, 2.0, 4.0, -1.0, 1.0 + 0.5j)
 
 
 class SelfCheckFailure(AssertionError):
@@ -210,7 +214,6 @@ def check_fourier_bridge(levels=3, tol=1e-10) -> int:
     by term, at levels 0..levels and at level 8: a table of fewer than 128
     (2 * fp._BLOCKS) degrees takes the direct sum at every point, and level 8
     is where every suite table reaches the kernel's blocks."""
-    grid = (0.5, 1.0, 2.0, 4.0, -1.0, 1.0 + 0.5j)
     checks = 0
     for name, (problem, _) in standard_problems().items():
         for n in (*range(levels + 1), 8):
@@ -219,13 +222,47 @@ def check_fourier_bridge(levels=3, tol=1e-10) -> int:
                 table.mass() == hk_multiplicity(problem, n),
                 f"density mass differs from the level-{n} multiplicity on {name!r}",
             )
-            for y in grid:
+            for y in _POINTS:
                 gap = abs(direct_fourier(table, y) - quadrature_fourier(table, y))
                 _require(
                     gap <= tol,
                     f"Fourier bridge gap {gap} on {name!r} at n={n}, y={y}",
                 )
                 checks += 1
+    return checks
+
+
+def check_frobenius_product(levels=8, tol=1e-14) -> int:
+    """On every relation-free suite problem, F_n at levels 0..levels is within
+    tol * sum(|terms|) of the level sum taken term by term (fp._direct_sum),
+    and fp_limit's value at the top level, levels >= 2, is fn_eval's, bit for
+    bit.  Above the highest level whose table takes span 1 (level 4 to 6 on
+    the suite), F_n is the Frobenius product of fp._fn_levels."""
+    checks = 0
+    for name, (problem, _) in standard_problems().items():
+        if problem.ring.relations:
+            continue
+        for n in range(levels + 1):
+            lengths = problem.table(n).lengths
+            q = problem.prime ** n
+            scale = q ** problem.dimension
+            for y in _POINTS:
+                w = -1j * y / q
+                gap = abs(fn_eval(problem, n, y) - _direct_sum(lengths, w) / scale)
+                size = math.fsum(v * math.exp(w.real * j) for j, v in lengths.items()) / scale
+                _require(
+                    gap <= tol * size,
+                    f"Frobenius product off by {gap / size} of sum|terms| on {name!r} "
+                    f"at n={n}, y={y}",
+                )
+                checks += 1
+        limits = fp_limit(problem, _POINTS, levels)
+        for y in _POINTS:
+            _require(
+                limits[y].value == fn_eval(problem, levels, y),
+                f"fp_limit differs from fn_eval on {name!r} at n={levels}, y={y}",
+            )
+            checks += 1
     return checks
 
 
@@ -244,4 +281,5 @@ def run_all(seed=DEFAULT_SEED, quick=False):
     )
     results.append(("hilbert-betti-identity", check_ab_identity(levels=2 if quick else 4)))
     results.append(("fourier-bridge", check_fourier_bridge(levels=2 if quick else 3)))
+    results.append(("frobenius-product", check_frobenius_product(levels=8 if quick else 10)))
     return results

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from fpfun.cli import main
-from fpfun.fp import fp_limit
+from fpfun.fp import fn_eval, fp_limit
 from fpfun.suite import plane_problem
 from fpfun.problems import MAX_GRID_POINTS, parse_y_grid
 
@@ -575,19 +575,29 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["eval", "--file", problem("plane.json")],
-            ["compare", "--method", "hsop", "--file", problem("plane.json")],
+            ["eval", "--file", problem("cusp.json")],
+            ["compare", "--method", "hsop", "--file", problem("cusp.json")],
             ["density", "--file", problem("plane.json")],
             ["density", "--file", problem("cusp.json")],
         ],
     )
     def test_non_finite_level_sum_exits_3(self, argv, capsys):
-        # exp(354.5 * j / q) times ell_j overflows at the top degrees of level 10
+        # exp(354.5 * j / q) times ell_j overflows: at the top degrees of level
+        # 10 in the density transform, and already at level 0 (exp(354.5 * 3))
+        # in the cusp's limit; plane's limit is a finite Frobenius product
         assert main([*argv, "--y-grid", "[[1,354.5]]"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: floating-point overflow (phase sum ")
         assert captured.err.endswith(" is not finite)\n")
+
+    def test_finite_limit_past_an_overflowing_level_sum(self, capsys):
+        # plane's level-10 sum at 1+354.5i overflows before the q^-2 scale;
+        # F_10 itself is finite, and the Frobenius product returns it
+        argv = ["eval", "--file", problem("plane.json"), "--y-grid", "[[1,354.5]]"]
+        assert main(argv) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert complex(float(row[3]), float(row[4])) == fn_eval(plane_problem(), 10, 1 + 354.5j)
 
     def test_large_imaginary_part_stays_finite(self, capsys):
         # level 0 spans one degree: exp(w * r) for r past the span would overflow
@@ -921,4 +931,4 @@ class TestSelftest:
     def test_quick_selftest_passes(self, capsys):
         assert main(["selftest", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert out.count("ok ") == 6
+        assert out.count("ok ") == 7

@@ -17,7 +17,7 @@ from fpfun.density import (
 from fpfun.errors import EvaluationDomainError, StructureError
 from fpfun.fp import ProblemSpec, betti_limit_check, fn_eval, hk_multiplicity
 from fpfun.ideals import GradedLengthTable
-from fpfun.selfcheck import SelfCheckFailure, check_fourier_bridge
+from fpfun.selfcheck import SelfCheckFailure, check_fourier_bridge, check_frobenius_product
 
 PLANE_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "problems", "plane.json")
 
@@ -181,7 +181,9 @@ class TestFourierBridge:
 class TestWrongKernelIsCaught:
     """Every block sum of the phase-sum kernel scaled by ``scale``: at 1 the
     bridge, the Betti check and the density report pass, at 1.01 each fails,
-    because each compares the kernel with the direct per-term sum."""
+    because each compares the kernel with the direct per-term sum.  The Betti
+    check reads the kernel only over a ring with relations (the cusp); a
+    relation-free ring's F_n is a Frobenius product."""
 
     @pytest.fixture(params=[1.0, 1.01])
     def scale(self, request, monkeypatch):
@@ -201,6 +203,8 @@ class TestWrongKernelIsCaught:
 
     def test_betti_limit_check(self, scale, suite_problems):
         for name, (problem, hsop) in suite_problems.items():
+            if not problem.ring.relations:
+                continue
             worst = betti_limit_check(problem, hsop, GRID, 8).max_deviation
             assert (worst > 1e-9) == (scale != 1), (name, worst)
 
@@ -208,6 +212,37 @@ class TestWrongKernelIsCaught:
         assert main(["density", "--file", PLANE_FILE, "--n", "8", "--format", "json"]) == 0
         gap = json.loads(capsys.readouterr().out)["max_bridge_gap"]
         assert (gap > 1e-10) == (scale != 1), gap
+
+    def test_gn_fourier_exact_against_quadrature(self, scale, parameter23):
+        # on a relation-free ring gn_fourier_exact scales the Frobenius
+        # product, so its gap from the quadrature is the kernel's error
+        table = density_table(parameter23, 14)
+        for y in (1.5, 2 + 0.5j, 4.0, -1.5):
+            gap = abs(gn_fourier_exact(parameter23, 14, y) - quadrature_fourier(table, y))
+            assert (gap > 1e-10) == (scale != 1), (y, gap)
+
+
+class TestWrongFrobeniusFactorIsCaught:
+    """Every Frobenius factor scaled by ``scale``: at 1 the Betti check and
+    the product self check pass, at 1.01 each fails, because each compares
+    a relation-free ring's F_n with an independent sum."""
+
+    @pytest.fixture(params=[1.0, 1.01])
+    def scale(self, request, monkeypatch):
+        factor = fp._frobenius_factor
+        monkeypatch.setattr(fp, "_frobenius_factor", lambda *args: request.param * factor(*args))
+        return request.param
+
+    def test_betti_limit_check(self, scale, parameter23):
+        worst = betti_limit_check(parameter23, (1, 1), GRID, 8).max_deviation
+        assert (worst > 1e-9) == (scale != 1), worst
+
+    def test_selfcheck_product(self, scale):
+        if scale == 1:
+            assert check_frobenius_product() > 0
+        else:
+            with pytest.raises(SelfCheckFailure, match="^Frobenius product off by"):
+                check_frobenius_product()
 
 
 class TestUniformConvergenceEcho:

@@ -25,7 +25,7 @@ from fpfun.fp import (
 )
 from fpfun.hilbert import LaurentPolynomialZ
 from fpfun.ideals import GradedLengthTable, HomogeneousIdeal, RingPresentation, series_expansion
-from fpfun.suite import parameter_problem
+from fpfun.suite import cusp_problem, parameter_problem
 
 GRID = (0.5, 1.0, 2.0, 4.0)
 
@@ -511,34 +511,36 @@ class TestPhaseMoments:
         monkeypatch.setattr(fp._Moments, "value", counting)
         for y in (1.0, 8.0, 8 + 1j):
             served.clear()
-            fn_eval(parameter23, 14, y)
+            _phase_sums(parameter23.table(14), [-1j * y / 2 ** 14])
             assert served == [80], (y, served)
 
     def test_one_build_per_level_for_every_caller(self, monkeypatch):
+        # the cusp has a relation, so every caller sums its tables through the
+        # kernel (a relation-free ring takes the Frobenius product instead)
         builds = counting_builds(monkeypatch)
         # a first one-point fn_eval builds the moments once, at the table span
         for n in (7, 8, 9):
-            problem = parameter_problem(2, 3)
+            problem = cusp_problem()
             table = problem.table(n)
             builds.clear()
             fn_eval(problem, n, 1.5 + 0.25j)
             assert [span for _, span in builds] == [fp._table_span(len(table.lengths.run))]
             assert list(table.phase_moments) == [span for _, span in builds]
         builds.clear()
-        problem = parameter_problem(2, 3)
+        problem = cusp_problem()
         grid = [0.5, 2 + 1j, 7.25 - 0.5j, 8 + 1j]
         fp_limit(problem, grid, 8)
         table = density_table(problem, 8)
         for y in grid:
             gn_fourier_exact(problem, 8, y)
             quadrature_fourier(table, y)
-        betti_limit_check(problem, (1, 1), grid, 8)
-        # level 8 has 1279 degrees, so its table span is 16; every grid point
+        betti_limit_check(problem, (2,), grid, 8)
+        # level 8 has 514 degrees, so its table span is 8; every grid point
         # takes it, and no span above it is built or cached
         table = problem.table(8)
-        assert fp._table_span(len(table.lengths.run)) == 16
-        assert [span for terms, span in builds if terms is table.lengths] == [16]
-        assert list(table.phase_moments) == [16]
+        assert fp._table_span(len(table.lengths.run)) == 8
+        assert [span for terms, span in builds if terms is table.lengths] == [8]
+        assert list(table.phase_moments) == [8]
         # and every level the limit reads builds its table span alone, or
         # nothing where the span is 1 and the direct sum takes every point
         for n in range(9):
@@ -547,19 +549,125 @@ class TestPhaseMoments:
             assert [s for terms, s in builds if terms is lengths] == ([span] if span > 1 else [])
 
     def test_values_do_not_depend_on_earlier_points(self):
-        # at q = 256 the table span is 16; the points take spans 16, 8, 1,
-        # 16, 16, 4, 16 and 16, and a fresh table serves each point alone
+        # at q = 256 the table span is 16; in the kernel the points take spans
+        # 16, 8, 1, 16, 16, 4, 16 and 16, and a fresh table serves each point
+        # alone; fn_eval takes the Frobenius product on this relation-free ring
         points = [0.5, 10 + 1j, 100.0, 1e-6, 3 - 2j, 30.0, 0.05, 2.0]
 
         def serve(order, problem):
             table = density_table(problem, 8)
-            return {y: (fn_eval(problem, 8, y), quadrature_fourier(table, y)) for y in order}
+            return {
+                y: (fn_eval(problem, 8, y), _phase_sums(table.table, [-1j * y / 256])[0],
+                    quadrature_fourier(table, y))
+                for y in order
+            }
 
         values = [serve(order, parameter_problem(2, 3)) for order in (points, points[::-1])]
         alone = {}
         for y in points:
             alone.update(serve([y], parameter_problem(2, 3)))
         assert values[0] == values[1] == alone
+
+
+def non_monomial_problem():
+    """F_3[X, Y] standard graded, I = (X + Y, XY): not a monomial ideal."""
+    field, grading = PrimeField(3), Grading((1, 1))
+    gens = tuple(parse_polynomial(s, ("X", "Y"), field, grading) for s in ("X + Y", "X*Y"))
+    ring = RingPresentation(field, grading, (), ("X", "Y"))
+    return ProblemSpec(ring, HomogeneousIdeal(gens))
+
+
+class TestFrobeniusProduct:
+    """Over a relation-free ring, F_n above the highest level whose table
+    takes span 1 is that level's direct sum times one Frobenius factor per
+    level, within 1e-14 * sum|terms| of the per-term reference."""
+
+    def check(self, problem, n, value, y, rounded_exponents=False):
+        lengths = problem.table(n).lengths
+        q = problem.prime ** n
+        scale = q ** problem.dimension
+        degrees, values = list(lengths), list(lengths.values())
+        w = -1j * complex(y) / q
+        want = reference_phase_sum(degrees, values, w) / scale
+        tolerance = phase_sum_tolerance(degrees, values, w)
+        if rounded_exponents:
+            # at p = 3, w = -iy/q is rounded, and a term's exponent w * j is
+            # off by |w j| ulps in the reference and in the product alike
+            tolerance += 4 * 2 ** -53 * math.fsum(
+                abs(c) * math.exp(w.real * j) * abs(w * j) for j, c in zip(degrees, values)
+            )
+        assert abs(value - want) <= tolerance / scale, (n, y)
+
+    @pytest.mark.parametrize(
+        "name, base",
+        [("parameter23", 4), ("weighted_plane", 4), ("plane", 6), ("three_generator", 5)],
+    )
+    def test_levels_up_to_fourteen(self, request, name, base):
+        problem = request.getfixturevalue(name)
+        assert fp._product_base(problem, 14) == base
+        for n in range(15):
+            for y in PHASE_POINTS:
+                self.check(problem, n, fn_eval(problem, n, y), y)
+
+    def test_non_monomial_ideal(self):
+        # its tables take span 1 up to level 3, so the product is carried
+        # from level 0 here by hand; measured, the worst error is 1.3 times
+        # the exponents' share of the tolerance, at y = 1 + 40i and level 3
+        problem = non_monomial_problem()
+        assert fp._product_base(problem, 3) == 3
+        points = [complex(y) for y in PHASE_POINTS]
+        values = fp._fn_values(problem, 0, points)
+        for n in range(1, 4):
+            values = fp._frobenius_steps(problem, values, points, [n])
+            for y, value in zip(points, values):
+                self.check(problem, n, value, y, rounded_exponents=True)
+                self.check(problem, n, fn_eval(problem, n, y), y, rounded_exponents=True)
+
+    def test_dim_override(self, plane, parameter23):
+        # each factor is scaled by p^-d with the overridden d
+        for problem, d in ((plane, 3), (plane, 0), (parameter23, 1)):
+            inflated = ProblemSpec(problem.ring, problem.ideal, dim_override=d)
+            for n in range(12):
+                for y in PHASE_POINTS:
+                    self.check(inflated, n, fn_eval(inflated, n, y), y)
+
+    def test_builds_no_moments(self, monkeypatch):
+        builds = counting_builds(monkeypatch)
+        problem = parameter_problem(2, 3)
+        grid = [0.5, 2 + 1j, 7.25 - 0.5j, 8 + 1j]
+        fn_eval(problem, 14, 1.5 + 0.25j)
+        fp_limit(problem, grid, 14)
+        betti_limit_check(problem, (1, 1), grid, 14)
+        for y in grid:
+            gn_fourier_exact(problem, 14, y)
+        assert builds == []
+        assert not any(problem.table(n).phase_moments for n in range(15))
+
+    def test_non_finite_product_raises(self, parameter23):
+        # at y = 1 + 145i the base, level 4, is finite and F_6 is not; the
+        # error names level 6's w = -iy/64
+        y = 1 + 145j
+        assert cmath.isfinite(fn_eval(parameter23, 4, y))
+        message = r"^phase sum with w=\(2\.265625-0\.015625j\) is not finite$"
+        with pytest.raises(OverflowError, match=message):
+            fn_eval(parameter23, 6, y)
+
+    def test_finite_past_an_overflowing_level_sum(self, plane):
+        # at y = 1 + 354.5i the level-10 sum reaches about e^710 before the
+        # q^-2 scale, so the kernel overflows, but F_10 is finite
+        y, q = 1 + 354.5j, 2 ** 10
+        table = plane.table(10)
+        w = -1j * y / q
+        with pytest.raises(OverflowError, match=r"^phase sum with w=.* is not finite$"):
+            _phase_sums(table, [w])
+        # the per-term sum rescaled by exp(-w J), J the top degree, stays finite
+        top = table.max_degree
+        degrees, values = [j - top for j in table.lengths], list(table.lengths.values())
+        anchor = cmath.exp(w * top) / q ** 2
+        want = reference_phase_sum(degrees, values, w) * anchor
+        got = fn_eval(plane, 10, y)
+        assert cmath.isfinite(got) and cmath.isfinite(want)
+        assert abs(got - want) <= phase_sum_tolerance(degrees, values, w) * abs(anchor), (got, want)
 
 
 class TestCmChiEval:
