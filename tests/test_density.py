@@ -245,6 +245,13 @@ class TestWrongFrobeniusFactorIsCaught:
                 check_frobenius_product()
 
 
+def test_selfcheck_product_below_the_tail_fit():
+    # levels 0 and 1 take the direct sum on every suite problem, and
+    # fp_limit needs three levels, so only the per-term comparison runs
+    assert check_frobenius_product(levels=0) == 4 * 6
+    assert check_frobenius_product(levels=1) == 4 * 6 * 2
+
+
 class TestUniformConvergenceEcho:
     def test_sup_differences_nonincreasing(self, suite_problems):
         # d >= 2 standard graded problems: max |g_{n+1} - g_n| on the fine
