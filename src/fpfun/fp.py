@@ -17,14 +17,14 @@ Sums of exp(-i*y*j/q) terms over a level table (F_n over a ring with
 relations, and the density transforms) go through the kernel
 ``_phase_sums``, which serves them from block moments cached on the table,
 each span built once by Horner's rule and none coarser than the table's own
-span.  Over a relation-free ring, F_n above the highest level whose table
-takes span 1 is that level's value times one Frobenius factor per level
-(Kunz's flatness; ``_fn_levels``), p exponentials per variable, point and
-level, and no moment is built.  ``_direct_sum`` takes everything else, one
-exponential per term per point added exactly by math.fsum: the kernel's
-span-1 points, the density bridge's reference and the Betti polynomial B_n
-of betti_limit_check and cm_chi_eval, which comes from the level's
-staircase numerator, not its table (3 or 4 terms on the built-in problems).
+span.  Over a relation-free ring, F_n above level 0 is level 0's sum times
+one Frobenius factor per level (Kunz's flatness; ``_fn_levels``), p
+exponentials per variable, point and level, and no moment is built.
+``_direct_sum`` takes everything else, one exponential per term per point
+added exactly by math.fsum: the kernel's span-1 points, the density
+bridge's reference and the Betti polynomial B_n of betti_limit_check and
+cm_chi_eval, which comes from the level's staircase numerator, not its
+table (3 or 4 terms on the built-in problems).
 A sum or product that is not finite raises OverflowError.
 Measured, cm_chi_eval is within 5.3e-15 relative of F_n(y) *
 prod(q (1 - z^d_i) / (d_i iy)) on the built-in problems at q = 256 and
@@ -169,12 +169,12 @@ def fn_eval(problem: ProblemSpec, n: int, y: complex) -> complex:
 
     The coefficients stay exact integers; complex arithmetic enters only in
     the final sum.  Over a ring with relations, ``_phase_sums`` takes it from
-    the level's exact block moments.  Over a relation-free ring, a level up
-    to the highest whose table takes span 1 is the direct per-term sum, and a
-    higher level is that value times one Frobenius factor per level above it
-    (``_fn_levels``); no block moment is built.  At y = 0 the value is the
-    exact rational q^(-d) * total length, converted at the boundary.  A sum
-    or product that is not finite raises OverflowError.
+    the level's exact block moments.  Over a relation-free ring, level 0 is
+    its table's sum and level n >= 1 is that value times one Frobenius factor
+    per level (``_fn_levels``), reading the tables of levels 0 and n alone; no
+    block moment is built.  At y = 0 the value is the exact rational q^(-d) *
+    total length, converted at the boundary.  A sum or product that is not
+    finite raises OverflowError.
     """
     return _fn_values(problem, n, [y])[0]
 
@@ -188,51 +188,38 @@ def _fn_values(problem: ProblemSpec, n: int, ys: Sequence[complex]) -> list:
 def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], first: int, last: int):
     """F_m at each point of ys, one list per level m from first to last.
 
-    Every level looks its table up first, so a refused level is refused as
-    before, and y = 0 takes the exact total.  Up to the base level
-    (``_product_base``) a level sums its table through ``_phase_sums``, whose
-    moments serve every later call.  Over a relation-free ring S,
-    Frobenius is flat (Kunz, Amer. J. Math. 91, 1969), so
-    H_{S/I^[pq]}(t) = H_{S/I^[q]}(t^p) * prod_i sum_{a<p} t^(a w_i) for the
-    weights w_i, and above the base F_m(y) = F_(m-1)(y) *
-    ``_frobenius_factor`` / p^d at level m, d the problem's dimension
-    (``dim_override`` too), carried from the base in that order.  A value at
-    level m depends only on the problem, m and the point, so each is
-    bit-identical to fn_eval at that point alone, whatever came before.
+    Every level looks its own table up first, so a level over the budget is
+    refused whichever path takes its values, and y = 0 takes the exact
+    total.  Over a ring with relations a level sums its table through
+    ``_phase_sums``, whose moments serve every later call.  Over a
+    relation-free ring S, Frobenius is flat (Kunz, Amer. J. Math. 91, 1969),
+    so H_{S/I^[pq]}(t) = H_{S/I^[q]}(t^p) * prod_i sum_{a<p} t^(a w_i) for
+    the weights w_i: level 0 sums its table, and F_m(y) = F_(m-1)(y) *
+    ``_frobenius_factor`` / p^d at level m >= 1, d the problem's dimension
+    (``dim_override`` too), carried up from level 0 in that order, reading
+    table 0 and no other level below first.  A value at level m depends only
+    on the problem, m and the point, so each is bit-identical to fn_eval at
+    that point alone, whatever came before.
     """
     points = [complex(y) for y in ys if y != 0]
-    base = values = None
+    values = None
     for m in range(first, last + 1):
         table = problem.table(m)
-        if base is None:
-            base = _product_base(problem, last) if points else last
-            if base < first:  # the first level asked for is above the base
-                values = _fn_values(problem, base, points)
-                values = _frobenius_steps(problem, values, points, range(base + 1, first))
         q = problem.prime ** m
         scale = q ** problem.dimension
-        if m <= base:
-            ws = [-1j * y / q for y in points]
-            values = [s / scale for s in (_phase_sums(table, ws) if ws else ())]
+        if not points:
+            values = []
+        elif m == 0 or problem.ring.relations:
+            values = [s / scale for s in _phase_sums(table, [-1j * y / q for y in points])]
+        elif values is None:  # the first level asked for is above 0
+            values = _fn_values(problem, 0, points)
+            values = _frobenius_steps(problem, values, points, range(1, m + 1))
         else:
             values = _frobenius_steps(problem, values, points, (m,))
         at = iter(values)
         yield [
             next(at) if y != 0 else complex(float(Fraction(table.total(), scale))) for y in ys
         ]
-
-
-def _product_base(problem: ProblemSpec, last: int) -> int:
-    """The level up to which ``_fn_levels`` sums the tables: ``last`` over a
-    ring with relations; otherwise the highest level m <= last whose table
-    takes span 1 (fewer than 2 * _BLOCKS degrees; table sizes grow with the
-    level), or 0 when none does.  It reads no table above ``last``."""
-    if problem.ring.relations:
-        return last
-    m = 0
-    while m < last and _table_span(len(problem.table(m + 1).lengths.run)) == 1:
-        m += 1
-    return m
 
 
 def _frobenius_steps(problem: ProblemSpec, values: list, points: list, levels) -> list:
@@ -493,9 +480,9 @@ def fp_limit(problem: ProblemSpec, y_grid: Sequence[complex], n_max: int) -> dic
     of the geometric Cauchy form fitted from the observed successive
     differences at that point (see LimitEstimate).  Requires n_max >= 2.
     The levels come from one pass of ``_fn_levels``, which over a
-    relation-free ring carries one Frobenius product per point, and each
-    value is fn_eval's at that point and level, bit for bit.  An empty grid
-    returns {} and builds no level table.
+    relation-free ring carries one Frobenius product per point from level 0,
+    and each value is fn_eval's at that point and level, bit for bit.  An
+    empty grid returns {} and builds no level table.
     """
     if n_max < 2:
         raise StructureError("n_max must be at least 2 to fit a tail bound")
@@ -581,11 +568,11 @@ def betti_limit_check(
     from the cancellation-free interval step and B_n(z) from the direct
     per-term sum, one exponential per term of B_n, while F_n comes from
     fn_eval's path for the whole grid: the phase-sum kernel over a ring with
-    relations, the Frobenius product over a relation-free ring; so the check
-    compares either with an independent sum.  The deviation stays near the
-    rounding of F_n for |y| >= 1e-3.  Below that, cancellation inside B_n(z)
-    itself dominates: B_n has the order-d zero of prod(1 - z^d) at z = 1 and
-    terms of size ell_j.
+    relations, and over a relation-free ring the Frobenius product carried
+    from level 0's sum; so the check compares either with an independent
+    sum.  The deviation stays near the rounding of F_n for |y| >= 1e-3.
+    Below that, cancellation inside B_n(z) itself dominates: B_n has the
+    order-d zero of prod(1 - z^d) at z = 1 and terms of size ell_j.
     """
     degrees = _checked_degrees(hsop_degrees)
     terms = betti_alternating_polynomial(problem, degrees, n_max).coeffs

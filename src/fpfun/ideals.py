@@ -37,8 +37,8 @@ from .algebra import (
 )
 from .errors import ColengthError, StructureError
 
-# Inclusion-exclusion walks 2^r generator subsets; beyond this cap the
-# staircase is enumerated directly instead.
+# Inclusion-exclusion on the lcm lattice counts staircases of up to this many
+# generators; beyond this cap the staircase is enumerated directly instead.
 _SUBSET_CAP = 12
 
 # The most entries (degrees 0..max) of the dense count table graded_lengths
@@ -387,23 +387,20 @@ def staircase_numerator(M: MonomialIdeal, grading: Grading) -> dict:
     """Signed degree counts sum over generator subsets of (-1)^|S| t^deg(lcm S).
 
     This is the inclusion-exclusion numerator of the standard-monomial
-    generating function.
+    generating function, taken on the lcm lattice: the subsets that share
+    an lcm share one coefficient, and a coefficient that cancels to 0 is
+    dropped, so the work follows the distinct lcms, not the 2^r subsets.
     """
-    gens = sorted(M.generators, key=lambda g: weighted_degree(g, grading))
-    if len(gens) > 22:
-        raise StructureError(
-            f"{len(gens)} minimal generators is too many for an exact subset walk"
-        )
+    lattice = {(0,) * grading.var_count: 1}
+    for g in M.generators:
+        for m, c in list(lattice.items()):
+            key = monomial_lcm(m, g)
+            lattice[key] = lattice.get(key, 0) - c
+        lattice = {m: c for m, c in lattice.items() if c}
     acc: dict = {}
-    zero = (0,) * grading.var_count
-
-    def visit(start, lcm, sign):
-        d = weighted_degree(lcm, grading)
-        acc[d] = acc.get(d, 0) + sign
-        for k in range(start, len(gens)):
-            visit(k + 1, monomial_lcm(lcm, gens[k]), -sign)
-
-    visit(0, zero, 1)
+    for m, c in lattice.items():
+        d = weighted_degree(m, grading)
+        acc[d] = acc.get(d, 0) + c
     return {d: c for d, c in acc.items() if c}
 
 
@@ -413,7 +410,7 @@ def staircase_degree_counts(M: MonomialIdeal, grading: Grading, max_degree: int)
     ``numerator`` maps degrees to the coefficients of the staircase's Hilbert
     numerator N over prod(1 - t^w), and ``counts`` lists the number of
     standard monomials of each weighted degree 0..max_degree.  Up to
-    _SUBSET_CAP generators N is the subset walk's and the counts are its
+    _SUBSET_CAP generators N is staircase_numerator's and the counts are its
     series expansion; above the cap the bounding box is walked and N is the
     counts times one (1 - t^w) per weight.
     """

@@ -209,9 +209,9 @@ def check_ab_identity(levels=4, deep=8) -> int:
     return checks
 
 
-def check_fourier_bridge(levels=3, tol=1e-10) -> int:
-    """The kernel's interval quadrature agrees with the transform summed term
-    by term, at levels 0..levels and at level 8: a table of fewer than 128
+def check_fourier_bridge(levels=3) -> int:
+    """The kernel's interval quadrature is within 1e-10 of the transform summed
+    term by term, at levels 0..levels and at level 8: a table of fewer than 128
     (2 * fp._BLOCKS) degrees takes the direct sum at every point, and level 8
     is where every suite table reaches the kernel's blocks."""
     checks = 0
@@ -225,7 +225,7 @@ def check_fourier_bridge(levels=3, tol=1e-10) -> int:
             for y in _POINTS:
                 gap = abs(direct_fourier(table, y) - quadrature_fourier(table, y))
                 _require(
-                    gap <= tol,
+                    gap <= 1e-10,
                     f"Fourier bridge gap {gap} on {name!r} at n={n}, y={y}",
                 )
                 checks += 1
@@ -236,9 +236,9 @@ def check_frobenius_product(levels=8) -> int:
     """On every relation-free suite problem, F_n at levels 0..levels is within
     1e-14 * sum(|terms|) of the level sum taken term by term (fp._direct_sum),
     and, when levels >= 2 (fp_limit fits its tail from three levels),
-    fp_limit's value at the top level is fn_eval's, bit for bit.  Above the
-    highest level whose table takes span 1 (level 4 to 6 on the suite), F_n
-    is the Frobenius product of fp._fn_levels."""
+    fp_limit's value at the top level is fn_eval's, bit for bit.  Above
+    level 0, F_n is the Frobenius product of fp._fn_levels, carried from
+    level 0's sum."""
     checks = 0
     for name, (problem, _) in standard_problems().items():
         if problem.ring.relations:

@@ -1,4 +1,6 @@
+import cmath
 import json
+import math
 import os
 import subprocess
 import sys
@@ -96,20 +98,20 @@ class TestEval:
 
 class TestGridRows:
     GRID = ["--y-grid", "[[0.5, 0], [1, 0]]"]
-    # bytes written before the json points carried diagnostics; levels <= 3
-    # take the direct sum (one exponential per term, added exactly by fsum),
-    # which is within 5e-17 of the exact values here
+    # bytes written before the json points carried diagnostics; level 0 is
+    # the direct sum and levels 1 to 3 the Frobenius product carried from
+    # it, within 2.1e-16 of the exact values here
     EVAL_CSV = (
         "y_re,y_im,n,F_re,F_im,err_bound\n"
-        "0.5,0,3,0.88738794989234293,-0.41505798838929131,0.061972941895933428\n"
-        "1,0,3,0.59009751134761534,-0.70659552344499565,0.12082925824129405\n"
+        "0.5,0,3,0.88738794989234282,-0.41505798838929137,0.061972941895933428\n"
+        "1,0,3,0.59009751134761512,-0.70659552344499554,0.12082925824129405\n"
     )
     COMPARE_ROWS = (
         "y_re,y_im,F_re,F_im,model_re,model_im,deviation,bound,ok\n"
-        "0.5,0,0.88738794989234293,-0.41505798838929131,0.85945127165042301,"
-        "-0.46952036960203802,0.061209549569941353,0.061972941895933428,1\n"
-        "1,0,0.59009751134761534,-0.70659552344499565,0.49675144828342194,"
-        "-0.7736445427901113,0.11493066816444628,0.12082925824129405,1\n"
+        "0.5,0,0.88738794989234282,-0.41505798838929137,0.85945127165042301,"
+        "-0.46952036960203802,0.061209549569941256,0.061972941895933428,1\n"
+        "1,0,0.59009751134761512,-0.70659552344499554,0.49675144828342194,"
+        "-0.7736445427901113,0.11493066816444616,0.12082925824129405,1\n"
     )
 
     @pytest.mark.parametrize(
@@ -118,7 +120,7 @@ class TestGridRows:
             (["eval"], "csv", EVAL_CSV),
             (["compare", "--method", "hsop"], "csv", COMPARE_ROWS),
             (["compare", "--method", "hsop"], "text",
-             COMPARE_ROWS + "max_deviation=0.11493066816444628 result=PASS\n"),
+             COMPARE_ROWS + "max_deviation=0.11493066816444616 result=PASS\n"),
         ],
     )
     def test_csv_and_text_bytes(self, command, fmt, expected, capsys):
@@ -549,12 +551,24 @@ class TestExitCodes:
         ],
     )
     def test_math_domain_grid_point_exits_3(self, argv, capsys):
-        # y * j / q overflows to inf inside cmath.exp, which raises ValueError
-        code = main([*argv, "--file", problem("plane.json"), "--y-grid", "[[1e308,0]]"])
+        # y * j / q overflows to inf inside cmath.exp, which raises ValueError;
+        # the cusp's level-0 table already has degrees past 1
+        code = main([*argv, "--file", problem("cusp.json"), "--y-grid", "[[1e308,0]]"])
         assert code == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: floating-point domain error (math domain error)\n"
+
+    def test_huge_real_point_is_finite_on_plane(self, capsys):
+        # plane's level-0 table is {0: 1}, and at p = 2 each Frobenius factor
+        # (1 + exp(-iy/2^m))^2 / 4 takes its phase y/2^m exactly
+        argv = ["eval", "--file", problem("plane.json"), "--y-grid", "[[1e308,0]]"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        row = captured.out.splitlines()[1].split(",")
+        want = math.prod((1 + cmath.exp(-1e308j / 2 ** m)) ** 2 / 4 for m in range(1, 11))
+        assert abs(complex(float(row[3]), float(row[4])) - want) <= 1e-15
 
     @pytest.mark.parametrize("command", ["eval", "closed", "compare", "density"])
     @pytest.mark.parametrize(

@@ -578,9 +578,9 @@ def non_monomial_problem():
 
 
 class TestFrobeniusProduct:
-    """Over a relation-free ring, F_n above the highest level whose table
-    takes span 1 is that level's direct sum times one Frobenius factor per
-    level, within 1e-14 * sum|terms| of the per-term reference."""
+    """Over a relation-free ring, F_n above level 0 is level 0's sum times one
+    Frobenius factor per level, within 1e-14 * sum|terms| of the per-term
+    reference."""
 
     def check(self, problem, n, value, y, rounded_exponents=False):
         lengths = problem.table(n).lengths
@@ -598,30 +598,35 @@ class TestFrobeniusProduct:
             )
         assert abs(value - want) <= tolerance / scale, (n, y)
 
-    @pytest.mark.parametrize(
-        "name, base",
-        [("parameter23", 4), ("weighted_plane", 4), ("plane", 6), ("three_generator", 5)],
-    )
-    def test_levels_up_to_fourteen(self, request, name, base):
+    @pytest.mark.parametrize("name", ["parameter23", "weighted_plane", "plane", "three_generator"])
+    def test_levels_up_to_fourteen(self, request, name):
         problem = request.getfixturevalue(name)
-        assert fp._product_base(problem, 14) == base
         for n in range(15):
             for y in PHASE_POINTS:
                 self.check(problem, n, fn_eval(problem, n, y), y)
 
     def test_non_monomial_ideal(self):
-        # its tables take span 1 up to level 3, so the product is carried
-        # from level 0 here by hand; measured, the worst error is 1.3 times
-        # the exponents' share of the tolerance, at y = 1 + 40i and level 3
+        # measured, the worst error is 1.3 times the exponents' share of the
+        # tolerance, at y = 1 + 40i and level 3
         problem = non_monomial_problem()
-        assert fp._product_base(problem, 3) == 3
-        points = [complex(y) for y in PHASE_POINTS]
-        values = fp._fn_values(problem, 0, points)
-        for n in range(1, 4):
-            values = fp._frobenius_steps(problem, values, points, [n])
-            for y, value in zip(points, values):
-                self.check(problem, n, value, y, rounded_exponents=True)
+        for n in range(4):
+            for y in PHASE_POINTS:
                 self.check(problem, n, fn_eval(problem, n, y), y, rounded_exponents=True)
+
+    def test_reads_levels_zero_and_n_alone(self, monkeypatch):
+        # a cold fn_eval builds the level's own table first, for its budget
+        # check and its value at y = 0, then level 0's, which the product
+        # starts from
+        built = []
+        graded_lengths = fp.graded_lengths
+
+        def recording(ring, ideal, n):
+            built.append(n)
+            return graded_lengths(ring, ideal, n)
+
+        monkeypatch.setattr(fp, "graded_lengths", recording)
+        fn_eval(parameter_problem(2, 3), 14, 1.5 + 0.25j)
+        assert built == [14, 0]
 
     def test_dim_override(self, plane, parameter23):
         # each factor is scaled by p^-d with the overridden d
@@ -644,8 +649,8 @@ class TestFrobeniusProduct:
         assert not any(problem.table(n).phase_moments for n in range(15))
 
     def test_non_finite_product_raises(self, parameter23):
-        # at y = 1 + 145i the base, level 4, is finite and F_6 is not; the
-        # error names level 6's w = -iy/64
+        # at y = 1 + 145i F_4 is finite and F_6 is not; the error names
+        # level 6's w = -iy/64
         y = 1 + 145j
         assert cmath.isfinite(fn_eval(parameter23, 4, y))
         message = r"^phase sum with w=\(2\.265625-0\.015625j\) is not finite$"

@@ -164,6 +164,21 @@ class TestSeriesOfRing:
             expected = [1 if j % delta == 0 else 0 for j in range(3 * delta + 1)]
             assert coeffs == expected
 
+    def test_many_leading_terms(self):
+        # F_2[x,y,z,w]/(x,y,z)^6: the relations have 28 leading terms, w
+        # stays free, and 56 monomials in x, y, z have degree below 6
+        from fpfun.algebra import Grading, Polynomial, PrimeField
+        from fpfun.ideals import RingPresentation
+
+        field, grading = PrimeField(2), Grading((1, 1, 1, 1))
+        relations = tuple(
+            Polynomial(field, grading, {(a, b, 6 - a - b, 0): 1})
+            for a in range(7) for b in range(7 - a)
+        )
+        ring = RingPresentation(field, grading, relations, ("x", "y", "z", "w"))
+        assert len(relations) == 28
+        assert hilbert_samuel(series_of_ring(ring)) == (1, Fraction(56))
+
 
 class TestSeriesOfTable:
     def test_transcription(self):

@@ -423,7 +423,7 @@ class TestLevelNumerator:
                 assert table.lengths.run[0] == 1, (path.name, n)  # the run starts at degree 0
 
     def test_random_monomial_ideals_on_both_sides_of_the_subset_cap(self):
-        # even draws have at most _SUBSET_CAP generators (subset walk), odd
+        # even draws have at most _SUBSET_CAP generators (lcm lattice), odd
         # draws more (box walk, whose numerator comes from the counts); the
         # mixed monomials of total degree 4 are an antichain, and pure powers
         # of degree 5..7 keep every one of them minimal
@@ -552,25 +552,47 @@ class TestOracleAgreement:
             assert all(b is not None for b in bounds)
 
 
+def above_cap_ideals():
+    """(grading, ideal, pure powers) with more minimal generators than the
+    subset cap.  The mixed monomials of total degree 4 are an antichain, and
+    pure powers of degree 5..7 keep every one of them minimal."""
+    rng = random.Random(8)
+    mixed = [e for e in itertools.product(range(4), repeat=3) if sum(e) == 4]
+    for weights in ((1, 1, 1), (1, 2, 3), (3, 1, 2)):
+        for _ in range(4):
+            powers = [tuple(rng.randint(5, 7) * (i == k) for i in range(3)) for k in range(3)]
+            exps = rng.sample(mixed, rng.randint(_SUBSET_CAP - 2, len(mixed))) + powers
+            m = MonomialIdeal.from_exponents(exps)
+            assert len(m.generators) == len(exps) > _SUBSET_CAP
+            yield Grading(weights), m, powers
+
+
 class TestStaircaseFallback:
     def test_many_generators_use_enumeration(self):
         # more minimal generators than the subset cap, so the box walk takes
-        # over; checked against a brute-force count over the same box.
-        # The mixed monomials of total degree 4 are an antichain, and pure
-        # powers of degree 5..7 keep every one of them minimal.
-        rng = random.Random(8)
-        mixed = [e for e in itertools.product(range(4), repeat=3) if sum(e) == 4]
-        for weights in ((1, 1, 1), (1, 2, 3), (3, 1, 2)):
-            grading = Grading(weights)
-            for _ in range(4):
-                powers = [tuple(rng.randint(5, 7) * (i == k) for i in range(3)) for k in range(3)]
-                exps = rng.sample(mixed, rng.randint(_SUBSET_CAP - 2, len(mixed))) + powers
-                m = MonomialIdeal.from_exponents(exps)
-                assert len(m.generators) == len(exps) > _SUBSET_CAP
-                bounds = [max(g[i] for g in powers) for i in range(3)]
-                top = sum((b - 1) * w for b, w in zip(bounds, weights))
-                brute = [0] * (top + 1)
-                for e in itertools.product(*(range(b) for b in bounds)):
-                    if not any(all(a <= b for a, b in zip(g, e)) for g in exps):
-                        brute[sum(a * w for a, w in zip(e, weights))] += 1
-                assert staircase_degree_counts(m, grading, top)[1] == brute, (weights, exps)
+        # over; checked against a brute-force count over the same box
+        for grading, m, powers in above_cap_ideals():
+            weights, exps = grading.weights, m.generators
+            bounds = [max(g[i] for g in powers) for i in range(3)]
+            top = sum((b - 1) * w for b, w in zip(bounds, weights))
+            brute = [0] * (top + 1)
+            for e in itertools.product(*(range(b) for b in bounds)):
+                if not any(all(a <= b for a, b in zip(g, e)) for g in exps):
+                    brute[sum(a * w for a, w in zip(e, weights))] += 1
+            assert staircase_degree_counts(m, grading, top)[1] == brute, (weights, exps)
+
+    def test_lattice_numerator_equals_the_box_walk(self):
+        # above the cap the table's numerator comes from the box walk's
+        # counts; the lcm lattice takes it from the generators alone, here
+        # on the ideals above and on the 37 generators of a Fermat cubic level
+        field, grading = PrimeField(5), Grading((1, 1, 1))
+        names = ("x", "y", "z")
+        cubic = parse_polynomial("x^3 + y^3 + z^3", names, field, grading)
+        variables = HomogeneousIdeal(tuple(parse_polynomial(v, names, field, grading) for v in names))
+        fermat = initial_ideal(buchberger([cubic, *bracket_power(variables, 3).generators]))
+        assert len(fermat.generators) == 37
+        cases = [(g, m) for g, m, _ in above_cap_ideals()] + [(grading, fermat)]
+        for grading, m in cases:
+            top = sum((b - 1) * w for b, w in zip(m.pure_power_bounds(3), grading.weights))
+            box = staircase_degree_counts(m, grading, top)[0]
+            assert ideals.staircase_numerator(m, grading) == box, m.generators
