@@ -407,7 +407,6 @@ def parse_polynomial(text: str, names, field: PrimeField, grading: Grading) -> P
         # one term: factors separated by '*'
         coeff = sign
         exps = [0] * grading.var_count
-        saw_factor = False
         while True:
             if pos >= n:
                 fail("expected a coefficient or variable", len(text))
@@ -429,13 +428,10 @@ def parse_polynomial(text: str, names, field: PrimeField, grading: Grading) -> P
                 exps[index[val]] += k
             else:
                 fail(f"unexpected {val!r}", at)
-            saw_factor = True
             if pos < n and tokens[pos][0] == "op" and tokens[pos][1] == "*":
                 pos += 1
                 continue
             break
-        if not saw_factor:
-            fail("empty term", pos)
         key = tuple(exps)
         terms[key] = (terms.get(key, 0) + coeff) % p
 

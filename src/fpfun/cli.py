@@ -380,7 +380,7 @@ def cmd_density(args) -> Output:
 
 def cmd_selftest(args) -> Output:
     try:
-        results = run_all(quick=args.quick)
+        results = run_all()
     except SelfCheckFailure as exc:
         return Output(report=[("FAIL {}", exc)], code=EXIT_INVARIANT)
     return Output(report=[("ok {} ({} checks)", name, count) for name, count in results])
@@ -446,7 +446,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_den.set_defaults(func=cmd_density)
 
     p_self = sub.add_parser("selftest", help="run the property and oracle suites")
-    p_self.add_argument("--quick", action="store_true", help="smaller random campaigns")
     p_self.set_defaults(func=cmd_selftest)
 
     return parser

@@ -11,11 +11,11 @@ gn_fourier_exact scales fn_eval; both take the interval factor
 exp(-iy/q) - 1 from one cancellation-free step that keeps tiny |y|
 accurate.  Over a ring with relations fn_eval reads the same kernel sum, so
 the two differ only in where a scale factor is applied; over a
-relation-free ring fn_eval is a Frobenius product (fp._fn_levels), so their
-gap measures the kernel against it.  The bridge checks the kernel on every
-ring: direct_fourier is the same transform with that sum taken term by term
-(fp._direct_sum, one exponential per entry), and the bridge gap is its
-distance from quadrature_fourier.
+relation-free ring fn_eval is the Frobenius product that fp._fn_levels
+carries up from level 0, so their gap measures the kernel against it.  The
+bridge checks the kernel on every ring: direct_fourier is the same
+transform with that sum taken term by term (fp._direct_sum, one exponential
+per entry), and the bridge gap is its distance from quadrature_fourier.
 """
 
 from __future__ import annotations

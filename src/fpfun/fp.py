@@ -18,8 +18,9 @@ relations, and the density transforms) go through the kernel
 ``_phase_sums``, which serves them from block moments cached on the table,
 each span built once by Horner's rule and none coarser than the table's own
 span.  Over a relation-free ring, F_n above level 0 is level 0's sum times
-one Frobenius factor per level (Kunz's flatness; ``_fn_levels``), p
-exponentials per variable, point and level, and no moment is built.
+one Frobenius factor per level (Kunz's flatness), carried up from level 0
+by the one loop over the levels of ``_fn_levels``: p exponentials per
+variable, point and level, and no moment is built.
 ``_direct_sum`` takes everything else, one exponential per term per point
 added exactly by math.fsum: the kernel's span-1 points, the density
 bridge's reference and the Betti polynomial B_n of betti_limit_check and
@@ -171,77 +172,62 @@ def fn_eval(problem: ProblemSpec, n: int, y: complex) -> complex:
     the final sum.  Over a ring with relations, ``_phase_sums`` takes it from
     the level's exact block moments.  Over a relation-free ring, level 0 is
     its table's sum and level n >= 1 is that value times one Frobenius factor
-    per level (``_fn_levels``), reading the tables of levels 0 and n alone; no
-    block moment is built.  At y = 0 the value is the exact rational q^(-d) *
-    total length, converted at the boundary.  A sum or product that is not
-    finite raises OverflowError.
+    per level, carried up by the loop of ``_fn_levels``, which reads the
+    tables of levels n and 0 alone; no block moment is built.  At y = 0 the
+    value is the exact rational q^(-d) * total length, converted at the
+    boundary.  A sum or product that is not finite raises OverflowError.
     """
-    return _fn_values(problem, n, [y])[0]
+    return next(_fn_levels(problem, [y], range(n, n + 1)))[0]
 
 
-def _fn_values(problem: ProblemSpec, n: int, ys: Sequence[complex]) -> list:
-    """F_n at each point of ys (``_fn_levels`` at level n alone)."""
-    (values,) = _fn_levels(problem, ys, n, n)
-    return values
+def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], levels: range):
+    """F_m at each point of ys, one list per level m of ``levels``, in order.
 
-
-def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], first: int, last: int):
-    """F_m at each point of ys, one list per level m from first to last.
-
-    Every level looks its own table up first, so a level over the budget is
-    refused whichever path takes its values, and y = 0 takes the exact
-    total.  Over a ring with relations a level sums its table through
-    ``_phase_sums``, whose moments serve every later call.  Over a
-    relation-free ring S, Frobenius is flat (Kunz, Amer. J. Math. 91, 1969),
-    so H_{S/I^[pq]}(t) = H_{S/I^[q]}(t^p) * prod_i sum_{a<p} t^(a w_i) for
-    the weights w_i: level 0 sums its table, and F_m(y) = F_(m-1)(y) *
-    ``_frobenius_factor`` / p^d at level m >= 1, d the problem's dimension
-    (``dim_override`` too), carried up from level 0 in that order, reading
-    table 0 and no other level below first.  A value at level m depends only
-    on the problem, m and the point, so each is bit-identical to fn_eval at
-    that point alone, whatever came before.
+    The tables of the levels asked for are looked up first, in ascending
+    order, so a level over the budget is refused before any sum; a point
+    y = 0 takes its level's exact total, read only there.  Over a ring with
+    relations each level sums its table through ``_phase_sums``, whose
+    moments serve every later call.  Over a relation-free ring S, Frobenius
+    is flat (Kunz, Amer. J. Math. 91, 1969), so H_{S/I^[pq]}(t) =
+    H_{S/I^[q]}(t^p) * prod_i sum_{a<p} t^(a w_i) for the weights w_i: the
+    loop starts at level 0, sums table 0, and takes F_m(y) = F_(m-1)(y) *
+    ``_frobenius_factor`` / p^d at each later level m, d the problem's
+    dimension (``dim_override`` too), reading no table below the levels
+    asked for but table 0.  A value at level m depends only on the problem,
+    m and the point, so each is bit-identical to fn_eval at that point
+    alone, whatever came before.  A value that is not finite raises
+    OverflowError, naming w = -iy/p^m.
     """
+    tables = {m: problem.table(m) for m in levels}
     points = [complex(y) for y in ys if y != 0]
-    values = None
-    for m in range(first, last + 1):
-        table = problem.table(m)
-        q = problem.prime ** m
-        scale = q ** problem.dimension
-        if not points:
-            values = []
-        elif m == 0 or problem.ring.relations:
-            values = [s / scale for s in _phase_sums(table, [-1j * y / q for y in points])]
-        elif values is None:  # the first level asked for is above 0
-            values = _fn_values(problem, 0, points)
-            values = _frobenius_steps(problem, values, points, range(1, m + 1))
-        else:
-            values = _frobenius_steps(problem, values, points, (m,))
-        at = iter(values)
-        yield [
-            next(at) if y != 0 else complex(float(Fraction(table.total(), scale))) for y in ys
-        ]
-
-
-def _frobenius_steps(problem: ProblemSpec, values: list, points: list, levels) -> list:
-    """F_m at each of the points, from values = F_(m-1) there, for each m of
-    levels in turn, over a relation-free ring; a value that is not finite
-    raises OverflowError, naming w = -iy/p^m."""
-    weights, p = problem.ring.grading.weights, problem.prime
-    scale = p ** problem.dimension
-    for m in levels:
+    p, d = problem.prime, problem.dimension
+    weights, relations = problem.ring.grading.weights, problem.ring.relations
+    values = []
+    start = 0 if points and not relations else levels.start
+    for m in range(start, levels.stop):
         q = p ** m
-        stepped = []
-        for value, y in zip(values, points):
-            w = -1j * y / q
-            try:
-                value = value * (_frobenius_factor(weights, p, w) / scale)
-            except OverflowError:
-                raise _not_finite(w) from None
-            if not cmath.isfinite(value):
-                raise _not_finite(w)
-            stepped.append(value)
-        values = stepped
-    return values
+        scale = q ** d
+        if points and (m == 0 or relations):  # with no point, values stays []
+            table = tables[m] if m in tables else problem.table(m)
+            values = [s / scale for s in _phase_sums(table, [-1j * y / q for y in points])]
+        else:
+            stepped = []
+            for value, y in zip(values, points):
+                w = -1j * y / q
+                try:
+                    value = value * (_frobenius_factor(weights, p, w) / p ** d)
+                except OverflowError:
+                    raise _not_finite(w) from None
+                if not cmath.isfinite(value):
+                    raise _not_finite(w)
+                stepped.append(value)
+            values = stepped
+        if m in tables:
+            at = iter(values)
+            yield [
+                next(at) if y != 0 else complex(float(Fraction(tables[m].total(), scale)))
+                for y in ys
+            ]
 
 
 def _frobenius_factor(weights: Sequence[int], p: int, w: complex) -> complex:
@@ -479,7 +465,7 @@ def fp_limit(problem: ProblemSpec, y_grid: Sequence[complex], n_max: int) -> dic
     Returns, per point, the level-n_max value together with a tail estimate
     of the geometric Cauchy form fitted from the observed successive
     differences at that point (see LimitEstimate).  Requires n_max >= 2.
-    The levels come from one pass of ``_fn_levels``, which over a
+    The levels 0..n_max come from one loop of ``_fn_levels``, which over a
     relation-free ring carries one Frobenius product per point from level 0,
     and each value is fn_eval's at that point and level, bit for bit.  An
     empty grid returns {} and builds no level table.
@@ -490,7 +476,7 @@ def fp_limit(problem: ProblemSpec, y_grid: Sequence[complex], n_max: int) -> dic
     if not y_grid:
         return {}
     p = problem.prime
-    levels = list(_fn_levels(problem, y_grid, 0, n_max))
+    levels = list(_fn_levels(problem, y_grid, range(n_max + 1)))
     out = {}
     for i, y in enumerate(y_grid):
         values = [level[i] for level in levels]
@@ -567,12 +553,13 @@ def betti_limit_check(
     the deviation measures floating-point error.  Each factor 1 - z^d comes
     from the cancellation-free interval step and B_n(z) from the direct
     per-term sum, one exponential per term of B_n, while F_n comes from
-    fn_eval's path for the whole grid: the phase-sum kernel over a ring with
-    relations, and over a relation-free ring the Frobenius product carried
-    from level 0's sum; so the check compares either with an independent
-    sum.  The deviation stays near the rounding of F_n for |y| >= 1e-3.
-    Below that, cancellation inside B_n(z) itself dominates: B_n has the
-    order-d zero of prod(1 - z^d) at z = 1 and terms of size ell_j.
+    ``_fn_levels`` at level n for the whole grid, fn_eval's path: the
+    phase-sum kernel over a ring with relations, and over a relation-free
+    ring the Frobenius product carried from level 0's sum; so the check
+    compares either with an independent sum.  The deviation stays near the
+    rounding of F_n for |y| >= 1e-3.  Below that, cancellation inside B_n(z)
+    itself dominates: B_n has the order-d zero of prod(1 - z^d) at z = 1 and
+    terms of size ell_j.
     """
     degrees = _checked_degrees(hsop_degrees)
     terms = betti_alternating_polynomial(problem, degrees, n_max).coeffs
@@ -582,7 +569,8 @@ def betti_limit_check(
     q = problem.prime ** n_max
     us = [complex(y) / q for y in y_grid]
     deviations = {}
-    for y, u, fn in zip(y_grid, us, _fn_values(problem, n_max, y_grid)):
+    (fns,) = _fn_levels(problem, y_grid, range(n_max, n_max + 1))
+    for y, u, fn in zip(y_grid, us, fns):
         denom = 1.0 + 0j
         for d in degrees:
             denom *= -q * _interval_step(d * u)

@@ -78,7 +78,10 @@ class LaurentPolynomialZ:
 
         A degree that is not a positive integer raises StructureError.
         """
-        return _times_one_minus(self, positive_degrees(degrees, "factor degree"))
+        coeffs = self.coeffs
+        for d in positive_degrees(degrees, "factor degree"):
+            coeffs = _shift_subtract(coeffs, d)
+        return LaurentPolynomialZ(coeffs)
 
     def value_at_one(self) -> int:
         return sum(self.coeffs.values())
@@ -149,14 +152,6 @@ def positive_degrees(degrees, what: str, error=StructureError, at_least_one=Fals
     return degrees
 
 
-def _times_one_minus(poly: LaurentPolynomialZ, degrees: tuple) -> LaurentPolynomialZ:
-    """poly * prod(1 - t^d) for checked positive degrees d."""
-    coeffs = poly.coeffs
-    for d in degrees:
-        coeffs = _shift_subtract(coeffs, d)
-    return LaurentPolynomialZ(coeffs)
-
-
 def _shift_subtract(coeffs: Mapping, d: int) -> dict:
     """The terms of coeffs * (1 - t^d): each term, less its copy shifted up by d."""
     out = dict(coeffs)
@@ -223,10 +218,7 @@ def series_of_ring(ring: RingPresentation) -> HilbertSeries:
     if not ring.relations:
         return HilbertSeries(LaurentPolynomialZ.one(), weights)
     basis = buchberger(list(ring.relations))
-    M = initial_ideal(basis)
-    if M.is_unit:
-        return HilbertSeries(LaurentPolynomialZ.zero(), weights)
-    numerator = staircase_numerator(M, ring.grading)
+    numerator = staircase_numerator(initial_ideal(basis), ring.grading)
     return HilbertSeries(LaurentPolynomialZ(numerator), weights)
 
 

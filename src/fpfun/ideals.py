@@ -38,7 +38,7 @@ from .algebra import (
 from .errors import ColengthError, StructureError
 
 # Inclusion-exclusion on the lcm lattice counts staircases of up to this many
-# generators; beyond this cap the staircase is enumerated directly instead.
+# generators; beyond this cap a bounded staircase is enumerated directly instead.
 _SUBSET_CAP = 12
 
 # The most entries (degrees 0..max) of the dense count table graded_lengths
@@ -409,21 +409,18 @@ def staircase_degree_counts(M: MonomialIdeal, grading: Grading, max_degree: int)
 
     ``numerator`` maps degrees to the coefficients of the staircase's Hilbert
     numerator N over prod(1 - t^w), and ``counts`` lists the number of
-    standard monomials of each weighted degree 0..max_degree.  Up to
-    _SUBSET_CAP generators N is staircase_numerator's and the counts are its
-    series expansion; above the cap the bounding box is walked and N is the
-    counts times one (1 - t^w) per weight.
+    standard monomials of each weighted degree 0..max_degree.  Above
+    _SUBSET_CAP generators, when a pure power of every variable bounds the
+    staircase, the bounding box is walked and N is the counts times one
+    (1 - t^w) per weight; otherwise N is staircase_numerator's and the counts
+    are its series expansion.
     """
     if M.is_unit:
         return {}, [0] * (max_degree + 1)
-    if len(M.generators) <= _SUBSET_CAP:
+    bounds = M.pure_power_bounds(grading.var_count)
+    if len(M.generators) <= _SUBSET_CAP or None in bounds:
         numerator = staircase_numerator(M, grading)
         return numerator, series_expansion(numerator, grading.weights, max_degree)
-    bounds = M.pure_power_bounds(grading.var_count)
-    if any(b is None for b in bounds):
-        raise StructureError(
-            f"more than {_SUBSET_CAP} generators and no bounding box; refusing inclusion-exclusion"
-        )
     box = _enumerate_box_counts(M, grading, bounds)
     counts = [box.get(d, 0) for d in range(max_degree + 1)]
     numerator = [box.get(d, 0) for d in range(max(box) + 1)]

@@ -18,7 +18,7 @@ from numbers import Rational
 from typing import Sequence
 
 from .errors import ModelConstructionError
-from .hilbert import LaurentPolynomialZ, _times_one_minus, positive_degrees
+from .hilbert import LaurentPolynomialZ, positive_degrees
 
 # Inside this radius the numerator is evaluated by its Taylor expansion; the
 # direct quotient loses about |y|^(-d) ulp to cancellation outside it.
@@ -125,7 +125,7 @@ def model_hsop(ring_multiplicity, degrees: Sequence[int]) -> ExponentialPolynomi
 
     This is the finite projective dimension model of the Koszul numerator
     prod_j (1 - t^(d_j)), the denominator of H_S for the parameter subring S,
-    expanded by the same (1 - t^d) steps as LaurentPolynomialZ.times_one_minus.
+    expanded by LaurentPolynomialZ.times_one_minus.
     Its value at the origin is d_1 * ... * d_d * e_R, the Hilbert-Kunz
     multiplicity of an ideal generated by a homogeneous system of parameters
     of these degrees.
@@ -136,7 +136,7 @@ def model_hsop(ring_multiplicity, degrees: Sequence[int]) -> ExponentialPolynomi
     degrees = positive_degrees(
         degrees, "parameter degree", ModelConstructionError, at_least_one=True
     )
-    koszul = _times_one_minus(LaurentPolynomialZ.one(), degrees)
+    koszul = LaurentPolynomialZ.one().times_one_minus(degrees)
     return model_finite_pd(e, koszul, len(degrees))
 
 

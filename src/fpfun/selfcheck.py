@@ -237,8 +237,9 @@ def check_frobenius_product(levels=8) -> int:
     1e-14 * sum(|terms|) of the level sum taken term by term (fp._direct_sum),
     and, when levels >= 2 (fp_limit fits its tail from three levels),
     fp_limit's value at the top level is fn_eval's, bit for bit.  Above
-    level 0, F_n is the Frobenius product of fp._fn_levels, carried from
-    level 0's sum."""
+    level 0, F_n is the Frobenius product that the loop of fp._fn_levels
+    carries up from level 0's sum, for one level (fn_eval) or for all of
+    them (fp_limit)."""
     checks = 0
     for name, (problem, _) in standard_problems().items():
         if problem.ring.relations:
@@ -269,20 +270,15 @@ def check_frobenius_product(levels=8) -> int:
     return checks
 
 
-def run_all(seed=DEFAULT_SEED, quick=False):
+def run_all(seed=DEFAULT_SEED):
     """Run every suite; returns (name, checks) pairs or raises SelfCheckFailure."""
     rng = random.Random(seed)
-    scale = 0.1 if quick else 1.0
-    results = []
-    results.append(("term-order", check_monomial_order(rng, trials=max(20, int(200 * scale)))))
-    results.append(("division", check_division(rng, trials=max(5, int(40 * scale)))))
-    results.append(
-        ("staircase-vs-enumeration", check_monomial_oracles(rng, count=max(20, int(200 * scale))))
-    )
-    results.append(
-        ("groebner-vs-macaulay-rank", check_groebner_vs_rank(rng, count=max(5, int(50 * scale))))
-    )
-    results.append(("hilbert-betti-identity", check_ab_identity(levels=2 if quick else 4)))
-    results.append(("fourier-bridge", check_fourier_bridge(levels=2 if quick else 3)))
-    results.append(("frobenius-product", check_frobenius_product(levels=8 if quick else 10)))
-    return results
+    return [
+        ("term-order", check_monomial_order(rng)),
+        ("division", check_division(rng)),
+        ("staircase-vs-enumeration", check_monomial_oracles(rng)),
+        ("groebner-vs-macaulay-rank", check_groebner_vs_rank(rng)),
+        ("hilbert-betti-identity", check_ab_identity()),
+        ("fourier-bridge", check_fourier_bridge()),
+        ("frobenius-product", check_frobenius_product(levels=10)),
+    ]

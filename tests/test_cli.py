@@ -20,6 +20,10 @@ def problem(name):
     return os.path.join(PROBLEMS, name)
 
 
+with open(problem("plane.json")) as _fh:
+    PLANE_TEXT = _fh.read()
+
+
 def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
@@ -47,6 +51,19 @@ class TestHk:
         doc = json.loads(capsys.readouterr().out)
         assert doc["stable_value"] == "4"
         assert [lvl["hk"] for lvl in doc["levels"]] == ["4", "4", "4", "4"]
+
+    def test_no_stabilization_reported(self, tmp_path, capsys):
+        # the Fermat cubic at p = 5: hk = 1, 11/5, 281/125 at levels 0 to 2
+        fermat = {
+            "prime": 5,
+            "variables": [{"name": v, "degree": 1} for v in "xyz"],
+            "relations": ["x^3 + y^3 + z^3"],
+            "ideal": ["x", "y", "z"],
+        }
+        assert main(["hk", "--file", write(tmp_path, "fermat.json", fermat), "--n", "2"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-2].endswith("hk=281/125")
+        assert lines[-1] == "no stabilization observed up to n=2"
 
     def test_no_y_grid_flag(self, capsys):
         # hk reads no grid, so it takes no --y-grid
@@ -305,6 +322,13 @@ class TestDensity:
         assert lines[1].split(",") == ["0", "0.125", "0", "1"]
         assert "equal=True" in captured.err
         assert "max_bridge_gap" in captured.err
+
+    def test_bridge_skips_the_origin(self, capsys):
+        # y = 0 is the mass line, not a bridge point
+        argv = ["density", "--file", problem("plane.json"), "--n", "2", "--y-grid", "[0, 1]"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split()[0] for line in err if line.startswith("y=")] == ["y=1+0i"]
 
     def test_dimension_zero_unsupported(self, capsys):
         code = main(["density", "--file", problem("artinian.json"), "--n", "2"])
@@ -912,12 +936,70 @@ class TestExitCodes:
                 ('"options": {', f'"options": {{"hn": {LONG_SLOPE_HN}, '),
                 3, "error: violated relation: sum of mu_s * r_s = <over 4300 digits> != -delta_r",
             ),
+            (
+                ["hk"], (PLANE_TEXT, "[]"),
+                2, "parse error: <file>: problem file must be a JSON object",
+            ),
+            (["hk"], ('"prime": 2,', ""), 2, "parse error: <file>: missing required key 'prime'"),
+            (
+                ["hk"], ('"name": "Y"', '"name": "X"'),
+                2, "parse error: <file>: duplicate variable names",
+            ),
+            (
+                ["hk"], ('"options": {', '"options": 7, "x": {'),
+                2, "parse error: <file>: 'options' must be an object",
+            ),
+            (
+                ["hk"], ('"options": {', '"options": {"hn": [1], '),
+                2, "parse error: <file>: options.hn must be an object",
+            ),
+            (
+                ["hk"], ('"ideal": ["X"', '"ideal": ["X^"'),
+                2, "parse error: ideal[0]: expected an integer exponent after '^' at position 0",
+            ),
+            (
+                ["hk"], ('"ideal": ["X"', '"ideal": ["X**2"'),
+                2, "parse error: ideal[0]: unexpected '*' at position 2 in 'X**2'",
+            ),
+            (
+                ["hk"], ('"ideal": ["X"', '"ideal": ["X Y"'),
+                2, "parse error: ideal[0]: expected '+' or '-' between terms, got 'Y' at",
+            ),
+            (
+                ["eval", "--y-grid", "1:2"], None,
+                2, "parse error: cannot read y grid '1:2'; use JSON or the lo:hi:count shorthand",
+            ),
+            (
+                ["eval", "--y-grid", "a:2:3"], None,
+                2, "parse error: cannot read y grid 'a:2:3': could not convert string to float",
+            ),
+            (
+                ["closed", "--method", "hn"], None,
+                2, "parse error: method hn needs --hn-json or options.hn in the problem file",
+            ),
+            (
+                ["closed", "--method", "hn", "--hn-json", '{"delta_r": 1, "rank": 1}'], None,
+                2, "parse error: hn data needs delta_r, rank, factors: 'factors'",
+            ),
+            (
+                ["closed", "--method", "dim1"], None,
+                3, "error: dim1 method applies to one-dimensional rings only",
+            ),
+            (
+                # level 0 sums to 1; level 1's weight-3 Frobenius factor holds exp(750)
+                ["eval", "--file", problem("weighted_plane.json"), "--y-grid", "[[0, 500]]"],
+                None, 3, "error: floating-point overflow (phase sum with w=(250-0j) is not finite)",
+            ),
         ],
         ids=[
             "grid-count-string", "grid-count-string-in-file", "hn-rank-string",
             "hn-rank-string-in-file", "plane-level-15000", "cusp-level-1e7", "long-n-max",
             "long-grid-point", "long-hn-delta", "long-exponent", "not-utf8", "long-hn-slope",
-            "long-hn-slope-compare", "long-hn-slope-in-file",
+            "long-hn-slope-compare", "long-hn-slope-in-file", "file-not-an-object",
+            "file-missing-key", "duplicate-variables", "options-not-an-object",
+            "hn-not-an-object", "caret-without-exponent", "double-star", "juxtaposed-factors",
+            "grid-shorthand-two-parts", "grid-shorthand-not-a-number", "hn-without-data",
+            "hn-without-factors", "dim1-on-a-plane", "frobenius-factor-overflow",
         ],
     )
     def test_bad_input_ends_in_a_documented_exit_code(self, argv, edit, code, message, tmp_path):
@@ -938,11 +1020,17 @@ class TestExitCodes:
         )
         assert done.returncode == code
         assert "Traceback" not in done.stderr
-        assert done.stderr.startswith(message)
+        assert done.stderr.replace(str(path), "<file>").startswith(message)
 
 
 class TestSelftest:
-    def test_quick_selftest_passes(self, capsys):
-        assert main(["selftest", "--quick"]) == 0
+    def test_selftest_passes(self, capsys):
+        assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert out.count("ok ") == 7
+
+    def test_no_quick_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["selftest", "--quick"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --quick" in capsys.readouterr().err

@@ -193,7 +193,7 @@ class TestWrongKernelIsCaught:
         )
         return request.param
 
-    @pytest.mark.parametrize("levels", [2, 3])  # selftest --quick and the full selftest
+    @pytest.mark.parametrize("levels", [2, 3])  # a shallow run and the selftest's
     def test_selfcheck_bridge(self, scale, levels):
         if scale == 1:
             assert check_fourier_bridge(levels=levels) > 0

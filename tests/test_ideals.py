@@ -581,6 +581,22 @@ class TestStaircaseFallback:
                     brute[sum(a * w for a, w in zip(e, weights))] += 1
             assert staircase_degree_counts(m, grading, top)[1] == brute, (weights, exps)
 
+    def test_unbounded_staircase_above_the_cap_takes_the_lattice(self):
+        # x^a * y^(12-a) for a <= 12 and no power of z: more generators than
+        # the cap and no bounding box, so the lcm lattice counts the
+        # staircase; checked against a brute-force count through degree 20
+        grading, top = Grading((1, 1, 1)), 20
+        exps = [(a, 12 - a, 0) for a in range(13)]
+        m = MonomialIdeal.from_exponents(exps)
+        assert len(m.generators) == 13 > _SUBSET_CAP
+        brute = [0] * (top + 1)
+        for e in itertools.product(range(top + 1), repeat=3):
+            if sum(e) <= top and not any(all(a <= b for a, b in zip(g, e)) for g in exps):
+                brute[sum(e)] += 1
+        numerator, counts = staircase_degree_counts(m, grading, top)
+        assert counts == brute
+        assert series_expansion(numerator, grading.weights, top) == brute
+
     def test_lattice_numerator_equals_the_box_walk(self):
         # above the cap the table's numerator comes from the box walk's
         # counts; the lcm lattice takes it from the generators alone, here
