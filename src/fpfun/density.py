@@ -6,16 +6,15 @@ The level-n density sample is the step function g_n(x) = q^(1-d) * ell_j on
 Fourier transform relates to the level-n function by the exact identity
 gn_hat(y) = F_n(y) * (1 - exp(-iy/q)) / (iy/q).  quadrature_fourier
 integrates each 1/q interval of the samples, taking the sum of
-ell_j * exp(-iyj/q) from the phase-sum kernel (fp._phase_sums), and
-gn_fourier_exact scales fn_eval; both take the interval factor
-exp(-iy/q) - 1 from one cancellation-free step that keeps tiny |y|
-accurate.  Over a ring with relations fn_eval reads the same kernel sum, so
-the two differ only in where a scale factor is applied; over a
-relation-free ring fn_eval is the Frobenius product that fp._fn_levels
-carries up from level 0, so their gap measures the kernel against it.  The
-bridge checks the kernel on every ring: direct_fourier is the same
-transform with that sum taken term by term (fp._direct_sum, one exponential
-per entry), and the bridge gap is its distance from quadrature_fourier.
+ell_j * exp(-iyj/q) from the level's exact Hilbert numerator
+(fp._numerator_sum), and gn_fourier_exact scales fn_eval; both take the
+interval factor exp(-iy/q) - 1 from one cancellation-free step that keeps
+tiny |y| accurate.  Over a relation-free ring fn_eval is the Frobenius
+product that fp._fn_levels carries up from level 0, so their gap measures
+the numerator sum against it.  The bridge checks the numerator sum on every
+ring: direct_fourier is the same transform with the sum taken term by term
+over the table (fp._direct_sum, one exponential per entry), and the bridge
+gap is its distance from quadrature_fourier.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EvaluationDomainError
-from .fp import ProblemSpec, _direct_sum, _interval_step, _phase_sums, fn_eval
+from .fp import ProblemSpec, _direct_sum, _interval_step, _numerator_sum, fn_eval
 from .ideals import GradedLengthTable
 
 
@@ -84,8 +83,8 @@ def gn_fourier_exact(problem: ProblemSpec, n: int, y: complex) -> complex:
     """Closed form of the transform of g_n: F_n(y) * (1 - exp(-iy/q)) / (iy/q).
 
     fn_eval weights each ell_j by q^(-d), and over a relation-free ring
-    takes the Frobenius product, with no kernel sum; the factor comes from
-    the shared interval step.  At y = 0 the transform equals F_n(0) exactly.
+    takes the Frobenius product, with no numerator sum; the factor comes
+    from the shared interval step.  At y = 0 the transform equals F_n(0) exactly.
     """
     if y == 0:
         return fn_eval(problem, n, 0)
@@ -97,26 +96,29 @@ def quadrature_fourier(table: DensityTable, y: complex) -> complex:
     """Integrate g_n(x) * exp(-iyx) over each interval [j/q, (j+1)/q).
 
     Each interval contributes its sample q^(1-d) * ell_j times
-    exp(-iyj/q) * (exp(-iy/q) - 1) / (-iy).  The kernel sums the integers
-    ell_j * exp(-iyj/q) over the level table, the factor
-    q^(1-d) is applied once to that sum, and the interval factor comes from
+    exp(-iyj/q) * (exp(-iy/q) - 1) / (-iy).  The sum of ell_j * exp(-iyj/q)
+    times q^(1-d) is the level table's exact Hilbert numerator over its
+    weights, summed by fp._numerator_sum, and the interval factor comes from
     the shared interval step.  The y -> 0 limit branch returns the step
     function's mass.  A sum that is not finite raises OverflowError.
     """
-    return _transform(table, y, lambda w: _phase_sums(table.table, [w])[0])
+    level, q = table.table, table.q
+    return _transform(table, y, lambda y: _numerator_sum(
+        level.numerator, level.weights, y, level.n, q, q ** (table.d - 1)))
 
 
 def direct_fourier(table: DensityTable, y: complex) -> complex:
     """quadrature_fourier with the sum of ell_j * exp(-iyj/q) taken term by
-    term (fp._direct_sum), not from the block moments: the bridge's reference."""
-    return _transform(table, y, lambda w: _direct_sum(table.table.lengths, w))
+    term over the level table (fp._direct_sum), not from its numerator: the
+    bridge's reference."""
+    q = table.q
+    return _transform(table, y, lambda y: _direct_sum(table.table.lengths, -1j * y / q)
+                      / q ** (table.d - 1))
 
 
-def _transform(table: DensityTable, y: complex, phase_sum) -> complex:
-    """The transform at y from phase_sum(w), the sum of ell_j * exp(w j)."""
+def _transform(table: DensityTable, y: complex, level_sum) -> complex:
+    """The transform at y from level_sum(y), the sum of q^(1-d) * ell_j * exp(-iyj/q)."""
     if y == 0:
         return complex(float(table.mass()))
     y = complex(y)
-    q = table.q
-    total = phase_sum(-1j * y / q) / q ** (table.d - 1)
-    return total * _interval_step(y / q) / (-1j * y)
+    return level_sum(y) * _interval_step(y / table.q) / (-1j * y)

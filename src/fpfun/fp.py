@@ -13,37 +13,36 @@ Hilbert-Kunz multiplicities, power-series moment estimators, and alternating
 Betti polynomials obtained through the Hilbert-series quotient identity
 from each level's exact staircase numerator.
 
-Sums of exp(-i*y*j/q) terms over a level table (F_n over a ring with
-relations, and the density transforms) go through the kernel
-``_phase_sums``, which serves them from block moments cached on the table,
-each span built once by Horner's rule and none coarser than the table's own
-span.  Over a relation-free ring, F_n above level 0 is level 0's sum times
-one Frobenius factor per level (Kunz's flatness), carried up from level 0
-by the one loop over the levels of ``_fn_levels``: p exponentials per
-variable, point and level, and no moment is built.
-``_direct_sum`` takes everything else, one exponential per term per point
-added exactly by math.fsum: the kernel's span-1 points, the density
-bridge's reference and the Betti polynomial B_n of betti_limit_check and
-cm_chi_eval, which comes from the level's staircase numerator, not its
-table (3 or 4 terms on the built-in problems).
-A sum or product that is not finite raises OverflowError.
-Measured, cm_chi_eval is within 5.3e-15 relative of F_n(y) *
-prod(q (1 - z^d_i) / (d_i iy)) on the built-in problems at q = 256 and
-16384 for |y| >= 0.5.
+Every level table carries its exact Hilbert numerator N_n over the ring's
+weights w, so with z = exp(-iy/q)
+
+    F_n(y) = q^(-d) * N_n(z) / prod_w (1 - z^w),
+
+and N_n has 3 to 6 terms on the built-in problems.  ``_numerator_sum``
+evaluates that rational form in Python-int fixed point from the exact
+w = -iy/q, with as many bits as its cancellation near the roots of unity
+takes, and rounds once: F_n over a ring with relations, the density
+transform and the B_n(z) / prod(1 - z^d) of cm_chi_eval.  Over a
+relation-free ring, F_n above level 0 is level 0's value times one
+Frobenius factor per level (Kunz's flatness), carried up from level 0 by
+the one loop over the levels of ``_fn_levels``: p exponentials per
+variable, point and level.  ``_direct_sum``, one exponential per term per
+point added exactly by math.fsum, takes that level 0 and is the
+independent reference: the density bridge's transform, the Frobenius
+product's check and the Betti polynomial of betti_limit_check.
+A sum or product that is not finite raises OverflowError, naming it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 import threading
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import add, attrgetter, mul
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter, mul
+from typing import Mapping, Sequence
 
 from .errors import EvaluationDomainError, StructureError
 from .hilbert import (
@@ -58,26 +57,10 @@ from .hilbert import (
 from .ideals import (
     GradedLengthTable,
     HomogeneousIdeal,
-    LengthRun,
     RingPresentation,
     check_ideal_in_ring,
     graded_lengths,
 )
-
-# A table's span, the coarsest any of its points takes, is the largest power of
-# two at most its extent over _BLOCKS, so a level-14 table of 82k degrees has
-# 80 blocks of 1024; each span a point takes is built once by Horner's rule.
-_BLOCKS = 64
-# A block's binomial series stops where its tail is at most 2^-_TAIL_BITS
-# times the sum of its values.
-_TAIL_BITS = 56
-# A point's span keeps rho = span * |exp(w) - 1| at most this: K stays 15
-# and the error bound below 1e-14, and a table span of q/16 serves |y| <= 9.
-_RHO = 9 / 16
-# The machine word of the packed columns.
-_WORD = "I"
-_WORD_BYTES = array(_WORD).itemsize
-_WORD_BITS = 8 * _WORD_BYTES
 
 
 class ProblemSpec:
@@ -168,14 +151,14 @@ class LimitEstimate:
 def fn_eval(problem: ProblemSpec, n: int, y: complex) -> complex:
     """Evaluate the level-n normalized Hilbert series at the complex point y.
 
-    The coefficients stay exact integers; complex arithmetic enters only in
-    the final sum.  Over a ring with relations, ``_phase_sums`` takes it from
-    the level's exact block moments.  Over a relation-free ring, level 0 is
-    its table's sum and level n >= 1 is that value times one Frobenius factor
-    per level, carried up by the loop of ``_fn_levels``, which reads the
-    tables of levels n and 0 alone; no block moment is built.  At y = 0 the
-    value is the exact rational q^(-d) * total length, converted at the
-    boundary.  A sum or product that is not finite raises OverflowError.
+    Over a ring with relations, ``_numerator_sum`` takes it from the
+    level's exact Hilbert numerator in integer fixed point, rounded once.
+    Over a relation-free ring, level 0 is its small table's per-term sum
+    and level n >= 1 is that value times one Frobenius factor per level,
+    carried up by the loop of ``_fn_levels``, which reads the tables of
+    levels n and 0 alone.  At y = 0 the value is the exact rational
+    q^(-d) * total length, converted at the boundary.  A sum or product
+    that is not finite raises OverflowError.
     """
     return next(_fn_levels(problem, [y], range(n, n + 1)))[0]
 
@@ -186,17 +169,18 @@ def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], levels: range):
     The tables of the levels asked for are looked up first, in ascending
     order, so a level over the budget is refused before any sum; a point
     y = 0 takes its level's exact total, read only there.  Over a ring with
-    relations each level sums its table through ``_phase_sums``, whose
-    moments serve every later call.  Over a relation-free ring S, Frobenius
-    is flat (Kunz, Amer. J. Math. 91, 1969), so H_{S/I^[pq]}(t) =
+    relations each level sums its table's Hilbert numerator through
+    ``_numerator_sum``.  Over a relation-free ring S, Frobenius is flat
+    (Kunz, Amer. J. Math. 91, 1969), so H_{S/I^[pq]}(t) =
     H_{S/I^[q]}(t^p) * prod_i sum_{a<p} t^(a w_i) for the weights w_i: the
-    loop starts at level 0, sums table 0, and takes F_m(y) = F_(m-1)(y) *
-    ``_frobenius_factor`` / p^d at each later level m, d the problem's
-    dimension (``dim_override`` too), reading no table below the levels
-    asked for but table 0.  A value at level m depends only on the problem,
-    m and the point, so each is bit-identical to fn_eval at that point
-    alone, whatever came before.  A value that is not finite raises
-    OverflowError, naming w = -iy/p^m.
+    loop starts at level 0, sums table 0 term by term (``_direct_sum``), and
+    takes F_m(y) = F_(m-1)(y) * ``_frobenius_factor`` / p^d at each later
+    level m, d the problem's dimension (``dim_override`` too), reading no
+    table below the levels asked for but table 0.  A value at level m
+    depends only on the problem, m and the point, so each is bit-identical
+    to fn_eval at that point alone, whatever came before.  A value that is
+    not finite raises OverflowError, naming the sum or the product, its
+    level m and w = -iy/p^m.
     """
     tables = {m: problem.table(m) for m in levels}
     points = [complex(y) for y in ys if y != 0]
@@ -209,7 +193,11 @@ def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], levels: range):
         scale = q ** d
         if points and (m == 0 or relations):  # with no point, values stays []
             table = tables[m] if m in tables else problem.table(m)
-            values = [s / scale for s in _phase_sums(table, [-1j * y / q for y in points])]
+            values = [
+                _numerator_sum(table.numerator, table.weights, y, m, q, scale) if relations
+                else _direct_sum(table.lengths, -1j * y)  # level 0's small table
+                for y in points
+            ]
         else:
             stepped = []
             for value, y in zip(values, points):
@@ -217,9 +205,9 @@ def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], levels: range):
                 try:
                     value = value * (_frobenius_factor(weights, p, w) / p ** d)
                 except OverflowError:
-                    raise _not_finite(w) from None
+                    raise _not_finite(f"Frobenius product at level {m}", w) from None
                 if not cmath.isfinite(value):
-                    raise _not_finite(w)
+                    raise _not_finite(f"Frobenius product at level {m}", w)
                 stepped.append(value)
             values = stepped
         if m in tables:
@@ -235,77 +223,117 @@ def _frobenius_factor(weights: Sequence[int], p: int, w: complex) -> complex:
     F_m / F_(m-1) at w = -iy/p^m, one exponential per term.  Its rounding is
     a few ulps of sum(|terms|), and the product of the terms' moduli over
     the levels is sum(|terms|) of the level sum, so the carried value keeps
-    an error that scales with sum(|terms|), as the kernel's does."""
+    an error that scales with sum(|terms|), as a per-term sum's does."""
     factor = 1
     for weight in weights:
         factor *= sum(cmath.exp(a * weight * w) for a in range(p))
     return factor
 
 
-def _phase_sums(table: GradedLengthTable, ws: Iterable[complex]) -> list:
-    """sum(v * exp(w * j)) over the lengths j -> v of ``table``, for each w in ws.
-
-    Blocks of ``span`` consecutive degrees run from degree 0 over the
-    table's dense run of lengths, read in place, a gap in the run counting
-    as 0.  With delta = exp(w) - 1, taken from sinh without cancellation,
-    the block from degree a sums to
-
-        exp(w a) * sum_r v_(a+r) (1 + delta)^r = exp(w a) * sum_k delta^k B_k,
-        B_k = sum_r C(r, k) v_(a+r),
-
-    and the B_k are non-negative integers that do not depend on w.  The
-    table's ``phase_moments`` caches them by span, as float rows, with
-    insert-once writes, so fn_eval, fp_limit and the density transforms
-    share one build per span.  The table's constructor has refused degrees
-    that are not non-negative integers; a build that meets a negative
-    length, or a length that is not an integer, raises StructureError.
-
-    A point takes the largest power-of-two span with span * |delta| <= 9/16,
-    capped at the table's span (``_table_span``), and so reads 1.8 to 3.6
-    times |w| N blocks for N degrees, and never fewer than the table's span
-    reads, _BLOCKS to 2 * _BLOCKS.  ``_Moments`` builds the moments at each
-    span a point takes by Horner's rule, once per span; no span above the
-    table's is built.  The span depends only on the table and w, and a
-    span's moments only on the span, so a grid value is bit-identical to
-    the same point alone, whatever was served before.  Span 1, which a
-    table of fewer than 2 * _BLOCKS degrees always takes, is ``_direct_sum``.
-
-    With u = 2^-53, a build rounds each B_k once, to within u of it
-    relative.  The series stops where its tail is at most 2^-56 * sum(v)
-    over the block; a step of the complex Horner rule in delta costs at
-    most (1 + sqrt(5)) u; and sum_k |delta|^k B_k <= e^(9/16) * sum(v).  So
-    a block sum is within about (1 + 3.3 K) u e^(9/16) sum(v) of exact, under
-    9.9e-15 * sum(v), and the anchor products and the final sum add about
-    (N/span) * u * sum(|terms|).  Measured against a per-term fsum, the
-    worst error is 1.27e-15 * sum(|terms|) on parameter23, cusp,
-    weighted_plane and three_generator at levels 0 to 14 and |y| from 1e-12
-    to 40.  A w, anchor, block sum or total that is not finite raises
-    OverflowError.
+def _numerator_sum(
+    terms: Mapping, weights: Sequence[int], y: complex, level: int, q: int, scale: int
+) -> complex:
+    """sum(c z^e) / (scale prod(1 - z^w)) over the items e -> c of ``terms``
+    and the ``weights``, at z = exp(-iy/q) for y != 0: q^-d F_n from level
+    n's Hilbert numerator.  From w = -iy/q, read exactly from y, all is
+    Python-int fixed point at ``bits`` bits, rounded once at the end.  With
+    zeta = z, or 1/z where |z| > 1 (1 - z^w = -z^w (1 - zeta^w)), no power
+    zeta^g from the dominant exponent exceeds 1; ``_power`` takes them and
+    ``_exp`` the power of z pulled out.  The sums lose the bits of the
+    factors' zeros, of order len(weights) at z = 1 and near other roots of
+    unity, and of a zero of F: ``bits`` starts at base = 64 + bitlen(sum|c|)
+    + bitlen(max g) plus len(weights) * bitlen(1/|w|), and grows until the
+    numerator and the factors' product keep base bits.  A degree or
+    coefficient that is not an integer raises StructureError; a y or a value
+    that is not finite, OverflowError.
     """
-    ws = list(ws)
-    terms = table.lengths
-    if not terms or not ws:
-        return [0j] * len(ws)
-    cap = _table_span(len(terms.run))
-    out = []
-    for w in ws:
-        try:
-            if not cmath.isfinite(w):
-                raise OverflowError
-            delta = 2 * cmath.sinh(w / 2) * cmath.exp(w / 2)
-            span = cap
-            while span > 1 and not span * abs(delta) <= _RHO:  # a nan delta too
-                span //= 2
-            if span == 1:
-                total = _direct_sum(terms, w)
-            else:
-                total = _moments_at(table, span).value(w, delta)
-        except OverflowError:
-            raise _not_finite(w) from None
-        if not cmath.isfinite(total):
-            raise _not_finite(w)
-        out.append(total)
-    return out
+    items = sorted(terms.items())
+    if not all(isinstance(v, int) for item in items for v in item):
+        raise StructureError("the numerator sum needs integer exponents and coefficients")
+    try:  # w = (wr + i wi) / den exactly
+        (wr, dr), (wi, di) = y.imag.as_integer_ratio(), (-y.real).as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise _not_finite(f"numerator sum at level {level}", -1j * y / q) from None
+    den = max(dr, di)  # both powers of two
+    wr, wi, den = wr * den // dr, wi * den // di, den * q
+    flip = wr > 0  # |z| > 1: sum from the top exponent down in zeta = 1/z
+    items = [(e, c) for e, c in (items[::-1] if flip else items) if c]
+    if not items:
+        return 0j
+    origin, m, sigma = items[0][0], len(weights), -1 if flip else 1
+    items = [(abs(e - origin), c) for e, c in items]
+    base = 64 + sum(abs(c) for _, c in items).bit_length() + items[-1][0].bit_length()
+    bits = base
+    if weights:  # at y = 0, a pole: ZeroDivisionError
+        bits += m * ((den // (abs(wr) + abs(wi))).bit_length() + 2)
+    while True:
+        one = 1 << bits
+        a, b, x = _exp(sigma * wr, sigma * wi, den, bits)
+        powers = [(a >> -x - bits, b >> -x - bits)]  # zeta
+        acc, gap, nr, ni = (one, 0), 0, 0, 0
+        for g, c in items:
+            acc, gap = _power(powers, g - gap, bits, acc), g
+            nr, ni = nr + c * acc[0], ni + c * acc[1]
+        dr, di = 1, 0  # the product of the factors 1 - zeta^w, at m * bits bits
+        for w in weights:
+            fr, fi = _power(powers, w, bits, (one, 0))
+            dr, di = dr * (one - fr) + di * fi, di * (one - fr) - dr * fi
+        kept = min(max(abs(nr), abs(ni)).bit_length(),
+                   max(abs(dr), abs(di)).bit_length() - (m - 1) * bits)
+        if kept >= base:
+            break
+        bits += base - kept + 8
+    # z^P in front: P = origin, or origin - sum(weights) and the sign (-1)^m where zeta = 1/z
+    power = origin - sum(weights) if flip else origin
+    pr, pi, x = _exp(power * wr, power * wi, den, 64)
+    if flip and m % 2:
+        pr, pi = -pr, -pi
+    nr, ni = nr * dr + ni * di, ni * dr - nr * di  # N conj(D)
+    nr, ni = pr * nr - pi * ni, pr * ni + pi * nr
+    den = (dr * dr + di * di) * scale
+    shift = max(abs(nr), abs(ni)).bit_length() - den.bit_length() - 64  # a quotient near 2^64
+    if shift > 0:
+        den <<= shift
+    else:
+        nr, ni = nr << -shift, ni << -shift
+    x += (m - 1) * bits + shift
+    try:
+        return complex(math.ldexp(nr / den, x), math.ldexp(ni / den, x))
+    except OverflowError:
+        raise _not_finite(f"numerator sum at level {level}", -1j * y / q) from None
+
+
+def _exp(re: int, im: int, den: int, bits: int) -> tuple:
+    """(a, b, x) with (a + ib) 2^x = exp((re + i im) / den) to 2^-bits,
+    relative: the Taylor series at the argument halved k times to below
+    2^-8, squared k times, each square cut back to bits + k + 8 bits and
+    its binary exponent kept in x, so no size overflows."""
+    k = (((abs(re) + abs(im)) << 8) // den).bit_length()
+    work = bits + k + 8
+    xr, xi = (re << work) // (den << k), (im << work) // (den << k)
+    sr, si, tr, ti, j = 1 << work, 0, 1 << work, 0, 1
+    while abs(tr) + abs(ti) > 2:  # a floored term below 2^-work ends at 0 or -1
+        tr, ti = ((tr * xr - ti * xi) >> work) // j, ((tr * xi + ti * xr) >> work) // j
+        sr, si, j = sr + tr, si + ti, j + 1
+    x = -work
+    for _ in range(k):
+        sr, si = sr * sr - si * si, 2 * sr * si
+        shift = max(abs(sr), abs(si)).bit_length() - work
+        sr, si, x = sr >> shift, si >> shift, 2 * x + shift
+    return sr, si, x
+
+
+def _power(powers: list, g: int, bits: int, acc: tuple) -> tuple:
+    """acc * zeta^g in fixed point by binary powering, from powers = [zeta,
+    zeta^2, zeta^4, ...], which it extends as g needs."""
+    for i in range(g.bit_length()):
+        if i == len(powers):
+            a, b = powers[-1]
+            powers.append(((a * a - b * b) >> bits, (2 * a * b) >> bits))
+        if g >> i & 1:
+            (a, b), (c, d) = acc, powers[i]
+            acc = ((a * c - b * d) >> bits, (a * d + b * c) >> bits)
+    return acc
 
 
 def _direct_sum(terms: Mapping, w: complex) -> complex:
@@ -313,139 +341,24 @@ def _direct_sum(terms: Mapping, w: complex) -> complex:
 
     One cmath.exp per term, and math.fsum adds the real parts and the
     imaginary parts exactly, so past each term's own few-ulp rounding the sum
-    rounds once, whatever the signs and gaps of the integer terms.  It sums
-    the Betti polynomials, the kernel's span-1 points and the bridge's
-    reference transform; a table's lengths iterate its run in place,
-    skipping its gaps.  A sum that is not finite raises OverflowError.
+    rounds once, whatever the signs and gaps of the integer terms.  It is
+    the independent reference: the bridge's transform, the Frobenius
+    product's check and the Betti polynomial of betti_limit_check; a
+    table's lengths iterate its run in place, skipping its gaps.  A sum
+    that is not finite raises OverflowError.
     """
     try:
         parts = list(map(mul, terms.values(), map(cmath.exp, map(mul, repeat(w), terms))))
         total = complex(*(math.fsum(map(attrgetter(part), parts)) for part in ("real", "imag")))
     except OverflowError:
-        raise _not_finite(w) from None
+        raise _not_finite("direct sum", w) from None
     if not cmath.isfinite(total):
-        raise _not_finite(w)
+        raise _not_finite("direct sum", w)
     return total
 
 
-def _moments_at(table: GradedLengthTable, span: int) -> _Moments:
-    """The moments of the table's lengths at span, built once and kept in
-    its cache."""
-    moments = table.phase_moments
-    packed = moments.get(span)
-    if packed is None:
-        try:
-            packed = _Moments(table.lengths, span)
-        except (TypeError, AttributeError):  # a degree or length that is not an integer
-            raise _not_integers() from None
-        packed = moments.setdefault(span, packed)
-    return packed
-
-
-def _table_span(extent: int) -> int:
-    """The largest power of two at most extent / _BLOCKS, and at least 1."""
-    return 1 << max(0, (extent // _BLOCKS).bit_length() - 1)
-
-
-def _order(rho: float) -> int:
-    """The least K with sum(rho^k / k! for k > K) <= 2^-_TAIL_BITS."""
-    k, term = 0, rho  # term = rho^(k+1) / (k+1)!, and the tail is below term / (1 - rho/(k+2))
-    while term > math.ldexp(1 - rho / (k + 2), -_TAIL_BITS):
-        k += 1
-        term *= rho / (k + 1)
-    return k
-
-
-# The most moments a span needs: 15 at rho = 9/16.
-_MAX_ORDER = _order(_RHO)
-
-
-class _Moments:
-    """The binomial moments B_k, k <= K, of the blocks of span degrees, one
-    row of per-block floats per k; K = min(15, span - 1).
-
-    ``starts`` holds the first degree of each block, b * span for block b,
-    and rows[k][b] is B_k of block b.  The blocks cover the table's run,
-    which the last one may overhang; _columns counts the overhang as 0.  The
-    build rounds each exact moment once, to within u = 2^-53 of it relative.
-    """
-
-    __slots__ = ("span", "starts", "rows")
-
-    def __init__(self, lengths: LengthRun, span: int):
-        self.span = span
-        self.starts = range(0, -(-len(lengths.run) // span) * span, span)
-        order = min(_MAX_ORDER, span - 1)
-        # the largest moment is at most C(span - 1, min(K, (span - 1) // 2)) * sum(v)
-        largest = math.comb(span - 1, min(order, (span - 1) // 2)) * sum(lengths.run)
-        slot = max(1, -(-largest.bit_length() // _WORD_BITS))  # a word for all zeros too
-        # Horner in (1 + x) from the top offset down: after offset r,
-        # acc[k] = sum(C(r' - r, k) * column r' for r' >= r)
-        acc = [0] * (order + 1)
-        for column in _columns(lengths.run, span, slot):
-            for k in range(order, 0, -1):
-                acc[k] += acc[k - 1]
-            acc[0] += column
-        width = slot * _WORD_BYTES
-        size = width * len(self.starts)
-        self.rows = []
-        for packed in acc:
-            data = packed.to_bytes(size, "little")
-            self.rows.append(array("d", [
-                float(int.from_bytes(data[i : i + width], "little")) for i in range(0, size, width)
-            ]))
-
-    def value(self, w: complex, delta: complex) -> complex:
-        """The sum of the blocks at w, with delta = exp(w) - 1."""
-        rows = self.rows[: _order(self.span * abs(delta)) + 1]
-        sums = rows.pop()
-        for row in reversed(rows):
-            sums = list(map(add, map(mul, sums, repeat(delta)), row))
-        anchors = map(cmath.exp, map(mul, repeat(w), self.starts))
-        return sum(map(mul, sums, anchors), 0j)
-
-
-def _columns(run: list, span: int, slot: int):
-    """The packed columns of the blocks' values, read in place from the
-    table's run, from offset span - 1 down to 0.
-
-    Column r is the sum over blocks b of the value at b * span + r times
-    2^(slot words * b), a degree past the run counting as 0.  One buffer
-    serves every column, so only one column is held at a time.
-    """
-    part, words = _words(run)
-    blocks = -(-len(run) // span)
-    part.frombytes(bytes((blocks * span - len(run)) * words * part.itemsize))
-    if sys.byteorder == "big":
-        part.byteswap()  # so that every word reads little-endian in the columns
-    column = array(_WORD, bytes(slot * blocks * part.itemsize))
-    for r in reversed(range(span)):
-        for i in range(words):
-            column[i::slot] = part[r * words + i::span * words]
-        yield int.from_bytes(column, "little")
-
-
-def _words(dense: list) -> tuple:
-    """(part, words): non-negative integers in ``words`` machine words each,
-    least significant first, as many as the largest value needs; a negative
-    value raises StructureError."""
-    try:
-        return array(_WORD, dense), 1
-    except OverflowError:  # a value wider than one word, or a negative one
-        if min(dense) < 0:
-            raise StructureError("the phase-sum kernel needs non-negative lengths") from None
-        words = -(-max(dense).bit_length() // _WORD_BITS)
-        mask = (1 << _WORD_BITS) - 1
-        shifts = range(0, words * _WORD_BITS, _WORD_BITS)
-        return array(_WORD, [v >> k & mask for v in dense for k in shifts]), words
-
-
-def _not_integers() -> StructureError:
-    return StructureError("the phase-sum kernel needs integer degrees and lengths")
-
-
-def _not_finite(w: complex) -> OverflowError:
-    return OverflowError(f"phase sum with w={w} is not finite")
+def _not_finite(what: str, w: complex) -> OverflowError:
+    return OverflowError(f"{what} with w={w} is not finite")
 
 
 def _interval_step(u: complex) -> complex:
@@ -554,9 +467,10 @@ def betti_limit_check(
     from the cancellation-free interval step and B_n(z) from the direct
     per-term sum, one exponential per term of B_n, while F_n comes from
     ``_fn_levels`` at level n for the whole grid, fn_eval's path: the
-    phase-sum kernel over a ring with relations, and over a relation-free
-    ring the Frobenius product carried from level 0's sum; so the check
-    compares either with an independent sum.  The deviation stays near the
+    numerator sum over a ring with relations, and over a relation-free
+    ring the Frobenius product carried from level 0's value; so the check
+    compares either with an independent sum, which a numerator sum on both
+    sides would not be.  The deviation stays near the
     rounding of F_n for |y| >= 1e-3.  Below that, cancellation inside B_n(z)
     itself dominates: B_n has the order-d zero of prod(1 - z^d) at z = 1 and
     terms of size ell_j.
@@ -591,9 +505,12 @@ def cm_chi_eval(
     """Level-n Koszul-homology form of the function for Cohen-Macaulay rings.
 
     Maps each grid point y to B_n(z) / (prod(d_i) * (iy)^d) at z = exp(-iy/q),
-    with B_n from ``betti_alternating_polynomial``, built once for the grid
-    and summed at each point by the direct per-term sum, one exponential per
-    term of B_n.  When the hsop is a
+    with B_n from ``betti_alternating_polynomial``, built once for the grid.
+    At each point ``_numerator_sum`` takes q^-d * B_n(z) / prod(1 - z^d_i) in
+    integer fixed point, which absorbs the order-d zero that B_n shares with
+    the product at z = 1, and each factor q (1 - z^d_i) / (d_i iy) comes from
+    the cancellation-free interval step, so tiny |y| keeps the relative
+    accuracy of larger ones.  When the hsop is a
     regular sequence, H_{R/(hsop)} = prod(1 - t^d_i) * H_R and B_n is
     chi(R/(hsop), R/I^[q]), so this is the chi form; the caller asserts it.
     """
@@ -602,9 +519,10 @@ def cm_chi_eval(
     y_grid = list(y_grid)
     if any(y == 0 for y in y_grid):
         raise EvaluationDomainError("the chi form has a pole at y = 0; use the series path")
-    q, scale = problem.prime ** n, math.prod(degrees)
+    q = problem.prime ** n
     return {
-        y: _direct_sum(terms, -1j * complex(y) / q) / (scale * (1j * complex(y)) ** len(degrees))
+        y: _numerator_sum(terms, degrees, complex(y), n, q, q ** len(degrees)) * math.prod(
+            -q * _interval_step(d * complex(y) / q) / (d * 1j * complex(y)) for d in degrees)
         for y in y_grid
     }
 

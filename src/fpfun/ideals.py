@@ -333,8 +333,7 @@ class GradedLengthTable:
     StructureError before the run is allocated.  ``numerator`` maps exponents to the integer
     coefficients of the Hilbert numerator over the ring's ``weights``, so the
     lengths are numerator(t) / prod(1 - t^w); a table built without one is its
-    own numerator over no weights.  ``phase_moments`` is the cache of fp's
-    phase-sum kernel.  Only the lengths take part in comparisons.
+    own numerator over no weights.  Only the lengths take part in comparisons.
     """
 
     n: int
@@ -342,7 +341,6 @@ class GradedLengthTable:
     lengths: Mapping
     numerator: Mapping = field(default=None, compare=False, repr=False)
     weights: tuple = field(default=(), compare=False, repr=False)
-    phase_moments: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.lengths, LengthRun):

@@ -210,10 +210,10 @@ def check_ab_identity(levels=4, deep=8) -> int:
 
 
 def check_fourier_bridge(levels=3) -> int:
-    """The kernel's interval quadrature is within 1e-10 of the transform summed
-    term by term, at levels 0..levels and at level 8: a table of fewer than 128
-    (2 * fp._BLOCKS) degrees takes the direct sum at every point, and level 8
-    is where every suite table reaches the kernel's blocks."""
+    """The interval quadrature from each level's Hilbert numerator is within
+    1e-10 of the transform summed term by term over its table, at levels
+    0..levels and at level 8, where every suite table has over 100 times the
+    terms of its numerator."""
     checks = 0
     for name, (problem, _) in standard_problems().items():
         for n in (*range(levels + 1), 8):

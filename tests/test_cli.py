@@ -568,7 +568,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["eval"],
             ["closed", "--method", "hsop"],
             ["compare", "--method", "hsop"],
             ["density"],
@@ -576,12 +575,28 @@ class TestExitCodes:
     )
     def test_math_domain_grid_point_exits_3(self, argv, capsys):
         # y * j / q overflows to inf inside cmath.exp, which raises ValueError;
-        # the cusp's level-0 table already has degrees past 1
+        # the cusp's level-0 table already has degrees past 1 (eval sums the
+        # numerator from the exact y instead; see the next test)
         code = main([*argv, "--file", problem("cusp.json"), "--y-grid", "[[1e308,0]]"])
         assert code == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: floating-point domain error (math domain error)\n"
+
+    def test_huge_real_point_is_finite_on_cusp(self, capsys):
+        # the numerator sum takes its phases from the exact y; the cusp's table
+        # is (sum_{a<q} z^(2a)) (1 + z^3), and at q = 2^10 the geometric sum is
+        # prod_(i<10) (1 + z^(2^(i+1))), whose phases y 2^(i+1) / q, like 3y/q,
+        # are exact floats
+        argv = ["eval", "--file", problem("cusp.json"), "--y-grid", "[[1e308,0]]"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        row = captured.out.splitlines()[1].split(",")
+        q, y = 2 ** 10, 1e308
+        want = math.prod(1 + cmath.exp(-1j * y * (2 ** (i + 1) / q)) for i in range(10))
+        want *= (1 + cmath.exp(-3j * (y / q))) / q
+        assert abs(complex(float(row[3]), float(row[4])) - want) <= 1e-14 * abs(want)
 
     def test_huge_real_point_is_finite_on_plane(self, capsys):
         # plane's level-0 table is {0: 1}, and at p = 2 each Frobenius factor
@@ -621,12 +636,17 @@ class TestExitCodes:
     )
     def test_non_finite_level_sum_exits_3(self, argv, capsys):
         # exp(354.5 * j / q) times ell_j overflows: at the top degrees of level
-        # 10 in the density transform, and already at level 0 (exp(354.5 * 3))
-        # in the cusp's limit; plane's limit is a finite Frobenius product
+        # 10 in the density bridge's per-term transform, and F_0 = 1 + z^3
+        # (exp(354.5 * 3)) in the cusp's limit; plane's limit is a finite
+        # Frobenius product
         assert main([*argv, "--y-grid", "[[1,354.5]]"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: floating-point overflow (phase sum ")
+        if argv[0] == "density":
+            assert captured.err.startswith("error: floating-point overflow (direct sum with w=")
+        else:
+            assert captured.err == ("error: floating-point overflow (numerator sum at level 0 "
+                                    "with w=(354.5-1j) is not finite)\n")
         assert captured.err.endswith(" is not finite)\n")
 
     def test_finite_limit_past_an_overflowing_level_sum(self, capsys):
@@ -988,7 +1008,14 @@ class TestExitCodes:
             (
                 # level 0 sums to 1; level 1's weight-3 Frobenius factor holds exp(750)
                 ["eval", "--file", problem("weighted_plane.json"), "--y-grid", "[[0, 500]]"],
-                None, 3, "error: floating-point overflow (phase sum with w=(250-0j) is not finite)",
+                None, 3, "error: floating-point overflow "
+                "(Frobenius product at level 1 with w=(250-0j) is not finite)",
+            ),
+            (
+                # the cusp's F_0 = 1 + z^3 holds exp(750) past the float range
+                ["eval", "--file", problem("cusp.json"), "--y-grid", "[[0, 250]]"],
+                None, 3, "error: floating-point overflow "
+                "(numerator sum at level 0 with w=(250-0j) is not finite)",
             ),
         ],
         ids=[
@@ -1000,6 +1027,7 @@ class TestExitCodes:
             "hn-not-an-object", "caret-without-exponent", "double-star", "juxtaposed-factors",
             "grid-shorthand-two-parts", "grid-shorthand-not-a-number", "hn-without-data",
             "hn-without-factors", "dim1-on-a-plane", "frobenius-factor-overflow",
+            "numerator-sum-overflow",
         ],
     )
     def test_bad_input_ends_in_a_documented_exit_code(self, argv, edit, code, message, tmp_path):

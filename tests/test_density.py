@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fpfun import fp
+from fpfun import density, fp
 from fpfun.cli import main
 from fpfun.density import (
     DensityTable,
@@ -69,11 +69,6 @@ class TestDensityTable:
         table = density_table(parameter23, 6)
         assert table.table is parameter23.table(6)
         assert table == DensityTable(parameter23.table(6), 2)
-        # the phase-sum cache belongs to the length table and is no argument
-        with pytest.raises(TypeError):
-            GradedLengthTable(6, 2, {}, phase_moments={})
-        with pytest.raises(TypeError):
-            DensityTable(table.table, 2, phase_moments={})
 
     @pytest.mark.parametrize("lengths", [{600: 1, 0: 1}, {300: 2, 1: 1, 700: 3}, {3: 1, 0: 1}])
     def test_degrees_out_of_order_refused(self, lengths):
@@ -83,15 +78,15 @@ class TestDensityTable:
         with pytest.raises(StructureError, match="^a length table's degrees must be strictly"):
             GradedLengthTable(8, 2, lengths)
 
-    def test_negative_length_refused_by_the_kernel(self):
-        # the kernel's block moments assume non-negative lengths; summed
-        # anyway, this table puts quadrature_fourier 1.5e-5 off direct_fourier
+    def test_negative_length_matches_the_direct_sum(self):
+        # a table built by hand is its own numerator, and the numerator sum
+        # takes signed integers
         lengths = {j: 1 + j % 5 for j in range(600)}
         lengths[300] = -3
         table = DensityTable(GradedLengthTable(8, 2, lengths), 2)
         assert abs(direct_fourier(table, 0.5)) > 0.01
-        with pytest.raises(StructureError, match="^the phase-sum kernel needs non-negative"):
-            quadrature_fourier(table, 0.5)
+        for y in GRID:
+            assert abs(direct_fourier(table, y) - quadrature_fourier(table, y)) <= 1e-10, y
 
     @pytest.mark.parametrize("lengths", [
         {0.5: 1, 300.5: 1},  # first and last degrees not integers
@@ -100,15 +95,15 @@ class TestDensityTable:
     ])
     def test_non_integer_table_refused_by_the_kernel(self, lengths):
         # a degree that is not an integer has no place in the dense run, so the
-        # constructor refuses it; a length is not checked until the kernel's
-        # block moments, which need integers, while the direct sum takes any
+        # constructor refuses it; a length is not checked until the numerator
+        # sum, which needs integers, while the direct sum takes any
         if not all(isinstance(j, int) for j in lengths):
             with pytest.raises(StructureError, match="^a length table's degrees must be integers"):
                 GradedLengthTable(8, 2, lengths)
             return
         table = DensityTable(GradedLengthTable(8, 2, lengths), 2)
         assert abs(direct_fourier(table, 0.5)) > 0
-        with pytest.raises(StructureError, match="^the phase-sum kernel needs integer"):
+        with pytest.raises(StructureError, match="^the numerator sum needs integer"):
             quadrature_fourier(table, 0.5)
 
     def test_support_right_endpoint_bounded(self, suite_problems):
@@ -120,7 +115,7 @@ class TestDensityTable:
 
 class TestFourierBridge:
     def test_exact_equals_quadrature(self, suite_problems):
-        # level 8 is the first at which every suite table reaches the blocks
+        # at level 8 every suite table has over 100 times its numerator's terms
         for name, (problem, _) in suite_problems.items():
             for n in (*range(4), 8):
                 table = density_table(problem, n)
@@ -179,18 +174,21 @@ class TestFourierBridge:
 
 
 class TestWrongKernelIsCaught:
-    """Every block sum of the phase-sum kernel scaled by ``scale``: at 1 the
-    bridge, the Betti check and the density report pass, at 1.01 each fails,
-    because each compares the kernel with the direct per-term sum.  The Betti
-    check reads the kernel only over a ring with relations (the cusp); a
-    relation-free ring's F_n is a Frobenius product."""
+    """Every numerator sum scaled by ``scale``: at 1 the bridge, the Betti
+    check and the density report pass, at 1.01 each fails, because each
+    compares the numerator sum with the direct per-term sum.  The Betti
+    check reads it only over a ring with relations (the cusp); a
+    relation-free ring's F_n is a Frobenius product from a per-term level 0."""
 
     @pytest.fixture(params=[1.0, 1.01])
     def scale(self, request, monkeypatch):
-        value = fp._Moments.value
-        monkeypatch.setattr(
-            fp._Moments, "value", lambda self, w, delta: request.param * value(self, w, delta)
-        )
+        numerator_sum = fp._numerator_sum
+
+        def scaled(*args):
+            return request.param * numerator_sum(*args)
+
+        monkeypatch.setattr(fp, "_numerator_sum", scaled)
+        monkeypatch.setattr(density, "_numerator_sum", scaled)
         return request.param
 
     @pytest.mark.parametrize("levels", [2, 3])  # a shallow run and the selftest's
@@ -215,7 +213,7 @@ class TestWrongKernelIsCaught:
 
     def test_gn_fourier_exact_against_quadrature(self, scale, parameter23):
         # on a relation-free ring gn_fourier_exact scales the Frobenius
-        # product, so its gap from the quadrature is the kernel's error
+        # product, so its gap from the quadrature is the numerator sum's error
         table = density_table(parameter23, 14)
         for y in (1.5, 2 + 0.5j, 4.0, -1.5):
             gap = abs(gn_fourier_exact(parameter23, 14, y) - quadrature_fourier(table, y))
@@ -246,7 +244,6 @@ class TestWrongFrobeniusFactorIsCaught:
 
 
 def test_selfcheck_product_below_the_tail_fit():
-    # levels 0 and 1 take the direct sum on every suite problem, and
     # fp_limit needs three levels, so only the per-term comparison runs
     assert check_frobenius_product(levels=0) == 4 * 6
     assert check_frobenius_product(levels=1) == 4 * 6 * 2
