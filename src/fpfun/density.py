@@ -9,12 +9,12 @@ integrates each 1/q interval of the samples, taking the sum of
 ell_j * exp(-iyj/q) from the level's exact Hilbert numerator
 (fp._numerator_sum), and gn_fourier_exact scales fn_eval; both take the
 interval factor exp(-iy/q) - 1 from one cancellation-free step that keeps
-tiny |y| accurate.  Over a relation-free ring fn_eval is the Frobenius
-product that fp._fn_levels carries up from level 0, so their gap measures
-the numerator sum against it.  The bridge checks the numerator sum on every
-ring: direct_fourier is the same transform with the sum taken term by term
-over the table (fp._direct_sum, one exponential per entry), and the bridge
-gap is its distance from quadrature_fourier.
+tiny |y| accurate.  Over a relation-free ring fn_eval is level 0's sum
+times Kunz's closed-form factors, with no numerator sum, so their gap
+measures the numerator sum against it.  The bridge checks the numerator
+sum on every ring: direct_fourier is the same transform with the sum taken
+term by term over the table (fp._direct_sum, one exponential per entry),
+and the bridge gap is its distance from quadrature_fourier.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ def density_table(problem: ProblemSpec, n: int) -> DensityTable:
 def gn_fourier_exact(problem: ProblemSpec, n: int, y: complex) -> complex:
     """Closed form of the transform of g_n: F_n(y) * (1 - exp(-iy/q)) / (iy/q).
 
-    fn_eval weights each ell_j by q^(-d), and over a relation-free ring
-    takes the Frobenius product, with no numerator sum; the factor comes
-    from the shared interval step.  At y = 0 the transform equals F_n(0) exactly.
+    fn_eval weights each ell_j by q^(-d); over a relation-free ring it is
+    level 0's sum times Kunz's closed-form factors, with no numerator sum.
+    The factor comes from the shared interval step; the transform at y = 0 is F_n(0).
     """
     if y == 0:
         return fn_eval(problem, n, 0)

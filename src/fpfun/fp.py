@@ -23,13 +23,12 @@ evaluates that rational form in Python-int fixed point from the exact
 w = -iy/q, with as many bits as its cancellation near the roots of unity
 takes, and rounds once: F_n over a ring with relations, the density
 transform and the B_n(z) / prod(1 - z^d) of cm_chi_eval.  Over a
-relation-free ring, F_n above level 0 is level 0's value times one
-Frobenius factor per level (Kunz's flatness), carried up from level 0 by
-the one loop over the levels of ``_fn_levels``: p exponentials per
-variable, point and level.  ``_direct_sum``, one exponential per term per
-point added exactly by math.fsum, takes that level 0 and is the
-independent reference: the density bridge's transform, the Frobenius
-product's check and the Betti polynomial of betti_limit_check.
+relation-free ring, F_n is level 0's value times one closed-form factor
+per variable (Kunz's flatness, ``_fn_levels``): 2 sines and 2 exponentials
+per variable, point and level, for any n.  ``_direct_sum``, one
+exponential per term per point added exactly by math.fsum, takes that
+level 0 and is the independent reference: the density bridge's transform,
+the level-sum self check and the Betti polynomial of betti_limit_check.
 A sum or product that is not finite raises OverflowError, naming it.
 """
 
@@ -153,81 +152,86 @@ def fn_eval(problem: ProblemSpec, n: int, y: complex) -> complex:
 
     Over a ring with relations, ``_numerator_sum`` takes it from the
     level's exact Hilbert numerator in integer fixed point, rounded once.
-    Over a relation-free ring, level 0 is its small table's per-term sum
-    and level n >= 1 is that value times one Frobenius factor per level,
-    carried up by the loop of ``_fn_levels``, which reads the tables of
-    levels n and 0 alone.  At y = 0 the value is the exact rational
-    q^(-d) * total length, converted at the boundary.  A sum or product
-    that is not finite raises OverflowError.
+    Over a relation-free ring it is level 0's per-term sum times one closed
+    form factor per variable (``_fn_levels``), reading the tables of levels
+    n and 0 alone.  At y = 0 the value is the exact rational q^(-d) * total
+    length, converted at the boundary.  A value that is not finite raises
+    OverflowError.
     """
-    return next(_fn_levels(problem, [y], range(n, n + 1)))[0]
+    return _fn_levels(problem, [y], [problem.table(n)])[0][0]
 
 
-def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], levels: range):
-    """F_m at each point of ys, one list per level m of ``levels``, in order.
+def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], tables: Sequence) -> list:
+    """F_n at each point of ys, one list per level table in ``tables``.
 
-    The tables of the levels asked for are looked up first, in ascending
-    order, so a level over the budget is refused before any sum; a point
-    y = 0 takes its level's exact total, read only there.  Over a ring with
-    relations each level sums its table's Hilbert numerator through
-    ``_numerator_sum``.  Over a relation-free ring S, Frobenius is flat
-    (Kunz, Amer. J. Math. 91, 1969), so H_{S/I^[pq]}(t) =
-    H_{S/I^[q]}(t^p) * prod_i sum_{a<p} t^(a w_i) for the weights w_i: the
-    loop starts at level 0, sums table 0 term by term (``_direct_sum``), and
-    takes F_m(y) = F_(m-1)(y) * ``_frobenius_factor`` / p^d at each later
-    level m, d the problem's dimension (``dim_override`` too), reading no
-    table below the levels asked for but table 0.  A value at level m
-    depends only on the problem, m and the point, so each is bit-identical
-    to fn_eval at that point alone, whatever came before.  A value that is
-    not finite raises OverflowError, naming the sum or the product, its
-    level m and w = -iy/p^m.
-    """
-    tables = {m: problem.table(m) for m in levels}
+    The caller looks the tables up first, so a level over the budget is
+    refused before any sum; a point y = 0 takes its level's exact total,
+    read only there.  Over a ring with relations each level sums its
+    numerator (``_numerator_sum``).  Over a relation-free ring with weights
+    w_1..w_m, Frobenius is flat (Kunz, Amer. J. Math. 91, 1969), so
+    H_{S/I^[q]}(t) = H_{S/I}(t^q) prod_i sum_{a<q} t^(a w_i), and F_n(y) =
+    q^(m-d) F_0(y) prod_i G_q(w_i y)/q, G_q(u) = sum_{a<q} exp(-iau/q), d
+    the dimension (``dim_override`` too): F_0 is summed once per point and
+    ``_times_geometric`` multiplies in the factors; no level reads another
+    level's value.  A product that is not finite raises OverflowError
+    naming its level n and w = -iy/q."""
+    d, weights = problem.dimension, problem.ring.grading.weights
     points = [complex(y) for y in ys if y != 0]
-    p, d = problem.prime, problem.dimension
-    weights, relations = problem.ring.grading.weights, problem.ring.relations
-    values = []
-    start = 0 if points and not relations else levels.start
-    for m in range(start, levels.stop):
-        q = p ** m
-        scale = q ** d
-        if points and (m == 0 or relations):  # with no point, values stays []
-            table = tables[m] if m in tables else problem.table(m)
-            values = [
-                _numerator_sum(table.numerator, table.weights, y, m, q, scale) if relations
-                else _direct_sum(table.lengths, -1j * y)  # level 0's small table
-                for y in points
-            ]
-        else:
-            stepped = []
-            for value, y in zip(values, points):
-                w = -1j * y / q
-                try:
-                    value = value * (_frobenius_factor(weights, p, w) / p ** d)
-                except OverflowError:
-                    raise _not_finite(f"Frobenius product at level {m}", w) from None
+    relations, bases = problem.ring.relations, []
+    if points and not relations:
+        lengths = problem.table(0).lengths
+        bases = [_direct_sum(lengths, -1j * y) for y in points]
+    out = []
+    for table in tables:
+        n, q = table.n, problem.prime ** table.n
+        values = [_numerator_sum(table.numerator, table.weights, y, n, q, q ** d)
+                  for y in points] if relations else []
+        scale = q ** (len(weights) - d)
+        for value, y in zip(bases, points):
+            try:
+                value = _times_geometric(value * scale, y, weights, q) if n else value * scale
                 if not cmath.isfinite(value):
-                    raise _not_finite(f"Frobenius product at level {m}", w)
-                stepped.append(value)
-            values = stepped
-        if m in tables:
-            at = iter(values)
-            yield [
-                next(at) if y != 0 else complex(float(Fraction(tables[m].total(), scale)))
-                for y in ys
-            ]
+                    raise OverflowError
+            except (OverflowError, ValueError):
+                raise _not_finite(f"Frobenius product at level {n}", -1j * y / q) from None
+            values.append(value)
+        at = iter(values)
+        out.append([next(at) if y != 0 else complex(float(Fraction(table.total(), q ** d)))
+                    for y in ys])
+    return out
 
 
-def _frobenius_factor(weights: Sequence[int], p: int, w: complex) -> complex:
-    """prod over the weights of sum(exp(a * weight * w) for a < p): p^d times
-    F_m / F_(m-1) at w = -iy/p^m, one exponential per term.  Its rounding is
-    a few ulps of sum(|terms|), and the product of the terms' moduli over
-    the levels is sum(|terms|) of the level sum, so the carried value keeps
-    an error that scales with sum(|terms|), as a per-term sum's does."""
-    factor = 1
+def _times_geometric(value: complex, y: complex, weights: Sequence[int], q: int) -> complex:
+    """value * prod_w G_q(wy) / q, each factor multiplied in as
+    sin(h) / (q sin(h/q)) * exp(-ih), then exp(ih/q), with h = wy/2: 2 sines
+    and 2 exponentials per weight for any q.  Past |Im x| = 20, sin(x) is
+    exp(|Im x| - 20) times its value at Im x clamped to +-20, within e^-40;
+    the growth left over joins the phases, half with each, so the value
+    overflows only where it is not finite.  At p = 2 every argument is
+    exact; at odd p the exact residual of Re h/q goes into sin(h/q), whose
+    zeros would lose its bits.  Below |y| = 2e-290, where h/q may be
+    subnormal, each factor is 1 - ih(q-1)/q to far below a rounding."""
+    if abs(y) < 2e-290:
+        return value * (1 - 0.5j * y * sum(weights) * ((q - 1) / q))
+    last = None
     for weight in weights:
-        factor *= sum(cmath.exp(a * weight * w) for a in range(p))
-    return factor
+        if weight != last:  # a repeated weight reuses its factor
+            h, last = y * (weight / 2), weight
+            a, b = h.real, h.imag
+            s, t = a / q, b / q
+            x, z, grow = h, complex(s, t), (b - t) / 2
+            if not -20.0 < b < 20.0:
+                e = max(-20.0, min(t, 20.0))
+                x, z = complex(a, math.copysign(20.0, b)), complex(s, e)
+                grow = (b + abs(b) - t - abs(t) - 20.0 + abs(e)) / 2
+            sine = cmath.sin(z)
+            if q & (q - 1):  # a/q = s + residual
+                sine += float(Fraction(a) / q - Fraction(s)) * cmath.cos(z)
+            first = cmath.sin(x) / (q * sine) * cmath.exp(complex(grow, -a))
+            second = cmath.exp(complex(grow, s))
+        value *= first
+        value *= second
+    return value
 
 
 def _numerator_sum(
@@ -378,10 +382,10 @@ def fp_limit(problem: ProblemSpec, y_grid: Sequence[complex], n_max: int) -> dic
     Returns, per point, the level-n_max value together with a tail estimate
     of the geometric Cauchy form fitted from the observed successive
     differences at that point (see LimitEstimate).  Requires n_max >= 2.
-    The levels 0..n_max come from one loop of ``_fn_levels``, which over a
-    relation-free ring carries one Frobenius product per point from level 0,
-    and each value is fn_eval's at that point and level, bit for bit.  An
-    empty grid returns {} and builds no level table.
+    The tables of levels 0..n_max are looked up first, so a level over the
+    budget is refused before any sum, and each value of ``_fn_levels`` is
+    fn_eval's at that point and level, bit for bit.  An empty grid returns
+    {} and builds no level table.
     """
     if n_max < 2:
         raise StructureError("n_max must be at least 2 to fit a tail bound")
@@ -389,10 +393,9 @@ def fp_limit(problem: ProblemSpec, y_grid: Sequence[complex], n_max: int) -> dic
     if not y_grid:
         return {}
     p = problem.prime
-    levels = list(_fn_levels(problem, y_grid, range(n_max + 1)))
+    levels = _fn_levels(problem, y_grid, [problem.table(m) for m in range(n_max + 1)])
     out = {}
-    for i, y in enumerate(y_grid):
-        values = [level[i] for level in levels]
+    for y, values in zip(y_grid, zip(*levels)):
         diffs = [abs(values[m + 1] - values[m]) for m in range(n_max)]
         fitted = max((p ** m * diffs[m] for m in range(n_max)), default=0.0)
         bound = fitted * p ** (-n_max) * p / (p - 1)
@@ -468,7 +471,7 @@ def betti_limit_check(
     per-term sum, one exponential per term of B_n, while F_n comes from
     ``_fn_levels`` at level n for the whole grid, fn_eval's path: the
     numerator sum over a ring with relations, and over a relation-free
-    ring the Frobenius product carried from level 0's value; so the check
+    ring level 0's value times Kunz's closed-form factors; so the check
     compares either with an independent sum, which a numerator sum on both
     sides would not be.  The deviation stays near the
     rounding of F_n for |y| >= 1e-3.  Below that, cancellation inside B_n(z)
@@ -483,7 +486,7 @@ def betti_limit_check(
     q = problem.prime ** n_max
     us = [complex(y) / q for y in y_grid]
     deviations = {}
-    (fns,) = _fn_levels(problem, y_grid, range(n_max, n_max + 1))
+    (fns,) = _fn_levels(problem, y_grid, [problem.table(n_max)])
     for y, u, fn in zip(y_grid, us, fns):
         denom = 1.0 + 0j
         for d in degrees:

@@ -1,8 +1,8 @@
 """Seeded random property suites shared by the CLI self test and the test
 suite: term-order laws, division correctness, the two oracle-agreement
 campaigns (staircase vs enumeration, Groebner vs Macaulay rank), the
-Hilbert-series/Betti identity, the Fourier bridge and the Frobenius
-product."""
+Hilbert-series/Betti identity, the Fourier bridge and F_n against its
+level sum taken term by term."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .ideals import (
 from .suite import standard_problems
 
 DEFAULT_SEED = 74025
-# The evaluation points of the Fourier bridge and the Frobenius product checks.
+# The evaluation points of the Fourier bridge and the level-sum checks.
 _POINTS = (0.5, 1.0, 2.0, 4.0, -1.0, 1.0 + 0.5j)
 
 
@@ -232,18 +232,15 @@ def check_fourier_bridge(levels=3) -> int:
     return checks
 
 
-def check_frobenius_product(levels=8) -> int:
-    """On every relation-free suite problem, F_n at levels 0..levels is within
+def check_level_sums(levels=8) -> int:
+    """On every suite problem, F_n at levels 0..levels is within
     1e-14 * sum(|terms|) of the level sum taken term by term (fp._direct_sum),
     and, when levels >= 2 (fp_limit fits its tail from three levels),
-    fp_limit's value at the top level is fn_eval's, bit for bit.  Above
-    level 0, F_n is the Frobenius product that the loop of fp._fn_levels
-    carries up from level 0's sum, for one level (fn_eval) or for all of
-    them (fp_limit)."""
+    fp_limit's value at the top level is fn_eval's, bit for bit.  F_n is the
+    numerator sum over the cusp's relation and, over the relation-free
+    rings, level 0's sum times Kunz's closed-form factors."""
     checks = 0
     for name, (problem, _) in standard_problems().items():
-        if problem.ring.relations:
-            continue
         for n in range(levels + 1):
             lengths = problem.table(n).lengths
             q = problem.prime ** n
@@ -254,8 +251,7 @@ def check_frobenius_product(levels=8) -> int:
                 size = math.fsum(v * math.exp(w.real * j) for j, v in lengths.items()) / scale
                 _require(
                     gap <= 1e-14 * size,
-                    f"Frobenius product off by {gap / size} of sum|terms| on {name!r} "
-                    f"at n={n}, y={y}",
+                    f"F_n off by {gap / size} of sum|terms| on {name!r} at n={n}, y={y}",
                 )
                 checks += 1
         if levels < 2:
@@ -280,5 +276,5 @@ def run_all(seed=DEFAULT_SEED):
         ("groebner-vs-macaulay-rank", check_groebner_vs_rank(rng)),
         ("hilbert-betti-identity", check_ab_identity()),
         ("fourier-bridge", check_fourier_bridge()),
-        ("frobenius-product", check_frobenius_product(levels=10)),
+        ("level-sums", check_level_sums(levels=10)),
     ]

@@ -116,19 +116,20 @@ class TestEval:
 class TestGridRows:
     GRID = ["--y-grid", "[[0.5, 0], [1, 0]]"]
     # bytes written before the json points carried diagnostics; level 0 is
-    # the direct sum and levels 1 to 3 the Frobenius product carried from
-    # it, within 2.1e-16 of the exact values here
+    # the direct sum and level 3 that sum times Kunz's closed-form factors,
+    # within 2 ulps of the exact 0.8873879498923428896 - 0.4150579883892913189i
+    # and 0.5900975113476152970 - 0.7065955234449956495i
     EVAL_CSV = (
         "y_re,y_im,n,F_re,F_im,err_bound\n"
-        "0.5,0,3,0.88738794989234282,-0.41505798838929137,0.061972941895933428\n"
-        "1,0,3,0.59009751134761512,-0.70659552344499554,0.12082925824129405\n"
+        "0.5,0,3,0.88738794989234293,-0.41505798838929131,0.061972941895933421\n"
+        "1,0,3,0.59009751134761534,-0.70659552344499543,0.12082925824129402\n"
     )
     COMPARE_ROWS = (
         "y_re,y_im,F_re,F_im,model_re,model_im,deviation,bound,ok\n"
-        "0.5,0,0.88738794989234282,-0.41505798838929137,0.85945127165042301,"
-        "-0.46952036960203802,0.061209549569941256,0.061972941895933428,1\n"
-        "1,0,0.59009751134761512,-0.70659552344499554,0.49675144828342194,"
-        "-0.7736445427901113,0.11493066816444616,0.12082925824129405,1\n"
+        "0.5,0,0.88738794989234293,-0.41505798838929131,0.85945127165042301,"
+        "-0.46952036960203802,0.061209549569941353,0.061972941895933421,1\n"
+        "1,0,0.59009751134761534,-0.70659552344499543,0.49675144828342194,"
+        "-0.7736445427901113,0.1149306681644464,0.12082925824129402,1\n"
     )
 
     @pytest.mark.parametrize(
@@ -137,7 +138,7 @@ class TestGridRows:
             (["eval"], "csv", EVAL_CSV),
             (["compare", "--method", "hsop"], "csv", COMPARE_ROWS),
             (["compare", "--method", "hsop"], "text",
-             COMPARE_ROWS + "max_deviation=0.11493066816444616 result=PASS\n"),
+             COMPARE_ROWS + "max_deviation=0.1149306681644464 result=PASS\n"),
         ],
     )
     def test_csv_and_text_bytes(self, command, fmt, expected, capsys):

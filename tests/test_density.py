@@ -17,7 +17,7 @@ from fpfun.density import (
 from fpfun.errors import EvaluationDomainError, StructureError
 from fpfun.fp import ProblemSpec, betti_limit_check, fn_eval, hk_multiplicity
 from fpfun.ideals import GradedLengthTable
-from fpfun.selfcheck import SelfCheckFailure, check_fourier_bridge, check_frobenius_product
+from fpfun.selfcheck import SelfCheckFailure, check_fourier_bridge, check_level_sums
 
 PLANE_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "problems", "plane.json")
 
@@ -206,6 +206,14 @@ class TestWrongKernelIsCaught:
             worst = betti_limit_check(problem, hsop, GRID, 8).max_deviation
             assert (worst > 1e-9) == (scale != 1), (name, worst)
 
+    def test_selfcheck_level_sums(self, scale):
+        # the cusp is the suite's ring with relations, whose F_n is the numerator sum
+        if scale == 1:
+            assert check_level_sums(levels=3) > 0
+        else:
+            with pytest.raises(SelfCheckFailure, match="^F_n off by .* on 'cusp' at n=0,"):
+                check_level_sums(levels=3)
+
     def test_density_report(self, scale, capsys):
         assert main(["density", "--file", PLANE_FILE, "--n", "8", "--format", "json"]) == 0
         gap = json.loads(capsys.readouterr().out)["max_bridge_gap"]
@@ -221,14 +229,14 @@ class TestWrongKernelIsCaught:
 
 
 class TestWrongFrobeniusFactorIsCaught:
-    """Every Frobenius factor scaled by ``scale``: at 1 the Betti check and
-    the product self check pass, at 1.01 each fails, because each compares
-    a relation-free ring's F_n with an independent sum."""
+    """Every closed-form Frobenius factor scaled by ``scale``: at 1 the Betti
+    check and the level-sum self check pass, at 1.01 each fails, because
+    each compares a relation-free ring's F_n with an independent sum."""
 
     @pytest.fixture(params=[1.0, 1.01])
     def scale(self, request, monkeypatch):
-        factor = fp._frobenius_factor
-        monkeypatch.setattr(fp, "_frobenius_factor", lambda *args: request.param * factor(*args))
+        factor = fp._times_geometric
+        monkeypatch.setattr(fp, "_times_geometric", lambda *args: request.param * factor(*args))
         return request.param
 
     def test_betti_limit_check(self, scale, parameter23):
@@ -237,16 +245,16 @@ class TestWrongFrobeniusFactorIsCaught:
 
     def test_selfcheck_product(self, scale):
         if scale == 1:
-            assert check_frobenius_product() > 0
+            assert check_level_sums() > 0
         else:
-            with pytest.raises(SelfCheckFailure, match="^Frobenius product off by"):
-                check_frobenius_product()
+            with pytest.raises(SelfCheckFailure, match="^F_n off by .* on 'plane' at n=1,"):
+                check_level_sums()
 
 
 def test_selfcheck_product_below_the_tail_fit():
     # fp_limit needs three levels, so only the per-term comparison runs
-    assert check_frobenius_product(levels=0) == 4 * 6
-    assert check_frobenius_product(levels=1) == 4 * 6 * 2
+    assert check_level_sums(levels=0) == 5 * 6
+    assert check_level_sums(levels=1) == 5 * 6 * 2
 
 
 class TestUniformConvergenceEcho:

@@ -144,8 +144,8 @@ class TestFpLimit:
 
     def test_origin_packs_nothing(self, plane, cusp, monkeypatch):
         # y = 0 takes the exact total and reaches no sum: plane's levels go
-        # through the level-0 direct sum and the Frobenius product, the
-        # cusp's through the numerator sum
+        # through the level-0 direct sum and the closed-form Frobenius
+        # factors, the cusp's through the numerator sum
         def nonzero_only(original, at):
             def checked(*args):
                 assert args[at] != 0, f"{original.__name__} at y = 0"
@@ -155,7 +155,7 @@ class TestFpLimit:
 
         monkeypatch.setattr(fp, "_numerator_sum", nonzero_only(fp._numerator_sum, 2))
         monkeypatch.setattr(fp, "_direct_sum", nonzero_only(fp._direct_sum, 1))
-        monkeypatch.setattr(fp, "_frobenius_factor", nonzero_only(fp._frobenius_factor, 2))
+        monkeypatch.setattr(fp, "_times_geometric", nonzero_only(fp._times_geometric, 1))
         for problem in (plane, cusp):
             exact = float(hk_multiplicity(problem, 6))
             assert fn_eval(problem, 6, 0) == exact
@@ -661,6 +661,67 @@ class TestFrobeniusProduct:
                     fp._numerator_sum(table.numerator, table.weights, y, 10, q, q ** 2)):
             assert cmath.isfinite(got) and cmath.isfinite(want)
             assert abs(got - want) <= tolerance, (got, want)
+
+    def test_finite_where_the_factor_ratio_overflows(self):
+        # over F_2[X] with I = (X), F_1 at 1 + 1000i is (1 + z)/2 with |z| = e^500,
+        # and F_2 at 1 + 900i about e^675: exp(-iu) - 1 alone overflows at
+        # u = 1000i, yet the sines and phases, multiplied in by halves, do not
+        field, grading = PrimeField(2), Grading((1,))
+        ring = RingPresentation(field, grading, (), ("X",))
+        line = ProblemSpec(ring, HomogeneousIdeal((parse_polynomial("X", ("X",), field, grading),)))
+        for n, y in ((1, 1 + 1000j), (2, 1 + 900j)):
+            value = fn_eval(line, n, y)
+            assert cmath.isfinite(value)
+            self.check(line, n, value, y)
+        want = 6.158840271963417e216 - 3.3645897751238223e216j
+        assert abs(fn_eval(line, 1, 1 + 1000j) - want) <= 1e-15 * abs(want)
+
+    def test_large_negative_imaginary_parts(self, plane, weighted_plane):
+        # |z| < 1 keeps F_n of order q^-d however negative Im y is, while
+        # sin(wy/2) alone overflows past |Im y| = 1420 / w
+        for problem in (plane, weighted_plane):
+            for n in (1, 3, 10):
+                for y in (0.3 - 800j, 1 - 1500j, 2 - 30000j):
+                    self.check(problem, n, fn_eval(problem, n, y), y)
+
+    def test_odd_p_near_roots_of_unity(self):
+        # at y = 2 pi k q every factor sum_a z^(aw) has all its terms at 1,
+        # and sin(h) / sin(h/q) is a ratio of two small numbers; h/q is
+        # rounded at p = 3, and its residual keeps the ratio's bits
+        for problem in (parameter_problem(1, 1, p=3), non_monomial_problem()):
+            for n in (1, 2, 3):
+                table, q = problem.table(n), 3 ** n
+                for k in (1, 3):
+                    for offset in (0, 1e-9, 1e-4, 1e-2):
+                        y = 2 * math.pi * q * k + offset
+                        want = decimal_level_sum(table.lengths, complex(y), q, q * q)
+                        size = math.fsum(table.lengths.values()) / q ** 2
+                        assert abs(fn_eval(problem, n, y) - want) <= 1e-14 * size, (n, k, offset)
+
+    def test_subnormal_points(self, plane):
+        # below |y| = 2e-290, h/q may be subnormal; each factor is
+        # 1 - ih(q-1)/q to far below a rounding
+        q = 2 ** 14
+        for y in (1e-310, 1e-320):
+            value = fn_eval(plane, 14, y)
+            assert value.real == 1
+            assert abs(value.imag + y * (q - 1) / q) <= 2 ** -1070
+
+    @pytest.mark.parametrize(
+        "name, levels",
+        [("plane", 10), ("parameter23", 10), ("three_generator", 10), ("weighted_plane", 10),
+         ("non_monomial", 6)],
+    )
+    def test_lengths_scale_by_q_to_the_m(self, request, name, levels):
+        # Kunz's identity at t = 1: the length of S/I^[q] is q^m times that
+        # of S/I over m variables, so F_n(0) is ell_0 q^(m - d), exactly
+        problem = non_monomial_problem() if name == "non_monomial" else request.getfixturevalue(name)
+        m, d = len(problem.ring.grading.weights), problem.dimension
+        total = problem.table(0).total()
+        for n in range(levels + 1):
+            q = problem.prime ** n
+            assert problem.table(n).total() == total * q ** m
+            assert fn_eval(problem, n, 0) == Fraction(total * q ** m, q ** d)
 
 
 class TestCmChiEval:
