@@ -25,18 +25,19 @@ takes, and rounds once: F_n over a ring with relations, the density
 transform and the B_n(z) / prod(1 - z^d) of cm_chi_eval.  Over a
 relation-free ring, F_n is level 0's value times one closed-form factor
 per variable (Kunz's flatness, ``_fn_levels``): 2 sines and 2 exponentials
-per variable, point and level, for any n.  ``_direct_sum``, one
-exponential per term per point added exactly by math.fsum, takes that
-level 0 and is the independent reference: the density bridge's transform,
-the level-sum self check and the Betti polynomial of betti_limit_check.
-A sum or product that is not finite raises OverflowError, naming it.
+per variable, point and level, for any n, wherever that product is
+finite; every other point takes the numerator sum, F_n's one exact
+fallback.  ``_direct_sum``, one exponential per term per point added
+exactly by math.fsum, takes that level 0 and is the independent
+reference: the density bridge's transform, the level-sum self check and
+the Betti polynomial of betti_limit_check.  A sum that is not finite
+raises OverflowError, naming it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -80,30 +81,21 @@ class ProblemSpec:
         self.ideal = ideal
         self.dim_override = dim_override
         self._tables: dict = {}
-        self._lock = threading.Lock()
-        self._ring_series = None
-        self._samuel = None
+        self._derived: dict = {}
 
     @property
     def prime(self) -> int:
         return self.ring.field.p
 
-    def _once(self, name: str, compute):
-        """The attribute ``name``, computed on first use and kept (insert-once)."""
-        value = getattr(self, name)
-        if value is None:
-            value = compute()
-            with self._lock:
-                if getattr(self, name) is None:
-                    setattr(self, name, value)
-                value = getattr(self, name)
-        return value
-
     def ring_series(self) -> HilbertSeries:
-        return self._once("_ring_series", lambda: series_of_ring(self.ring))
+        if "series" not in self._derived:
+            self._derived.setdefault("series", series_of_ring(self.ring))
+        return self._derived["series"]
 
     def _hilbert_samuel(self) -> tuple:
-        return self._once("_samuel", lambda: hilbert_samuel(self.ring_series()))
+        if "samuel" not in self._derived:
+            self._derived.setdefault("samuel", hilbert_samuel(self.ring_series()))
+        return self._derived["samuel"]
 
     @property
     def ring_dimension(self) -> int:
@@ -121,12 +113,9 @@ class ProblemSpec:
 
     def table(self, n: int) -> GradedLengthTable:
         """The exact graded length table at level n (cached, insert-once)."""
-        hit = self._tables.get(n)
-        if hit is not None:
-            return hit
-        computed = graded_lengths(self.ring, self.ideal, n)
-        with self._lock:
-            return self._tables.setdefault(n, computed)
+        if n not in self._tables:
+            self._tables.setdefault(n, graded_lengths(self.ring, self.ideal, n))
+        return self._tables[n]
 
 
 @dataclass(frozen=True)
@@ -154,8 +143,9 @@ def fn_eval(problem: ProblemSpec, n: int, y: complex) -> complex:
     level's exact Hilbert numerator in integer fixed point, rounded once.
     Over a relation-free ring it is level 0's per-term sum times one closed
     form factor per variable (``_fn_levels``), reading the tables of levels
-    n and 0 alone.  At y = 0 the value is the exact rational q^(-d) * total
-    length, converted at the boundary.  A value that is not finite raises
+    n and 0 alone, or the numerator sum where that product cannot go.  At
+    y = 0 the value is the exact rational q^(-d) * total length, converted
+    at the boundary.  A value that is not finite raises the numerator sum's
     OverflowError.
     """
     return _fn_levels(problem, [y], [problem.table(n)])[0][0]
@@ -173,27 +163,35 @@ def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], tables: Sequence) ->
     q^(m-d) F_0(y) prod_i G_q(w_i y)/q, G_q(u) = sum_{a<q} exp(-iau/q), d
     the dimension (``dim_override`` too): F_0 is summed once per point and
     ``_times_geometric`` multiplies in the factors; no level reads another
-    level's value.  A product that is not finite raises OverflowError
-    naming its level n and w = -iy/q."""
+    level's value.  The closed form takes a point only where |y| >= 2e-290
+    (below, h/q may be subnormal), F_0 is finite and so is the product; any
+    other point, and one where a sine or exponential overflows or raises,
+    takes the level's numerator sum, the only source of the OverflowError
+    naming level n and w = -iy/q."""
     d, weights = problem.dimension, problem.ring.grading.weights
     points = [complex(y) for y in ys if y != 0]
-    relations, bases = problem.ring.relations, []
-    if points and not relations:
+    bases = [None] * len(points)
+    if not problem.ring.relations:
         lengths = problem.table(0).lengths
-        bases = [_direct_sum(lengths, -1j * y) for y in points]
+        for i, y in enumerate(points):
+            if abs(y) >= 2e-290:
+                try:
+                    bases[i] = _direct_sum(lengths, -1j * y)
+                except OverflowError:
+                    pass
     out = []
     for table in tables:
         n, q = table.n, problem.prime ** table.n
-        values = [_numerator_sum(table.numerator, table.weights, y, n, q, q ** d)
-                  for y in points] if relations else []
-        scale = q ** (len(weights) - d)
-        for value, y in zip(bases, points):
-            try:
-                value = _times_geometric(value * scale, y, weights, q) if n else value * scale
-                if not cmath.isfinite(value):
-                    raise OverflowError
-            except (OverflowError, ValueError):
-                raise _not_finite(f"Frobenius product at level {n}", -1j * y / q) from None
+        scale, values = q ** (len(weights) - d), []
+        for base, y in zip(bases, points):
+            value = math.nan
+            if base is not None:
+                try:
+                    value = _times_geometric(base * scale, y, weights, q) if n else base * scale
+                except (OverflowError, ValueError):
+                    pass
+            if not cmath.isfinite(value):
+                value = _numerator_sum(table.numerator, table.weights, y, n, q, q ** d)
             values.append(value)
         at = iter(values)
         out.append([next(at) if y != 0 else complex(float(Fraction(table.total(), q ** d)))
@@ -204,33 +202,21 @@ def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], tables: Sequence) ->
 def _times_geometric(value: complex, y: complex, weights: Sequence[int], q: int) -> complex:
     """value * prod_w G_q(wy) / q, each factor multiplied in as
     sin(h) / (q sin(h/q)) * exp(-ih), then exp(ih/q), with h = wy/2: 2 sines
-    and 2 exponentials per weight for any q.  Past |Im x| = 20, sin(x) is
-    exp(|Im x| - 20) times its value at Im x clamped to +-20, within e^-40;
-    the growth left over joins the phases, half with each, so the value
-    overflows only where it is not finite.  At p = 2 every argument is
-    exact; at odd p the exact residual of Re h/q goes into sin(h/q), whose
-    zeros would lose its bits.  Below |y| = 2e-290, where h/q may be
-    subnormal, each factor is 1 - ih(q-1)/q to far below a rounding."""
-    if abs(y) < 2e-290:
-        return value * (1 - 0.5j * y * sum(weights) * ((q - 1) / q))
-    last = None
+    and 2 exponentials per weight for any q.  The growth exp(Im h - Im h/q)
+    of the two phases is split between them, half with each.  At p = 2
+    every argument is exact; at odd p the exact residual of Re h/q goes
+    into sin(h/q), whose zeros would lose its bits.  It may overflow or
+    lose a subnormal h/q; ``_fn_levels`` routes those points elsewhere."""
     for weight in weights:
-        if weight != last:  # a repeated weight reuses its factor
-            h, last = y * (weight / 2), weight
-            a, b = h.real, h.imag
-            s, t = a / q, b / q
-            x, z, grow = h, complex(s, t), (b - t) / 2
-            if not -20.0 < b < 20.0:
-                e = max(-20.0, min(t, 20.0))
-                x, z = complex(a, math.copysign(20.0, b)), complex(s, e)
-                grow = (b + abs(b) - t - abs(t) - 20.0 + abs(e)) / 2
-            sine = cmath.sin(z)
-            if q & (q - 1):  # a/q = s + residual
-                sine += float(Fraction(a) / q - Fraction(s)) * cmath.cos(z)
-            first = cmath.sin(x) / (q * sine) * cmath.exp(complex(grow, -a))
-            second = cmath.exp(complex(grow, s))
-        value *= first
-        value *= second
+        h = y * (weight / 2)
+        a, b = h.real, h.imag
+        s, t = a / q, b / q
+        z, grow = complex(s, t), (b - t) / 2
+        sine = cmath.sin(z)
+        if q & (q - 1):  # a/q = s + residual
+            sine += float(Fraction(a) / q - Fraction(s)) * cmath.cos(z)
+        value *= cmath.sin(h) / (q * sine) * cmath.exp(complex(grow, -a))
+        value *= cmath.exp(complex(grow, s))
     return value
 
 
@@ -246,10 +232,12 @@ def _numerator_sum(
     ``_exp`` the power of z pulled out.  The sums lose the bits of the
     factors' zeros, of order len(weights) at z = 1 and near other roots of
     unity, and of a zero of F: ``bits`` starts at base = 64 + bitlen(sum|c|)
-    + bitlen(max g) plus len(weights) * bitlen(1/|w|), and grows until the
-    numerator and the factors' product keep base bits.  A degree or
-    coefficient that is not an integer raises StructureError; a y or a value
-    that is not finite, OverflowError.
+    + bitlen(max g) plus (len(weights) + 1) * bitlen(1/|w|), and grows until
+    the numerator and the factors' product keep base bits; the one factor
+    more keeps Im F, of order |y| |F| >= |w| |F| at tiny |y|, which that
+    check on magnitudes would not see.  A degree or coefficient that is not
+    an integer raises StructureError; a y or a value that is not finite,
+    OverflowError.
     """
     items = sorted(terms.items())
     if not all(isinstance(v, int) for item in items for v in item):
@@ -268,8 +256,8 @@ def _numerator_sum(
     items = [(abs(e - origin), c) for e, c in items]
     base = 64 + sum(abs(c) for _, c in items).bit_length() + items[-1][0].bit_length()
     bits = base
-    if weights:  # at y = 0, a pole: ZeroDivisionError
-        bits += m * ((den // (abs(wr) + abs(wi))).bit_length() + 2)
+    if weights or wr or wi:  # at y = 0 over weights, a pole: ZeroDivisionError
+        bits += (m + 1) * ((den // (abs(wr) + abs(wi))).bit_length() + 2)
     while True:
         one = 1 << bits
         a, b, x = _exp(sigma * wr, sigma * wi, den, bits)
@@ -366,7 +354,11 @@ def _not_finite(what: str, w: complex) -> OverflowError:
 
 
 def _interval_step(u: complex) -> complex:
-    """exp(-iu) - 1 as -2i * sin(u/2) * exp(-iu/2), without cancellation."""
+    """exp(-iu) - 1, without cancellation: as -2i * sin(u/2) * exp(-iu/2)
+    while |Im u| < 1, where u may be near 0, and directly past that, where
+    sin(u/2) alone would overflow first as Im u -> -inf."""
+    if abs(u.imag) >= 1:
+        return cmath.exp(-1j * u) - 1
     return -2j * cmath.sin(u / 2) * cmath.exp(-0.5j * u)
 
 
@@ -471,12 +463,12 @@ def betti_limit_check(
     per-term sum, one exponential per term of B_n, while F_n comes from
     ``_fn_levels`` at level n for the whole grid, fn_eval's path: the
     numerator sum over a ring with relations, and over a relation-free
-    ring level 0's value times Kunz's closed-form factors; so the check
-    compares either with an independent sum, which a numerator sum on both
-    sides would not be.  The deviation stays near the
-    rounding of F_n for |y| >= 1e-3.  Below that, cancellation inside B_n(z)
-    itself dominates: B_n has the order-d zero of prod(1 - z^d) at z = 1 and
-    terms of size ell_j.
+    ring level 0's value times Kunz's closed-form factors where those are
+    finite, else the numerator sum; so the check compares either with an
+    independent sum, which a numerator sum on both sides would not be.  The
+    deviation stays near the rounding of F_n for |y| >= 1e-3.  Below that,
+    cancellation inside B_n(z) itself dominates: B_n has the order-d zero of
+    prod(1 - z^d) at z = 1 and terms of size ell_j.
     """
     degrees = _checked_degrees(hsop_degrees)
     terms = betti_alternating_polynomial(problem, degrees, n_max).coeffs

@@ -26,8 +26,11 @@ from .ideals import (
 from .suite import standard_problems
 
 DEFAULT_SEED = 74025
-# The evaluation points of the Fourier bridge and the level-sum checks.
+# The evaluation points of the Fourier bridge and the level-sum checks; the
+# level sums add two that the closed form hands to the numerator sum: above
+# level 0 sin(wy/2) overflows at 1 - 1500i, and 1e-300 is below 2e-290.
 _POINTS = (0.5, 1.0, 2.0, 4.0, -1.0, 1.0 + 0.5j)
+_LEVEL_SUM_POINTS = (*_POINTS, 1 - 1500j, 1e-300)
 
 
 class SelfCheckFailure(AssertionError):
@@ -238,14 +241,15 @@ def check_level_sums(levels=8) -> int:
     and, when levels >= 2 (fp_limit fits its tail from three levels),
     fp_limit's value at the top level is fn_eval's, bit for bit.  F_n is the
     numerator sum over the cusp's relation and, over the relation-free
-    rings, level 0's sum times Kunz's closed-form factors."""
+    rings, level 0's sum times Kunz's closed-form factors, or the numerator
+    sum at the points past the closed form's reach."""
     checks = 0
     for name, (problem, _) in standard_problems().items():
         for n in range(levels + 1):
             lengths = problem.table(n).lengths
             q = problem.prime ** n
             scale = q ** problem.dimension
-            for y in _POINTS:
+            for y in _LEVEL_SUM_POINTS:
                 w = -1j * y / q
                 gap = abs(fn_eval(problem, n, y) - _direct_sum(lengths, w) / scale)
                 size = math.fsum(v * math.exp(w.real * j) for j, v in lengths.items()) / scale
@@ -256,8 +260,8 @@ def check_level_sums(levels=8) -> int:
                 checks += 1
         if levels < 2:
             continue
-        limits = fp_limit(problem, _POINTS, levels)
-        for y in _POINTS:
+        limits = fp_limit(problem, _LEVEL_SUM_POINTS, levels)
+        for y in _LEVEL_SUM_POINTS:
             _require(
                 limits[y].value == fn_eval(problem, levels, y),
                 f"fp_limit differs from fn_eval on {name!r} at n={levels}, y={y}",

@@ -1007,10 +1007,11 @@ class TestExitCodes:
                 3, "error: dim1 method applies to one-dimensional rings only",
             ),
             (
-                # level 0 sums to 1; level 1's weight-3 Frobenius factor holds exp(750)
+                # level 0 sums to 1; level 1's weight-3 Frobenius factor holds exp(750),
+                # and so does the numerator sum the product falls back to
                 ["eval", "--file", problem("weighted_plane.json"), "--y-grid", "[[0, 500]]"],
                 None, 3, "error: floating-point overflow "
-                "(Frobenius product at level 1 with w=(250-0j) is not finite)",
+                "(numerator sum at level 1 with w=(250-0j) is not finite)",
             ),
             (
                 # the cusp's F_0 = 1 + z^3 holds exp(750) past the float range

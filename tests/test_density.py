@@ -18,6 +18,7 @@ from fpfun.errors import EvaluationDomainError, StructureError
 from fpfun.fp import ProblemSpec, betti_limit_check, fn_eval, hk_multiplicity
 from fpfun.ideals import GradedLengthTable
 from fpfun.selfcheck import SelfCheckFailure, check_fourier_bridge, check_level_sums
+from fpfun.suite import plane_problem
 
 PLANE_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "problems", "plane.json")
 
@@ -149,6 +150,29 @@ class TestFourierBridge:
                     got = gn_fourier_exact(problem, n, y)
                     assert abs(got - want) <= 1e-15 * abs(want), (name, n, y)
 
+    def test_tiny_points_keep_the_imaginary_part(self, parameter23):
+        # Im of the transform is about |y| times its real part; below |y| =
+        # 1e-150 the interval step's own real part, of order |u|^2, underflows
+        for n in (0, 3, 6):
+            table = density_table(parameter23, n)
+            for y in (1e-20, 1e-30, 1e-100):
+                got, want = quadrature_fourier(table, y), direct_fourier(table, y)
+                assert abs(got.real - want.real) <= 1e-15 * abs(want.real), (n, y)
+                assert abs(got.imag - want.imag) <= 1e-15 * abs(want.imag), (n, y)
+
+    @pytest.mark.parametrize("name, n, y", [("cusp", 3, 1 - 30000j), ("plane", 0, 1 - 1500j)])
+    def test_large_negative_imaginary_parts(self, name, n, y, capsys):
+        # exp(-iu) - 1 tends to -1 as Im u -> -inf, while sin(u/2) overflows
+        # past Im u = -1420
+        path = os.path.join(os.path.dirname(PLANE_FILE), f"{name}.json")
+        grid = json.dumps([[y.real, y.imag]])
+        assert main(["density", "--file", path, "--n", str(n), "--y-grid", grid,
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["max_bridge_gap"] <= 1e-10
+        if name == "plane":  # level 0's table is {0: 1}, so the transform is -1 / (-iy)
+            got = quadrature_fourier(density_table(plane_problem(), 0), y)
+            assert abs(got - 1 / (1j * y)) <= 1e-16 * abs(got)
+
     def test_zero_agrees_with_level_value(self, suite_problems):
         for name, (problem, _) in suite_problems.items():
             for n in range(3):
@@ -177,7 +201,7 @@ class TestWrongKernelIsCaught:
     """Every numerator sum scaled by ``scale``: at 1 the bridge, the Betti
     check and the density report pass, at 1.01 each fails, because each
     compares the numerator sum with the direct per-term sum.  The Betti
-    check reads it only over a ring with relations (the cusp); a
+    check reads it only over a ring with relations (the cusp); at GRID a
     relation-free ring's F_n is a Frobenius product from a per-term level 0."""
 
     @pytest.fixture(params=[1.0, 1.01])
@@ -207,11 +231,12 @@ class TestWrongKernelIsCaught:
             assert (worst > 1e-9) == (scale != 1), (name, worst)
 
     def test_selfcheck_level_sums(self, scale):
-        # the cusp is the suite's ring with relations, whose F_n is the numerator sum
+        # the first problem, plane, is relation-free, and its closed form hands
+        # y = 1e-300 to the numerator sum at every level
         if scale == 1:
             assert check_level_sums(levels=3) > 0
         else:
-            with pytest.raises(SelfCheckFailure, match="^F_n off by .* on 'cusp' at n=0,"):
+            with pytest.raises(SelfCheckFailure, match="^F_n off by .* on 'plane' at n=0, y=1e-300$"):
                 check_level_sums(levels=3)
 
     def test_density_report(self, scale, capsys):
@@ -253,8 +278,8 @@ class TestWrongFrobeniusFactorIsCaught:
 
 def test_selfcheck_product_below_the_tail_fit():
     # fp_limit needs three levels, so only the per-term comparison runs
-    assert check_level_sums(levels=0) == 5 * 6
-    assert check_level_sums(levels=1) == 5 * 6 * 2
+    assert check_level_sums(levels=0) == 5 * 8
+    assert check_level_sums(levels=1) == 5 * 8 * 2
 
 
 class TestUniformConvergenceEcho:

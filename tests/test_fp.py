@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 import random
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -23,10 +24,11 @@ from fpfun.fp import (
 )
 from fpfun.hilbert import LaurentPolynomialZ
 from fpfun.ideals import HomogeneousIdeal, RingPresentation, series_expansion
-from fpfun.problems import problem_file_from_dict
+from fpfun.problems import load_problem_file, problem_file_from_dict
 from fpfun.suite import cusp_problem, parameter_problem
 
 GRID = (0.5, 1.0, 2.0, 4.0)
+PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
 
 def product_model(y, degrees):
@@ -536,6 +538,19 @@ class TestNumeratorSumAccuracy:
             points = [u * 2 ** n for u in (math.pi, 2 * math.pi / 3, math.pi + 1e-9, -math.pi)]
             self.check(cusp, [n], points)
 
+    def test_tiny_points_keep_the_imaginary_part(self, cusp):
+        # Im F_n is about |y| times Re F_n, so below |y| = 1e-20 the sum needs
+        # one more factor 1/|w| of bits than its magnitude alone asks for
+        cusp3 = load_problem_file(os.path.join(PROBLEMS, "cusp3.json")).to_problem()
+        for problem in (cusp, cusp3):
+            for n in range(4):
+                table, q = problem.table(n), problem.prime ** n
+                for y in (1e-20, 1e-30, 1e-100, 1e-300):
+                    want = fp._direct_sum(table.lengths, -1j * y / q) / q ** problem.dimension
+                    got = fn_eval(problem, n, y)
+                    assert abs(got.real - want.real) <= 4e-16 * abs(want.real), (n, y)
+                    assert abs(got.imag - want.imag) <= 4e-16 * abs(want.imag), (n, y)
+
     def test_finite_where_the_numerator_terms_overflow(self, cusp):
         # at y = 1 + 150i N_0's top term z^8 is about e^1200, past the float
         # range, yet F_0 = 1 + z^3 is about -2.68e195 and F_1 about -2.90e162
@@ -633,12 +648,30 @@ class TestFrobeniusProduct:
             gn_fourier_exact(problem, 14, y)
         assert levels == []
 
+    def test_hard_points_take_the_numerator_sum(self, plane, weighted_plane):
+        # where the closed form cannot go, F_n is the level's numerator sum bit
+        # for bit: at 1 - 1500i sin(wy/2) overflows though F_n is of order
+        # q^-d, and at 1e-310 y/q may be subnormal
+        line = problem_file_from_dict(
+            {"prime": 2, "variables": [{"name": "X", "degree": 1}], "ideal": ["X"]}
+        ).to_problem()
+        for problem in (plane, weighted_plane, line):
+            for n in range(1, 8):
+                table, q = problem.table(n), problem.prime ** n
+                for y in (1 - 1500j, 1e-310):
+                    want = fp._numerator_sum(table.numerator, table.weights, y, n, q,
+                                             q ** problem.dimension)
+                    assert fn_eval(problem, n, y) == want, (n, y)
+        # on the line F_2(1 + 1000i) is about e^750, and the numerator sum says so
+        with pytest.raises(OverflowError, match=r"^numerator sum at level 2 with w=\(250-0\.25j\)"):
+            fn_eval(line, 2, 1 + 1000j)
+
     def test_non_finite_product_raises(self, parameter23):
-        # at y = 1 + 145i F_4 is finite and F_6 is not; the error names
-        # level 6's w = -iy/64
+        # at y = 1 + 145i F_4 is finite and F_6 is not; the product overflows,
+        # and the numerator sum it falls back to names level 6's w = -iy/64
         y = 1 + 145j
         assert cmath.isfinite(fn_eval(parameter23, 4, y))
-        message = r"^Frobenius product at level 6 with w=\(2\.265625-0\.015625j\) is not finite$"
+        message = r"^numerator sum at level 6 with w=\(2\.265625-0\.015625j\) is not finite$"
         with pytest.raises(OverflowError, match=message):
             fn_eval(parameter23, 6, y)
 
