@@ -25,13 +25,12 @@ takes, and rounds once: F_n over a ring with relations, the density
 transform and the B_n(z) / prod(1 - z^d) of cm_chi_eval.  Over a
 relation-free ring, F_n is level 0's value times one closed-form factor
 per variable (Kunz's flatness, ``_fn_levels``): 2 sines and 2 exponentials
-per variable, point and level, for any n, wherever that product is
-finite; every other point takes the numerator sum, F_n's one exact
-fallback.  ``_direct_sum``, one exponential per term per point added
-exactly by math.fsum, takes that level 0 and is the independent
-reference: the density bridge's transform, the level-sum self check and
-the Betti polynomial of betti_limit_check.  A sum that is not finite
-raises OverflowError, naming it.
+per variable, point and level, for any n, where that product is finite;
+the numerator sum takes every other point.  ``_direct_sum``, one
+exponential per term per point added exactly by math.fsum, takes that
+level 0 and is the independent reference: the density bridge's transform,
+the level-sum self check and the Betti polynomial of betti_limit_check.
+A sum that is not finite raises OverflowError, naming it.
 """
 
 from __future__ import annotations
@@ -87,15 +86,18 @@ class ProblemSpec:
     def prime(self) -> int:
         return self.ring.field.p
 
+    @staticmethod
+    def _once(store: dict, key, compute):
+        """store[key], computed on first use; setdefault keeps the first value."""
+        if key not in store:
+            store.setdefault(key, compute())
+        return store[key]
+
     def ring_series(self) -> HilbertSeries:
-        if "series" not in self._derived:
-            self._derived.setdefault("series", series_of_ring(self.ring))
-        return self._derived["series"]
+        return self._once(self._derived, "series", lambda: series_of_ring(self.ring))
 
     def _hilbert_samuel(self) -> tuple:
-        if "samuel" not in self._derived:
-            self._derived.setdefault("samuel", hilbert_samuel(self.ring_series()))
-        return self._derived["samuel"]
+        return self._once(self._derived, "samuel", lambda: hilbert_samuel(self.ring_series()))
 
     @property
     def ring_dimension(self) -> int:
@@ -113,9 +115,7 @@ class ProblemSpec:
 
     def table(self, n: int) -> GradedLengthTable:
         """The exact graded length table at level n (cached, insert-once)."""
-        if n not in self._tables:
-            self._tables.setdefault(n, graded_lengths(self.ring, self.ideal, n))
-        return self._tables[n]
+        return self._once(self._tables, n, lambda: graded_lengths(self.ring, self.ideal, n))
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,9 @@ def fn_eval(problem: ProblemSpec, n: int, y: complex) -> complex:
     level's exact Hilbert numerator in integer fixed point, rounded once.
     Over a relation-free ring it is level 0's per-term sum times one closed
     form factor per variable (``_fn_levels``), reading the tables of levels
-    n and 0 alone, or the numerator sum where that product cannot go.  At
-    y = 0 the value is the exact rational q^(-d) * total length, converted
-    at the boundary.  A value that is not finite raises the numerator sum's
-    OverflowError.
+    n and 0 alone, or the numerator sum where that is not finite.  At y = 0
+    the value is the exact rational q^(-d) * total length, converted at the
+    boundary; one that is not finite raises the numerator sum's OverflowError.
     """
     return _fn_levels(problem, [y], [problem.table(n)])[0][0]
 
@@ -163,15 +162,14 @@ def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], tables: Sequence) ->
     q^(m-d) F_0(y) prod_i G_q(w_i y)/q, G_q(u) = sum_{a<q} exp(-iau/q), d
     the dimension (``dim_override`` too): F_0 is summed once per point and
     ``_times_geometric`` multiplies in the factors; no level reads another
-    level's value.  The closed form takes a point only where |y| >= 2e-290
-    (below, h/q may be subnormal), F_0 is finite and so is the product; any
-    other point, and one where a sine or exponential overflows or raises,
-    takes the level's numerator sum, the only source of the OverflowError
-    naming level n and w = -iy/q."""
+    level's value.  It takes a point only where |y| >= 2e-290 (below, h/q
+    may be subnormal) and F_0 and the product come out finite without
+    raising; any other point takes the level's numerator sum, the only
+    source of the OverflowError naming level n and w = -iy/q."""
     d, weights = problem.dimension, problem.ring.grading.weights
     points = [complex(y) for y in ys if y != 0]
     bases = [None] * len(points)
-    if not problem.ring.relations:
+    if points and not problem.ring.relations:
         lengths = problem.table(0).lengths
         for i, y in enumerate(points):
             if abs(y) >= 2e-290:
@@ -207,16 +205,20 @@ def _times_geometric(value: complex, y: complex, weights: Sequence[int], q: int)
     every argument is exact; at odd p the exact residual of Re h/q goes
     into sin(h/q), whose zeros would lose its bits.  It may overflow or
     lose a subnormal h/q; ``_fn_levels`` routes those points elsewhere."""
+    last = None
     for weight in weights:
-        h = y * (weight / 2)
-        a, b = h.real, h.imag
-        s, t = a / q, b / q
-        z, grow = complex(s, t), (b - t) / 2
-        sine = cmath.sin(z)
-        if q & (q - 1):  # a/q = s + residual
-            sine += float(Fraction(a) / q - Fraction(s)) * cmath.cos(z)
-        value *= cmath.sin(h) / (q * sine) * cmath.exp(complex(grow, -a))
-        value *= cmath.exp(complex(grow, s))
+        if weight != last:  # a repeated weight reuses its factor
+            h, last = y * (weight / 2), weight
+            a, b = h.real, h.imag
+            s, t = a / q, b / q
+            z, grow = complex(s, t), (b - t) / 2
+            sine = cmath.sin(z)
+            if q & (q - 1):  # a/q = s + residual
+                sine += float(Fraction(a) / q - Fraction(s)) * cmath.cos(z)
+            first = cmath.sin(h) / (q * sine) * cmath.exp(complex(grow, -a))
+            second = cmath.exp(complex(grow, s))
+        value *= first
+        value *= second
     return value
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fpfun import density, fp
+from fpfun import density, fp, selfcheck
 from fpfun.cli import main
 from fpfun.density import (
     DensityTable,
@@ -18,7 +18,7 @@ from fpfun.errors import EvaluationDomainError, StructureError
 from fpfun.fp import ProblemSpec, betti_limit_check, fn_eval, hk_multiplicity
 from fpfun.ideals import GradedLengthTable
 from fpfun.selfcheck import SelfCheckFailure, check_fourier_bridge, check_level_sums
-from fpfun.suite import plane_problem
+from fpfun.suite import plane_problem, standard_problems
 
 PLANE_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "problems", "plane.json")
 
@@ -230,13 +230,24 @@ class TestWrongKernelIsCaught:
             worst = betti_limit_check(problem, hsop, GRID, 8).max_deviation
             assert (worst > 1e-9) == (scale != 1), (name, worst)
 
-    def test_selfcheck_level_sums(self, scale):
-        # the first problem, plane, is relation-free, and its closed form hands
-        # y = 1e-300 to the numerator sum at every level
+    def test_selfcheck_level_sums(self, scale, monkeypatch):
+        # the cusp is the suite's ring with relations, whose F_n is the numerator sum
         if scale == 1:
             assert check_level_sums(levels=3) > 0
         else:
-            with pytest.raises(SelfCheckFailure, match="^F_n off by .* on 'plane' at n=0, y=1e-300$"):
+            cusp = {"cusp": standard_problems()["cusp"]}
+            monkeypatch.setattr(selfcheck, "standard_problems", lambda: cusp)
+            with pytest.raises(SelfCheckFailure, match="^F_n off by .* on 'cusp' at n=0,"):
+                check_level_sums(levels=3)
+
+    def test_selfcheck_level_sums_past_the_closed_form(self, scale, monkeypatch):
+        # plane is relation-free; its closed form hands y = 1e-300 to the numerator sum
+        plane = {"plane": standard_problems()["plane"]}
+        monkeypatch.setattr(selfcheck, "standard_problems", lambda: plane)
+        if scale == 1:
+            assert check_level_sums(levels=3) > 0
+        else:
+            with pytest.raises(SelfCheckFailure, match="on 'plane' at n=0, y=1e-300$"):
                 check_level_sums(levels=3)
 
     def test_density_report(self, scale, capsys):
