@@ -8,13 +8,14 @@ gn_hat(y) = F_n(y) * (1 - exp(-iy/q)) / (iy/q).  quadrature_fourier
 integrates each 1/q interval of the samples, taking the sum of
 ell_j * exp(-iyj/q) from the level's exact Hilbert numerator
 (fp._numerator_sum), and gn_fourier_exact scales fn_eval; both take the
-interval factor exp(-iy/q) - 1 from one cancellation-free step that keeps
-tiny |y| accurate.  Over a relation-free ring fn_eval is level 0's sum
-times Kunz's closed-form factors, with no numerator sum, so their gap
-measures the numerator sum against it.  The bridge checks the numerator
-sum on every ring: direct_fourier is the same transform with the sum taken
-term by term over the table (fp._direct_sum, one exponential per entry),
-and the bridge gap is its distance from quadrature_fourier.
+interval factor (exp(-iy/q) - 1) / (-iy/q) from one helper,
+fp._interval_ratio, that keeps tiny |y| accurate.  Over a relation-free
+ring fn_eval is level 0's sum times Kunz's closed-form factors, with no
+numerator sum, so their gap measures the numerator sum against it.  The
+bridge checks the numerator sum on every ring: direct_fourier is the same
+transform with the sum taken term by term over the table (fp._direct_sum,
+one exponential per entry), and the bridge gap is its distance from
+quadrature_fourier.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EvaluationDomainError
-from .fp import ProblemSpec, _direct_sum, _interval_step, _numerator_sum, fn_eval
+from .fp import ProblemSpec, _direct_sum, _interval_ratio, _numerator_sum, fn_eval
 from .ideals import GradedLengthTable
 
 
@@ -84,12 +85,11 @@ def gn_fourier_exact(problem: ProblemSpec, n: int, y: complex) -> complex:
 
     fn_eval weights each ell_j by q^(-d); over a relation-free ring it is
     level 0's sum times Kunz's closed-form factors, with no numerator sum.
-    The factor comes from the shared interval step; the transform at y = 0 is F_n(0).
+    The factor comes from the shared interval ratio; the transform at y = 0 is F_n(0).
     """
     if y == 0:
         return fn_eval(problem, n, 0)
-    u = complex(y) / problem.prime ** n
-    return fn_eval(problem, n, y) * _interval_step(u) / (-1j * u)
+    return fn_eval(problem, n, y) * _interval_ratio(complex(y) / problem.prime ** n)
 
 
 def quadrature_fourier(table: DensityTable, y: complex) -> complex:
@@ -98,9 +98,10 @@ def quadrature_fourier(table: DensityTable, y: complex) -> complex:
     Each interval contributes its sample q^(1-d) * ell_j times
     exp(-iyj/q) * (exp(-iy/q) - 1) / (-iy).  The sum of ell_j * exp(-iyj/q)
     times q^(1-d) is the level table's exact Hilbert numerator over its
-    weights, summed by fp._numerator_sum, and the interval factor comes from
-    the shared interval step.  The y -> 0 limit branch returns the step
-    function's mass.  A sum that is not finite raises OverflowError.
+    weights, summed by fp._numerator_sum, and the interval factor is the
+    shared interval ratio at y/q, divided by q.  The y -> 0 limit branch
+    returns the step function's mass.  A sum that is not finite raises
+    OverflowError.
     """
     level, q = table.table, table.q
     return _transform(table, y, lambda y: _numerator_sum(
@@ -121,4 +122,4 @@ def _transform(table: DensityTable, y: complex, level_sum) -> complex:
     if y == 0:
         return complex(float(table.mass()))
     y = complex(y)
-    return level_sum(y) * _interval_step(y / table.q) / (-1j * y)
+    return level_sum(y) * _interval_ratio(y / table.q) / table.q

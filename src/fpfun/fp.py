@@ -355,13 +355,15 @@ def _not_finite(what: str, w: complex) -> OverflowError:
     return OverflowError(f"{what} with w={w} is not finite")
 
 
-def _interval_step(u: complex) -> complex:
-    """exp(-iu) - 1, without cancellation: as -2i * sin(u/2) * exp(-iu/2)
-    while |Im u| < 1, where u may be near 0, and directly past that, where
-    sin(u/2) alone would overflow first as Im u -> -inf."""
+def _interval_ratio(u: complex) -> complex:
+    """(exp(-iu) - 1) / (-iu), the interval factor, without cancellation or
+    underflow: exp(-iu/2) * sin(u/2) / (u/2) while |Im u| < 1, which is 1
+    at u = 0 and keeps the -u/2 imaginary part at any tiny |u|, and directly
+    past that, where sin(u/2) alone would overflow first as Im u -> -inf."""
     if abs(u.imag) >= 1:
-        return cmath.exp(-1j * u) - 1
-    return -2j * cmath.sin(u / 2) * cmath.exp(-0.5j * u)
+        return (cmath.exp(-1j * u) - 1) / (-1j * u)
+    half = u / 2
+    return cmath.exp(-1j * half) * (cmath.sin(half) / half if half else 1)
 
 
 def hk_multiplicity(problem: ProblemSpec, n: int) -> Fraction:
@@ -460,9 +462,9 @@ def betti_limit_check(
 
     The level-n expressions B_n(z) / prod(q (1 - z^d)) with z = exp(-iy/q)
     and fn_eval(n, y) are equal by an exact rational-function identity, so
-    the deviation measures floating-point error.  Each factor 1 - z^d comes
-    from the cancellation-free interval step and B_n(z) from the direct
-    per-term sum, one exponential per term of B_n, while F_n comes from
+    the deviation measures floating-point error.  Each factor q (1 - z^d)
+    is i d y times the interval ratio at d y / q, B_n(z) comes from the
+    direct per-term sum, one exponential per term of B_n, and F_n from
     ``_fn_levels`` at level n for the whole grid, fn_eval's path: the
     numerator sum over a ring with relations, and over a relation-free
     ring level 0's value times Kunz's closed-form factors where those are
@@ -484,7 +486,7 @@ def betti_limit_check(
     for y, u, fn in zip(y_grid, us, fns):
         denom = 1.0 + 0j
         for d in degrees:
-            denom *= -q * _interval_step(d * u)
+            denom *= 1j * d * y * _interval_ratio(d * u)
         deviations[y] = abs(_direct_sum(terms, -1j * u) / denom - fn)
     return BettiCheckReport(
         n=n_max,
@@ -505,11 +507,11 @@ def cm_chi_eval(
     with B_n from ``betti_alternating_polynomial``, built once for the grid.
     At each point ``_numerator_sum`` takes q^-d * B_n(z) / prod(1 - z^d_i) in
     integer fixed point, which absorbs the order-d zero that B_n shares with
-    the product at z = 1, and each factor q (1 - z^d_i) / (d_i iy) comes from
-    the cancellation-free interval step, so tiny |y| keeps the relative
-    accuracy of larger ones.  When the hsop is a
-    regular sequence, H_{R/(hsop)} = prod(1 - t^d_i) * H_R and B_n is
-    chi(R/(hsop), R/I^[q]), so this is the chi form; the caller asserts it.
+    the product at z = 1, and each factor q (1 - z^d_i) / (d_i iy) is the
+    interval ratio at d_i y / q, so tiny |y| keeps the relative accuracy of
+    larger ones.  When the hsop is a regular sequence, H_{R/(hsop)} =
+    prod(1 - t^d_i) * H_R and B_n is chi(R/(hsop), R/I^[q]), so this is the
+    chi form; the caller asserts it.
     """
     degrees = _checked_degrees(hsop_degrees)
     terms = betti_alternating_polynomial(problem, degrees, n).coeffs
@@ -519,7 +521,7 @@ def cm_chi_eval(
     q = problem.prime ** n
     return {
         y: _numerator_sum(terms, degrees, complex(y), n, q, q ** len(degrees)) * math.prod(
-            -q * _interval_step(d * complex(y) / q) / (d * 1j * complex(y)) for d in degrees)
+            _interval_ratio(d * complex(y) / q) for d in degrees)
         for y in y_grid
     }
 

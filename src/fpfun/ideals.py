@@ -3,14 +3,18 @@ exact graded length tables of Frobenius-power quotients.
 
 The length pipeline is: bracket power -> Groebner basis of relations plus
 bracket generators -> initial ideal -> staircase count of standard monomials
-by weighted degree.  Passing to the initial ideal preserves the Hilbert
-function, so the counts are exact.  Two independent oracles (direct staircase
+by weighted degree.  Over a ring with relations J, each bracket generator
+g^q enters as its Frobenius normal form modulo J, p-th powers of normal forms
+reduced level by level, which gives the same ideal and so the same reduced
+basis.  Passing to the initial ideal preserves the Hilbert function, so the
+counts are exact.  Two independent oracles (direct staircase
 enumeration and Macaulay-matrix ranks over F_p) cross-check the pipeline.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -33,6 +37,7 @@ from .algebra import (
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    normal_form,
     weighted_degree,
 )
 from .errors import ColengthError, StructureError
@@ -355,7 +360,12 @@ class GradedLengthTable:
         return len(self.lengths.run) - 1
 
     def total(self) -> int:
-        return sum(self.lengths.run)
+        """The exact total length, read off the numerator N over the m
+        weights w: the value at t = 1 of N(t) / prod(1 - t^w), which is
+        (-1)^m N^(m)(1) / (m! prod w), in O(terms of N)."""
+        m = len(self.weights)
+        top = sum(c * math.perm(e, m) for e, c in self.numerator.items())
+        return (-1) ** m * top // (math.factorial(m) * math.prod(self.weights))
 
     def moment(self, m: int) -> int:
         """The exact integer sum of j^m times the degree-j length."""
@@ -457,23 +467,36 @@ def enumeration_oracle(M: MonomialIdeal, grading: Grading) -> dict:
 def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> GradedLengthTable:
     """Exact graded lengths of the quotient by the n-th bracket power.
 
+    Monomial relations and generators give the initial ideal directly.
+    Otherwise it is a Groebner basis's: of the g^q over a relation-free
+    ring, and over a ring with relations J, of J's reduced basis G and the
+    nonzero Frobenius normal forms h_n of the generators, h_0 = NF_G(g) and
+    h_(k+1) = NF_G(h_k^p).  Over F_p, (a + j)^p = a^p + j^p with j^p in J,
+    so h_n = g^q mod J: the ideal J + I^[q], and so its reduced basis, is
+    the same, and a level takes n reductions of p-th powers of normal forms
+    in place of the S-pairs of the relations with the raw g^q.
+
     Raises ColengthError (naming a variable with no pure power in the initial
     ideal) when the ideal does not have finite colength in the ring, and
     StructureError when the level's count table would have more than
     MAX_TABLE_ENTRIES entries.  When the Groebner basis is needed, a lower
     bound on the table size is checked first, so a level that is over the
-    budget by that bound is refused before Buchberger runs.
+    budget by that bound is refused before Buchberger runs on the bracket
+    generators.
     """
     check_ideal_in_ring(ring, ideal)
     if n < 0:
         raise StructureError("level n must be non-negative")
     p = ring.field.p
-    polys = list(ring.relations) + list(bracket_power(ideal, n).generators)
-    if all(f.is_monomial() for f in polys):
+    if all(f.is_monomial() for f in (*ring.relations, *ideal.generators)):
+        polys = [*ring.relations, *bracket_power(ideal, n).generators]
         M = MonomialIdeal.from_exponents(f.single_exponent() for f in polys)
     else:
-        _check_table_floor(ring, ideal, n)
-        M = initial_ideal(buchberger(polys))
+        relations = buchberger(ring.relations).elements if ring.relations else ()
+        _check_table_floor(ring, ideal, n, relations)
+        gens = (_frobenius_normal_forms(ideal, relations, n) if relations
+                else bracket_power(ideal, n).generators)
+        M = initial_ideal(buchberger([*relations, *gens]))
     weights = tuple(ring.grading.weights)
     if M.is_unit:
         return GradedLengthTable(n, p, LengthRun([]), {}, weights)
@@ -493,24 +516,40 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
     return GradedLengthTable(n, p, LengthRun(counts), numerator, weights)
 
 
-def _check_table_floor(ring: RingPresentation, ideal: HomogeneousIdeal, n: int):
+def _frobenius_normal_forms(ideal: HomogeneousIdeal, relations, n: int) -> list:
+    """The nonzero h_n of the generators g: h_0 = NF(g) and h_(k+1) = NF(h_k^p)
+    under the relations' reduced basis ``relations``, so h_n = g^(p^n) mod J."""
+    p = ideal.generators[0].field.p
+    out = []
+    for g in ideal.generators:
+        h = normal_form(g, relations)
+        for _ in range(n):
+            if h.is_zero():
+                break
+            h = normal_form(h.frobenius_power(p), relations)
+        if not h.is_zero():
+            out.append(h)
+    return out
+
+
+def _check_table_floor(ring: RingPresentation, ideal: HomogeneousIdeal, n: int, relations):
     """Refuse level n when a lower bound on its table size is over the budget.
 
     With h the least generator degree of the ideal and q = p^n, the ideal
     J + I^[q] agrees with the relation ideal J below degree q*h.  A variable
-    x_i with no pure power in in(J) therefore has pure-power bound b_i with
-    b_i * w_i >= q*h, and the table needs at least
-    sum over such i of (ceil(q*h / w_i) - 1) * w_i, plus one, entries.  in(J)
-    is computed only when counting every variable already exceeds the budget.
+    x_i with no pure power in in(J), read off the leading terms of J's
+    reduced basis ``relations``, therefore has pure-power bound b_i with
+    b_i * w_i >= q*h, and the table needs at least sum over such i of
+    (ceil(q*h / w_i) - 1) * w_i, plus one, entries.
     """
     q = ring.field.p ** n
     h = min(g.homogeneous_degree() for g in ideal.generators)
-    floors = [(-(-q * h // w) - 1) * w for w in ring.grading.weights]
-    if sum(floors) + 1 > MAX_TABLE_ENTRIES and ring.relations:
-        bounds = initial_ideal(buchberger(ring.relations)).pure_power_bounds(ring.grading.var_count)
-        floors = [f for f, b in zip(floors, bounds) if b is None]
-    if sum(floors) + 1 > MAX_TABLE_ENTRIES:
-        raise _over_budget(n, sum(floors) + 1, "at least ")
+    leads = MonomialIdeal.from_exponents(g.leading_exponents() for g in relations)
+    bounds = leads.pure_power_bounds(ring.grading.var_count)
+    floor = sum((-(-q * h // w) - 1) * w
+                for w, b in zip(ring.grading.weights, bounds) if b is None) + 1
+    if floor > MAX_TABLE_ENTRIES:
+        raise _over_budget(n, floor, "at least ")
 
 
 def _over_budget(n: int, entries: int, bound: str = "") -> StructureError:

@@ -13,8 +13,11 @@ from .algebra import Grading, Polynomial, PrimeField, _heap_key, normal_form
 from .fp import _direct_sum, betti_alternating_polynomial, fn_eval, fp_limit, hk_multiplicity
 from .density import density_table, direct_fourier, quadrature_fourier
 from .ideals import (
+    HomogeneousIdeal,
     MonomialIdeal,
     RingPresentation,
+    _frobenius_normal_forms,
+    bracket_power,
     buchberger,
     enumeration_oracle,
     initial_ideal,
@@ -147,12 +150,16 @@ def check_monomial_oracles(rng: random.Random, count=200) -> int:
     return count
 
 
-def check_groebner_vs_rank(rng: random.Random, count=50, max_degree=12) -> int:
+def check_groebner_vs_rank(rng: random.Random, count=50, max_degree=12, relation_count=0) -> int:
     """Graded dimensions from the initial ideal match the Macaulay rank oracle.
 
     ``count`` ideals use standard gradings over F_2 and F_3; ``count // 2``
-    more use weights from (1, 2, 3) over F_2, F_3 and F_5.  Returns the
-    number of ideals checked.
+    more use weights from (1, 2, 3) over F_2, F_3 and F_5.  ``relation_count``
+    more draw a ring with one or two relations over F_2 or F_3, standard and
+    weighted in turn, and check the basis graded_lengths takes at levels 1
+    and 2 (the relations' reduced basis and the Frobenius normal forms of the
+    generators) against the rank oracle on the relations plus the raw bracket
+    powers.  Returns the number of ideals checked.
     """
     draws = [False] * count + [True] * (count // 2)
     for k, weighted in enumerate(draws):
@@ -160,23 +167,44 @@ def check_groebner_vs_rank(rng: random.Random, count=50, max_degree=12) -> int:
         field = PrimeField(p)
         grading = _random_grading(rng, weighted)
         ring = RingPresentation(field, grading)
-        gens = [
-            _random_homogeneous(rng, field, grading, 1, 4)
-            for _ in range(rng.randint(1, 3))
-        ]
-        basis = buchberger(gens)
-        lead = initial_ideal(basis)
-        for degree in range(max_degree + 1):
-            standard = sum(
-                1 for e in monomials_of_degree(grading, degree) if not lead.contains_monomial(e)
-            )
-            ranked = macaulay_rank_oracle(ring, gens, degree)
-            _require(
-                standard == ranked,
-                f"Groebner/rank mismatch for ideal #{k} (p={p}, weights "
-                f"{grading.weights}) at degree {degree}: {standard} vs {ranked}",
-            )
-    return len(draws)
+        gens = _random_generators(rng, field, grading)
+        _require_ranks(ring, gens, buchberger(gens), max_degree, f"ideal #{k}")
+    for k in range(relation_count):
+        p = rng.choice((2, 3))
+        field = PrimeField(p)
+        grading = _random_grading(rng, k % 2)
+        relations = _random_generators(rng, field, grading, most=2, high=3)
+        ring = RingPresentation(field, grading, relations)
+        ideal = HomogeneousIdeal(_random_generators(rng, field, grading, high=3))
+        basis = buchberger(relations).elements
+        for n in (1, 2):
+            route = buchberger([*basis, *_frobenius_normal_forms(ideal, basis, n)])
+            raw = bracket_power(ideal, n).generators
+            _require_ranks(ring, raw, route, max_degree, f"ideal #{k} over relations at n={n}")
+    return len(draws) + relation_count
+
+
+def _random_generators(rng, field, grading, most=3, high=4) -> tuple:
+    """One to ``most`` random forms of degrees 1 to ``high``."""
+    return tuple(
+        _random_homogeneous(rng, field, grading, 1, high) for _ in range(rng.randint(1, most))
+    )
+
+
+def _require_ranks(ring, gens, basis, max_degree, label):
+    """The standard monomials of ``basis`` number, in each degree up to
+    max_degree, what the rank oracle leaves of the ring over ``gens``."""
+    lead, grading = initial_ideal(basis), ring.grading
+    for degree in range(max_degree + 1):
+        standard = sum(
+            1 for e in monomials_of_degree(grading, degree) if not lead.contains_monomial(e)
+        )
+        ranked = macaulay_rank_oracle(ring, gens, degree)
+        _require(
+            standard == ranked,
+            f"Groebner/rank mismatch for {label} (p={ring.field.p}, weights "
+            f"{grading.weights}) at degree {degree}: {standard} vs {ranked}",
+        )
 
 
 def check_ab_identity(levels=4, deep=8) -> int:
@@ -277,7 +305,7 @@ def run_all(seed=DEFAULT_SEED):
         ("term-order", check_monomial_order(rng)),
         ("division", check_division(rng)),
         ("staircase-vs-enumeration", check_monomial_oracles(rng)),
-        ("groebner-vs-macaulay-rank", check_groebner_vs_rank(rng)),
+        ("groebner-vs-macaulay-rank", check_groebner_vs_rank(rng, relation_count=20)),
         ("hilbert-betti-identity", check_ab_identity()),
         ("fourier-bridge", check_fourier_bridge()),
         ("level-sums", check_level_sums(levels=10)),

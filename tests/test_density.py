@@ -15,7 +15,7 @@ from fpfun.density import (
     quadrature_fourier,
 )
 from fpfun.errors import EvaluationDomainError, StructureError
-from fpfun.fp import ProblemSpec, betti_limit_check, fn_eval, hk_multiplicity
+from fpfun.fp import ProblemSpec, betti_limit_check, cm_chi_eval, fn_eval, hk_multiplicity
 from fpfun.ideals import GradedLengthTable
 from fpfun.selfcheck import SelfCheckFailure, check_fourier_bridge, check_level_sums
 from fpfun.suite import plane_problem, standard_problems
@@ -159,6 +159,25 @@ class TestFourierBridge:
                 got, want = quadrature_fourier(table, y), direct_fourier(table, y)
                 assert abs(got.real - want.real) <= 1e-15 * abs(want.real), (n, y)
                 assert abs(got.imag - want.imag) <= 1e-15 * abs(want.imag), (n, y)
+
+    def test_points_below_the_interval_factor_underflow(self, parameter23):
+        # the imaginary part is linear in y this far down, so at 1e-160 and
+        # 1e-200 each transform reads its value at 1e-100 scaled; the factor
+        # (exp(-iu) - 1) / (-iu) keeps its -u/2 where exp(-iu) - 1 loses u^2/2
+        n = 6
+        table = density_table(parameter23, n)
+        transforms = {
+            "quadrature": lambda y: quadrature_fourier(table, y),
+            "direct": lambda y: direct_fourier(table, y),
+            "exact": lambda y: gn_fourier_exact(parameter23, n, y),
+            "chi": lambda y: cm_chi_eval(parameter23, (1, 1), [y], n)[y],
+        }
+        for name, transform in transforms.items():
+            base = transform(1e-100)
+            for y in (1e-160, 1e-200):
+                want, got = complex(base.real, base.imag * (y / 1e-100)), transform(y)
+                assert abs(got.real - want.real) <= 1e-15 * abs(want.real), (name, y)
+                assert abs(got.imag - want.imag) <= 1e-15 * abs(want.imag), (name, y)
 
     @pytest.mark.parametrize("name, n, y", [("cusp", 3, 1 - 30000j), ("plane", 0, 1 - 1500j)])
     def test_large_negative_imaginary_parts(self, name, n, y, capsys):

@@ -1,16 +1,26 @@
 """Cross-cutting checks on harder instances: odd characteristic, non-monomial
-generators over relations, three variables, a reducible ring, and rank-oracle
-agreement for the full pipeline with relations and weights."""
+generators over relations, three variables, a reducible ring, rank-oracle
+agreement for the full pipeline with relations and weights, and the reduced
+bases of the Frobenius normal forms against the raw bracket powers."""
 
 import cmath
 from fractions import Fraction
 
 import pytest
 
-from fpfun.algebra import Grading, PrimeField, parse_polynomial
+from fpfun import ideals
+from fpfun.algebra import Grading, PrimeField, normal_form, parse_polynomial
 from fpfun.fp import ProblemSpec, fn_eval, hk_multiplicity
 from fpfun.hilbert import LaurentPolynomialZ, hilbert_samuel, series_of_ring
-from fpfun.ideals import HomogeneousIdeal, RingPresentation, buchberger, initial_ideal, macaulay_rank_oracle
+from fpfun.ideals import (
+    HomogeneousIdeal,
+    RingPresentation,
+    bracket_power,
+    buchberger,
+    graded_lengths,
+    initial_ideal,
+    macaulay_rank_oracle,
+)
 from fpfun.suite import plane_problem
 
 
@@ -133,3 +143,59 @@ class TestSupportBoundConstant:
             for n in range(5):
                 table = problem.table(n)
                 assert table.max_degree < c * problem.prime ** n, (name, n)
+
+
+def frobenius_route(problem, n):
+    """The reduced basis graded_lengths takes over a ring with relations."""
+    relations = buchberger(problem.ring.relations).elements
+    return buchberger([*relations, *ideals._frobenius_normal_forms(problem.ideal, relations, n)])
+
+
+def raw_route(problem, n):
+    """Buchberger on the relations plus the raw bracket powers g^q."""
+    return buchberger([*problem.ring.relations, *bracket_power(problem.ideal, n).generators])
+
+
+CUSP = (2, ("X", "Y"), (2, 3), ("Y^2 - X^3",))
+FERMAT = (("x", "y", "z"), (1, 1, 1), ("x^3 + y^3 + z^3",), ("x", "y", "z"))
+
+
+class TestFrobeniusNormalForms:
+    @pytest.mark.parametrize("args, top", [
+        ((*CUSP, ("X",)), 14),
+        ((3, ("X", "Y"), (2, 3), ("Y^2 - X^3",), ("X^3 + Y^2",)), 8),
+        ((2, *FERMAT), 7),
+        ((5, *FERMAT), 3),
+        ((*CUSP, ("X", "Y^2 - X^3")), 6),
+    ], ids=["cusp", "cusp3", "fermat-p2", "fermat-p5", "cusp-with-its-relation"])
+    def test_reduced_basis_equals_the_raw_bracket_powers(self, args, top):
+        problem = build(*args)
+        for n in range(top + 1):
+            assert frobenius_route(problem, n) == raw_route(problem, n), n
+
+    @pytest.mark.parametrize("name", ["reducible_ring", "cusp_p3_nonmonomial"])
+    def test_fixtures(self, request, name):
+        problem = request.getfixturevalue(name)
+        for n in range(6):
+            assert frobenius_route(problem, n) == raw_route(problem, n), n
+
+    def test_graded_lengths_takes_the_normal_forms(self, monkeypatch):
+        # h_14 of X on the cusp is X^q mod Y^2 - X^3, which the raw power
+        # reaches by 5461 division steps; the relation's own h_n is 0 and dropped
+        problem = build(*CUSP, ("X", "Y^2 - X^3"))
+        relation = problem.ring.relations[0]
+        inputs = []
+
+        def recording(gens):
+            inputs.append(tuple(gens))
+            return buchberger(gens)
+
+        monkeypatch.setattr(ideals, "buchberger", recording)
+        q = 2 ** 14
+        table = graded_lengths(problem.ring, problem.ideal, 14)
+        basis = buchberger([relation]).elements
+        h = normal_form(problem.ideal.generators[0].frobenius_power(q), basis)
+        assert inputs == [(relation,), (*basis, h)]
+        assert h.single_exponent() == (1, 2 * (q // 3))
+        cusp = build(*CUSP, ("X",))
+        assert table == graded_lengths(cusp.ring, cusp.ideal, 14)

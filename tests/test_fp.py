@@ -13,7 +13,7 @@ from fpfun.algebra import Grading, PrimeField, parse_polynomial
 from fpfun.errors import EvaluationDomainError, StructureError
 from fpfun.fp import (
     ProblemSpec,
-    _interval_step,
+    _interval_ratio,
     betti_alternating_polynomial,
     betti_limit_check,
     cm_chi_eval,
@@ -757,6 +757,25 @@ class TestFrobeniusProduct:
             assert fn_eval(problem, n, 0) == Fraction(total * q ** m, q ** d)
 
 
+class TestIntervalRatio:
+    def test_series_at_small_u_and_the_direct_form_past_it(self):
+        # (exp(-iu) - 1) / (-iu) = sum_k (-iu)^k / (k+1)!: at real u each
+        # part keeps its relative accuracy, so the -u/2 imaginary part stays
+        # at any tiny u; complex u, like any complex product, is accurate
+        # relative to the modulus; the two forms meet at |Im u| = 1
+        assert _interval_ratio(0j) == 1
+        for u in (1e-300, 1e-200 + 1e-200j, 1e-160, 1e-20, 1e-6 - 3e-7j, 1e-3j, -0.25):
+            series = sum((-1j * u) ** k / math.factorial(k + 1) for k in range(12))
+            got = _interval_ratio(complex(u))
+            assert abs(got - series) <= 1e-15 * abs(series), u
+            if not complex(u).imag:
+                assert abs(got.real - series.real) <= 1e-15 * abs(series.real), u
+                assert abs(got.imag - series.imag) <= 1e-15 * abs(series.imag), u
+        for u in (0.5 + 0.999j, 0.5 + 1.001j, 3 - 0.5j, 2 - 40j, 2 + 40j):
+            direct = (cmath.exp(-1j * u) - 1) / (-1j * u)
+            assert abs(_interval_ratio(u) - direct) <= 2e-15 * abs(direct), u
+
+
 class TestCmChiEval:
     def test_exact_rearrangement_of_fn(self, plane):
         for n in (2, 5, 8):
@@ -781,7 +800,7 @@ class TestCmChiEval:
         for y in grid:
             rhs = fn_eval(problem, 14, y)
             for d in hsop:
-                rhs *= -q * _interval_step(d * y / q) / (d * 1j * y)
+                rhs *= _interval_ratio(d * y / q)
             assert abs(values[y] - rhs) <= 1e-13 * abs(rhs)
 
     def test_converges_to_product_formula(self, plane):

@@ -15,6 +15,7 @@ from fpfun.algebra import (
 from fpfun import ideals
 from fpfun.density import density_table
 from fpfun.errors import ColengthError, StructureError
+from fpfun.fp import ProblemSpec
 from fpfun.ideals import (
     _SUBSET_CAP,
     MAX_TABLE_ENTRIES,
@@ -248,7 +249,8 @@ class TestGradedLengths:
         assert inputs == [(relation,)]
         inputs.clear()
         assert graded_lengths(ring, maximal, 2).total() == 36
-        assert len(inputs) == 1 and len(inputs[0]) == 4
+        # the relations' reduced basis, then it with the three Frobenius normal forms
+        assert len(inputs) == 2 and inputs[0] == (relation,) and len(inputs[1]) == 4
 
     def test_table_floor_never_refuses_a_level_that_fits(self, monkeypatch):
         field, grading, names = PrimeField(2), Grading((1, 1, 1)), ("x", "y", "z")
@@ -442,10 +444,32 @@ class TestLevelNumerator:
             assert table.lengths == enumeration_oracle(MonomialIdeal.from_exponents(exps), grading)
             assert expands_to_lengths(table), (grading.weights, exps)
             assert table.lengths.run[0] == 1, (grading.weights, exps)
+            assert table.total() == sum(table.lengths.values()), (grading.weights, exps)
 
     def test_unit_ideal_has_numerator_zero(self):
         t = graded_lengths(RingPresentation(F2, STD2, (), ("X", "Y")), ideal("1"), 1)
         assert (t.numerator, t.weights) == ({}, (1, 1))
+
+    def test_total_from_the_numerator(self):
+        # total() reads (-1)^m N^(m)(1) / (m! prod w) off the numerator; the
+        # sum of the dense run is the check
+        cases = []
+        for path in sorted(PROBLEMS.glob("*.json")):
+            pf = load_problem_file(str(path))
+            cases.append((path.name, pf.to_problem(), pf.n_max))
+        names = ("x", "y", "z")
+        for p, top in ((2, 7), (5, 3)):
+            field, grading = PrimeField(p), Grading((1, 1, 1))
+            cubic = parse_polynomial("x^3 + y^3 + z^3", names, field, grading)
+            maximal = tuple(parse_polynomial(v, names, field, grading) for v in names)
+            ring = RingPresentation(field, grading, (cubic,), names)
+            cases.append((f"fermat p={p}", ProblemSpec(ring, HomogeneousIdeal(maximal)), top))
+        for name, problem, top in cases:
+            for n in range(top + 1):
+                table = problem.table(n)
+                assert table.total() == sum(table.lengths.values()), (name, n)
+        hand = GradedLengthTable(3, 2, {0: 1, 2: 5, 7: 2})
+        assert hand.numerator is hand.lengths and hand.total() == 8
 
 
 class TestFrobeniusScaling:
@@ -539,6 +563,11 @@ class TestOracleAgreement:
     def test_random_homogeneous_ideals(self):
         rng = random.Random(4711)
         check_groebner_vs_rank(rng, count=12, max_degree=10)
+
+    def test_random_ideals_over_relations(self):
+        # graded_lengths' basis over one or two relations at levels 1 and 2
+        rng = random.Random(4712)
+        assert check_groebner_vs_rank(rng, count=0, relation_count=12) == 12
 
     def test_random_zero_dimensional_generator_caps(self):
         rng = random.Random(3)
