@@ -54,6 +54,7 @@ from .hilbert import (
     series_of_table,
 )
 from .ideals import (
+    FrobeniusChain,
     GradedLengthTable,
     HomogeneousIdeal,
     RingPresentation,
@@ -68,7 +69,9 @@ class ProblemSpec:
     The dimension defaults to the Krull dimension of the ring read off its
     Hilbert series; ``dim_override`` substitutes any non-negative integer for
     the normalization exponent.  The ring's Hilbert series and its
-    Hilbert-Samuel data are computed once; length tables are cached per level.
+    Hilbert-Samuel data are computed once; length tables are cached per level,
+    and over a ring with relations one FrobeniusChain keeps the relations'
+    reduced basis and the deepest Frobenius normal forms between levels.
     The caches allow concurrent reads with insert-once writes.
     """
 
@@ -81,6 +84,7 @@ class ProblemSpec:
         self.dim_override = dim_override
         self._tables: dict = {}
         self._derived: dict = {}
+        self._chain = FrobeniusChain(ring, ideal)
 
     @property
     def prime(self) -> int:
@@ -115,7 +119,8 @@ class ProblemSpec:
 
     def table(self, n: int) -> GradedLengthTable:
         """The exact graded length table at level n (cached, insert-once)."""
-        return self._once(self._tables, n, lambda: graded_lengths(self.ring, self.ideal, n))
+        return self._once(self._tables, n,
+                          lambda: graded_lengths(self.ring, self.ideal, n, self._chain))
 
 
 @dataclass(frozen=True)
@@ -359,11 +364,20 @@ def _interval_ratio(u: complex) -> complex:
     """(exp(-iu) - 1) / (-iu), the interval factor, without cancellation or
     underflow: exp(-iu/2) * sin(u/2) / (u/2) while |Im u| < 1, which is 1
     at u = 0 and keeps the -u/2 imaginary part at any tiny |u|, and directly
-    past that, where sin(u/2) alone would overflow first as Im u -> -inf."""
+    past that, where sin(u/2) alone would overflow first as Im u -> -inf.
+    At complex u with |u/2| < 1/2, sin(h)/h is its Taylor series through
+    h^16, whose tail is below 1e-22 there: the complex division errs by a
+    few ulp of 1 in its imaginary part, which left the ratio's imaginary
+    part, of order |u|, off by about 1e-16 / |u| of itself."""
     if abs(u.imag) >= 1:
         return (cmath.exp(-1j * u) - 1) / (-1j * u)
     half = u / 2
-    return cmath.exp(-1j * half) * (cmath.sin(half) / half if half else 1)
+    if not half.imag or abs(half) >= 0.5:
+        return cmath.exp(-1j * half) * (cmath.sin(half) / half if half else 1)
+    square, sinc = half * half, 1
+    for k in range(16, 0, -2):  # 1 - h^2 / (2 * 3) (1 - h^2 / (4 * 5) (...)), by Horner
+        sinc = 1 - square * sinc / (k * (k + 1))
+    return cmath.exp(-1j * half) * sinc
 
 
 def hk_multiplicity(problem: ProblemSpec, n: int) -> Fraction:

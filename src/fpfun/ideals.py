@@ -5,10 +5,14 @@ The length pipeline is: bracket power -> Groebner basis of relations plus
 bracket generators -> initial ideal -> staircase count of standard monomials
 by weighted degree.  Over a ring with relations J, each bracket generator
 g^q enters as its Frobenius normal form modulo J, p-th powers of normal forms
-reduced level by level, which gives the same ideal and so the same reduced
-basis.  Passing to the initial ideal preserves the Hilbert function, so the
-counts are exact.  Two independent oracles (direct staircase
-enumeration and Macaulay-matrix ranks over F_p) cross-check the pipeline.
+reduced level by level and carried from one level to the next
+(FrobeniusChain), which gives the same ideal and so the same reduced basis.
+Passing to the initial ideal preserves the Hilbert function, so the counts
+are exact.  The staircase count is its Hilbert numerator N over
+prod(1 - t^w), and the dense table is N's series expansion, taken over the
+first two weights as arithmetic runs on residue classes.  Two independent
+oracles (direct staircase enumeration and Macaulay-matrix ranks over F_p)
+cross-check the pipeline.
 """
 
 from __future__ import annotations
@@ -378,14 +382,44 @@ class GradedLengthTable:
 def series_expansion(numerator: Mapping, degrees: Sequence[int], up_to: int) -> list:
     """Coefficients 0..up_to of numerator(t) / prod(1 - t^w) over w in degrees.
 
-    ``numerator`` maps non-negative exponents to integer coefficients.
+    ``numerator`` maps non-negative exponents to integer coefficients.  The
+    first two weights are divided out in closed form: with L the lcm of
+    those k <= 2 weights, the sparse numerator times each (1 - t^L) / (1 - t^w)
+    = sum_(a < L/w) t^(aw) is P, and P / (1 - t^L)^k is, on each residue
+    class mod L between consecutive exponents of P, a constant (k = 1) or an
+    arithmetic progression (k = 2), written as one slice.  Each later weight
+    is a running sum along each residue class mod w.
     """
     out = [0] * (up_to + 1)
-    for e, c in numerator.items():
-        if e <= up_to:
+    first, k = degrees[:2], min(len(degrees), 2)
+    step = math.lcm(*first)
+    terms = {e: c for e, c in numerator.items() if e <= up_to and c}
+    for w in first:
+        spread: dict = {}
+        for e, c in terms.items():
+            for f in range(e, min(e + step, up_to + 1), w):
+                spread[f] = spread.get(f, 0) + c
+        terms = spread
+    if not k:
+        for e, c in terms.items():
             out[e] = c
-    # dividing by 1 - t^w is a running sum along each residue class mod w
-    for w in degrees:
+        return out
+    classes: dict = {}
+    for e in sorted(terms):
+        classes.setdefault(e % step, []).append(e)
+    for exps in classes.values():
+        value = slope = 0
+        for start, end in zip(exps, [*exps[1:], up_to + 1]):
+            value += terms[start]
+            if k == 2:
+                slope += terms[start]
+            count = (end - start + step - 1) // step
+            if slope:
+                out[start:end:step] = range(value, value + slope * count, slope)
+            elif value:
+                out[start:end:step] = [value] * count
+            value += slope * count
+    for w in degrees[2:]:
         for r in range(min(w, up_to + 1)):
             out[r::w] = itertools.accumulate(out[r::w])
     return out
@@ -421,7 +455,8 @@ def staircase_degree_counts(M: MonomialIdeal, grading: Grading, max_degree: int)
     _SUBSET_CAP generators, when a pure power of every variable bounds the
     staircase, the bounding box is walked and N is the counts times one
     (1 - t^w) per weight; otherwise N is staircase_numerator's and the counts
-    are its series expansion.
+    are its series_expansion, whose work past N's few terms is one slice per
+    run of the output.
     """
     if M.is_unit:
         return {}, [0] * (max_degree + 1)
@@ -464,17 +499,64 @@ def enumeration_oracle(M: MonomialIdeal, grading: Grading) -> dict:
     return _enumerate_box_counts(M, grading, bounds)
 
 
-def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> GradedLengthTable:
+class FrobeniusChain:
+    """The Frobenius normal forms of an ideal's generators over a ring with
+    relations J, carried from level to level.
+
+    ``relations`` is J's reduced basis G, computed on first use, and
+    ``forms(n)`` the nonzero h_n of the generators g: h_0 = NF_G(g) and
+    h_(k+1) = NF_G(h_k^p), so h_n = g^(p^n) mod J.  The chain keeps h_0 and
+    the deepest level it has built, and continues from the deepest kept
+    level <= n, so levels 0, 1, ..., n in turn take one normal form per
+    generator each.  Concurrent calls are safe: each reads the kept pair
+    once, so it never mixes two levels' forms; a race may keep the shallower
+    of two levels, which costs only time.
+    """
+
+    def __init__(self, ring: RingPresentation, ideal: HomogeneousIdeal):
+        self.ring, self.ideal = ring, ideal
+        self._relations = None
+        self._kept = None  # (h_0, (level, forms at that level))
+
+    @property
+    def relations(self) -> tuple:
+        if self._relations is None:
+            relations = self.ring.relations
+            self._relations = buchberger(relations).elements if relations else ()
+        return self._relations
+
+    def forms(self, n: int) -> list:
+        G, p = self.relations, self.ring.field.p
+        kept = self._kept
+        if kept is None:
+            start = tuple(normal_form(g, G) for g in self.ideal.generators)
+            kept = self._kept = (start, (0, start))
+        start, (level, forms) = kept
+        if level > n:
+            level, forms = 0, start
+        for _ in range(n - level):
+            forms = tuple(h if h.is_zero() else normal_form(h.frobenius_power(p), G)
+                          for h in forms)
+        if n > self._kept[1][0]:
+            self._kept = (start, (n, forms))
+        return [h for h in forms if not h.is_zero()]
+
+
+def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int,
+                   chain: FrobeniusChain = None) -> GradedLengthTable:
     """Exact graded lengths of the quotient by the n-th bracket power.
 
     Monomial relations and generators give the initial ideal directly.
     Otherwise it is a Groebner basis's: of the g^q over a relation-free
     ring, and over a ring with relations J, of J's reduced basis G and the
-    nonzero Frobenius normal forms h_n of the generators, h_0 = NF_G(g) and
-    h_(k+1) = NF_G(h_k^p).  Over F_p, (a + j)^p = a^p + j^p with j^p in J,
-    so h_n = g^q mod J: the ideal J + I^[q], and so its reduced basis, is
-    the same, and a level takes n reductions of p-th powers of normal forms
-    in place of the S-pairs of the relations with the raw g^q.
+    nonzero Frobenius normal forms h_n of the generators (FrobeniusChain).
+    Over F_p, (a + j)^p = a^p + j^p with j^p in J, so h_n = g^q mod J: the
+    ideal J + I^[q], and so its reduced basis, is the same, and a level takes
+    reductions of p-th powers of normal forms in place of the S-pairs of the
+    relations with the raw g^q.  Without ``chain``, a FrobeniusChain of this
+    ring and ideal, the call builds G and h_0..h_n itself; ProblemSpec passes
+    the one it keeps, so G is built once per problem and each level continues
+    the chain of the deepest level below it.
 
     Raises ColengthError (naming a variable with no pure power in the initial
     ideal) when the ideal does not have finite colength in the ring, and
@@ -487,15 +569,18 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
     check_ideal_in_ring(ring, ideal)
     if n < 0:
         raise StructureError("level n must be non-negative")
+    if chain is None:
+        chain = FrobeniusChain(ring, ideal)
+    elif chain.ring is not ring or chain.ideal is not ideal:
+        raise StructureError("a Frobenius chain of another ring or ideal")
     p = ring.field.p
     if all(f.is_monomial() for f in (*ring.relations, *ideal.generators)):
         polys = [*ring.relations, *bracket_power(ideal, n).generators]
         M = MonomialIdeal.from_exponents(f.single_exponent() for f in polys)
     else:
-        relations = buchberger(ring.relations).elements if ring.relations else ()
+        relations = chain.relations
         _check_table_floor(ring, ideal, n, relations)
-        gens = (_frobenius_normal_forms(ideal, relations, n) if relations
-                else bracket_power(ideal, n).generators)
+        gens = chain.forms(n) if relations else bracket_power(ideal, n).generators
         M = initial_ideal(buchberger([*relations, *gens]))
     weights = tuple(ring.grading.weights)
     if M.is_unit:
@@ -514,22 +599,6 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int) -> G
         raise _over_budget(n, max_degree + 1)
     numerator, counts = staircase_degree_counts(M, ring.grading, max_degree)
     return GradedLengthTable(n, p, LengthRun(counts), numerator, weights)
-
-
-def _frobenius_normal_forms(ideal: HomogeneousIdeal, relations, n: int) -> list:
-    """The nonzero h_n of the generators g: h_0 = NF(g) and h_(k+1) = NF(h_k^p)
-    under the relations' reduced basis ``relations``, so h_n = g^(p^n) mod J."""
-    p = ideal.generators[0].field.p
-    out = []
-    for g in ideal.generators:
-        h = normal_form(g, relations)
-        for _ in range(n):
-            if h.is_zero():
-                break
-            h = normal_form(h.frobenius_power(p), relations)
-        if not h.is_zero():
-            out.append(h)
-    return out
 
 
 def _check_table_floor(ring: RingPresentation, ideal: HomogeneousIdeal, n: int, relations):

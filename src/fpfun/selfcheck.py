@@ -1,8 +1,9 @@
 """Seeded random property suites shared by the CLI self test and the test
 suite: term-order laws, division correctness, the two oracle-agreement
 campaigns (staircase vs enumeration, Groebner vs Macaulay rank), the
-Hilbert-series/Betti identity, the Fourier bridge and F_n against its
-level sum taken term by term."""
+Hilbert-series/Betti identity, the Fourier bridge, F_n against its
+level sum taken term by term, and the series expansion against the
+running-sum recurrence."""
 
 from __future__ import annotations
 
@@ -13,10 +14,10 @@ from .algebra import Grading, Polynomial, PrimeField, _heap_key, normal_form
 from .fp import _direct_sum, betti_alternating_polynomial, fn_eval, fp_limit, hk_multiplicity
 from .density import density_table, direct_fourier, quadrature_fourier
 from .ideals import (
+    FrobeniusChain,
     HomogeneousIdeal,
     MonomialIdeal,
     RingPresentation,
-    _frobenius_normal_forms,
     bracket_power,
     buchberger,
     enumeration_oracle,
@@ -176,9 +177,9 @@ def check_groebner_vs_rank(rng: random.Random, count=50, max_degree=12, relation
         relations = _random_generators(rng, field, grading, most=2, high=3)
         ring = RingPresentation(field, grading, relations)
         ideal = HomogeneousIdeal(_random_generators(rng, field, grading, high=3))
-        basis = buchberger(relations).elements
+        chain = FrobeniusChain(ring, ideal)
         for n in (1, 2):
-            route = buchberger([*basis, *_frobenius_normal_forms(ideal, basis, n)])
+            route = buchberger([*chain.relations, *chain.forms(n)])
             raw = bracket_power(ideal, n).generators
             _require_ranks(ring, raw, route, max_degree, f"ideal #{k} over relations at n={n}")
     return len(draws) + relation_count
@@ -298,6 +299,29 @@ def check_level_sums(levels=8) -> int:
     return checks
 
 
+def check_series_expansion(rng: random.Random, count=300) -> int:
+    """series_expansion equals the recurrence c_j += c_(j-w), one weight at a
+    time, on random sparse numerators over 0 to 4 weights from 1 to 7, with
+    zero coefficients and exponents past up_to among them, and up_to from -1."""
+    for k in range(count):
+        degrees = [rng.randint(1, 7) for _ in range(rng.randint(0, 4))]
+        up_to = rng.randint(-1, 80)
+        numerator = {rng.randint(0, 90): rng.randint(-4, 4) for _ in range(rng.randint(0, 6))}
+        expected = [0] * (up_to + 1)
+        for e, c in numerator.items():
+            if e <= up_to:
+                expected[e] = c
+        for w in degrees:
+            for j in range(w, up_to + 1):
+                expected[j] += expected[j - w]
+        _require(
+            series_expansion(numerator, degrees, up_to) == expected,
+            f"series expansion #{k} of {numerator} over {degrees} to {up_to} "
+            "differs from the running sums",
+        )
+    return count
+
+
 def run_all(seed=DEFAULT_SEED):
     """Run every suite; returns (name, checks) pairs or raises SelfCheckFailure."""
     rng = random.Random(seed)
@@ -309,4 +333,5 @@ def run_all(seed=DEFAULT_SEED):
         ("hilbert-betti-identity", check_ab_identity()),
         ("fourier-bridge", check_fourier_bridge()),
         ("level-sums", check_level_sums(levels=10)),
+        ("series-expansion", check_series_expansion(rng)),
     ]

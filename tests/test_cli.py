@@ -1057,7 +1057,7 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("ok ") == 7
+        assert out.count("ok ") == 8
 
     def test_no_quick_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -4,13 +4,17 @@ agreement for the full pipeline with relations and weights, and the reduced
 bases of the Frobenius normal forms against the raw bracket powers."""
 
 import cmath
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from fpfun import ideals
 from fpfun.algebra import Grading, PrimeField, normal_form, parse_polynomial
-from fpfun.fp import ProblemSpec, fn_eval, hk_multiplicity
+from fpfun.errors import StructureError
+from fpfun.fp import ProblemSpec, fn_eval, fp_limit, hk_multiplicity
 from fpfun.hilbert import LaurentPolynomialZ, hilbert_samuel, series_of_ring
 from fpfun.ideals import (
     HomogeneousIdeal,
@@ -147,8 +151,8 @@ class TestSupportBoundConstant:
 
 def frobenius_route(problem, n):
     """The reduced basis graded_lengths takes over a ring with relations."""
-    relations = buchberger(problem.ring.relations).elements
-    return buchberger([*relations, *ideals._frobenius_normal_forms(problem.ideal, relations, n)])
+    chain = ideals.FrobeniusChain(problem.ring, problem.ideal)
+    return buchberger([*chain.relations, *chain.forms(n)])
 
 
 def raw_route(problem, n):
@@ -199,3 +203,84 @@ class TestFrobeniusNormalForms:
         assert h.single_exponent() == (1, 2 * (q // 3))
         cusp = build(*CUSP, ("X",))
         assert table == graded_lengths(cusp.ring, cusp.ideal, 14)
+
+
+def counting_normal_forms(monkeypatch) -> list:
+    """Record the generator of each normal_form call the length pipeline makes."""
+    calls = []
+
+    def counting(f, divisors):
+        calls.append(f)
+        return normal_form(f, divisors)
+
+    monkeypatch.setattr(ideals, "normal_form", counting)
+    return calls
+
+
+class TestFrobeniusChain:
+    def test_tables_match_in_any_level_order(self):
+        # levels below the deepest kept one restart from h_0, deeper ones
+        # continue it; each table equals the stateless graded_lengths'
+        for gens in (("X",), ("X", "Y")):
+            problem = build(*CUSP, gens)
+            for n in (14, 3, 15, 0, 14, 16):
+                table = problem.table(n)
+                alone = graded_lengths(problem.ring, problem.ideal, n)
+                assert table == alone, (gens, n)
+                assert table.numerator == alone.numerator, (gens, n)
+                assert table.total() == alone.total(), (gens, n)
+
+    @pytest.mark.parametrize("gens", [("X",), ("X", "Y")])
+    def test_cold_limit_takes_one_normal_form_per_level_and_generator(self, monkeypatch, gens):
+        # levels 0..14 in turn: h_0 = NF(g), then one NF(h_k^2) per level,
+        # where restarting every level from h_0 took 1 + 2 + ... + 15 = 120
+        problem = build(*CUSP, gens)
+        calls = counting_normal_forms(monkeypatch)
+        fp_limit(problem, [1.0, 2.0 + 0.5j], 14)
+        assert len(calls) == 15 * len(gens)
+
+    def test_relations_basis_once_per_problem(self, monkeypatch):
+        problem = build(*CUSP, ("X",))
+        inputs = []
+
+        def recording(gens):
+            inputs.append(tuple(gens))
+            return buchberger(gens)
+
+        monkeypatch.setattr(ideals, "buchberger", recording)
+        for n in range(6):
+            problem.table(n)
+        assert inputs.count(problem.ring.relations) == 1
+
+    def test_shared_chain_under_threads(self):
+        # twelve threads continue and restart one chain in different level
+        # orders, switching every microsecond; each gets the forms a fresh
+        # chain gives
+        problem = build(*CUSP, ("X", "Y"))
+        expected = {n: ideals.FrobeniusChain(problem.ring, problem.ideal).forms(n)
+                    for n in range(12)}
+        chain, failures = ideals.FrobeniusChain(problem.ring, problem.ideal), []
+
+        def worker(seed):
+            for n in random.Random(seed).sample(range(12), 12):
+                if chain.forms(n) != expected[n]:
+                    failures.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(12)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+    def test_chain_of_another_problem_refused(self):
+        problem, other = build(*CUSP, ("X",)), build(*CUSP, ("X",))
+        chain = ideals.FrobeniusChain(other.ring, other.ideal)
+        with pytest.raises(StructureError, match="^a Frobenius chain of another ring or ideal$"):
+            graded_lengths(problem.ring, problem.ideal, 1, chain)

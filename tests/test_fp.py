@@ -614,9 +614,9 @@ class TestFrobeniusProduct:
         built = []
         graded_lengths = fp.graded_lengths
 
-        def recording(ring, ideal, n):
+        def recording(ring, ideal, n, *chain):
             built.append(n)
-            return graded_lengths(ring, ideal, n)
+            return graded_lengths(ring, ideal, n, *chain)
 
         monkeypatch.setattr(fp, "graded_lengths", recording)
         fn_eval(parameter_problem(2, 3), 14, 1.5 + 0.25j)
@@ -774,6 +774,28 @@ class TestIntervalRatio:
         for u in (0.5 + 0.999j, 0.5 + 1.001j, 3 - 0.5j, 2 - 40j, 2 + 40j):
             direct = (cmath.exp(-1j * u) - 1) / (-1j * u)
             assert abs(_interval_ratio(u) - direct) <= 2e-15 * abs(direct), u
+
+    @pytest.mark.parametrize("u", [
+        1e-6 - 3e-7j, 1e-9 + 1e-9j, 3e-5 + 2e-5j, 1e-3j, 2e-8 + 1e-3j, 0.3 + 0.2j,
+        -0.7 - 0.6j, 0.99 + 0.1j, 1e-200 + 1e-200j,
+    ])
+    def test_complex_u_accurate_part_by_part(self, u):
+        # the exact sum_k (-iu)^k / (k+1)! at u's own binary value, in
+        # Fractions, rounded once; each part of the ratio keeps its own
+        # relative accuracy, as at real u
+        a, b = Fraction(u.real), Fraction(u.imag)
+        term, total = (Fraction(1), Fraction(0)), [Fraction(1), Fraction(0)]
+        for k in range(1, 40):  # (-iu) = b - ia
+            term = ((term[0] * b + term[1] * a) / (k + 1), (term[1] * b - term[0] * a) / (k + 1))
+            total = [total[0] + term[0], total[1] + term[1]]
+        got = _interval_ratio(u)
+        assert abs(got.real - float(total[0])) <= 4e-16 * abs(float(total[0])), u
+        assert abs(got.imag - float(total[1])) <= 4e-16 * abs(float(total[1])), u
+
+    def test_real_u_takes_the_sine_ratio(self):
+        for u in (1e-300, 1e-160, 1e-20, 1e-6, 0.25, -0.25, 1.0, 1.999, -3.0, 50.0):
+            half = complex(u) / 2
+            assert _interval_ratio(complex(u)) == cmath.exp(-1j * half) * (cmath.sin(half) / half)
 
 
 class TestCmChiEval:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 import tracemalloc
 from pathlib import Path
@@ -34,9 +36,12 @@ from fpfun.ideals import (
     staircase_degree_counts,
 )
 from fpfun.problems import load_problem_file
+from fpfun import selfcheck
 from fpfun.selfcheck import (
+    SelfCheckFailure,
     check_groebner_vs_rank,
     check_monomial_oracles,
+    check_series_expansion,
     random_zero_dimensional_monomial_ideal,
 )
 
@@ -404,6 +409,166 @@ class TestLengthRun:
         assert kept <= 48 * (table.max_degree + 1), kept / (table.max_degree + 1)
 
 
+@pytest.fixture(scope="module")
+def level_cases():
+    """(name, problem, top level): every problems/*.json to its n_max, the cusp
+    to 14, and the Fermat cubic over F_2 to 7 and over F_5 to 3."""
+    cases = []
+    for path in sorted(PROBLEMS.glob("*.json")):
+        pf = load_problem_file(str(path))
+        cases.append((path.stem, pf.to_problem(), 14 if path.stem == "cusp" else pf.n_max))
+    names = ("x", "y", "z")
+    for p, top in ((2, 7), (5, 3)):
+        field, grading = PrimeField(p), Grading((1, 1, 1))
+        cubic = parse_polynomial("x^3 + y^3 + z^3", names, field, grading)
+        maximal = tuple(parse_polynomial(v, names, field, grading) for v in names)
+        ring = RingPresentation(field, grading, (cubic,), names)
+        cases.append((f"fermat{p}", ProblemSpec(ring, HomogeneousIdeal(maximal)), top))
+    return cases
+
+
+def table_digest(table: GradedLengthTable) -> str:
+    """A digest of a level table's run, numerator and total."""
+    key = repr((table.lengths.run, sorted(table.numerator.items()), table.total()))
+    return hashlib.sha256(key.encode()).hexdigest()[:16]
+
+
+# table_digest of every level of level_cases, taken with the running-sum
+# expansion: the closed form must give every table bit for bit
+PINNED_DIGESTS = {
+    "artinian": (
+        "9ef2d8c0b098949b 93f025fed1405e95 93f025fed1405e95 93f025fed1405e95 93f025fed1405e95"
+    ).split(),
+    "cusp": (
+        "cdc8975dc82fc4a1 5173ac6ed54648e0 92e4abc0d84d3711 34a6aa1fec7f1221 4bb31664c9d2885b "
+        "93776f9532defe6e a54518c23675f166 85f989e9794cd7a4 f7fbb265b40417cd a03531b2ab66e24d "
+        "ab8c2861e23f75f8 aab684ecdacf818b 7d5d05356034f7da 54161a767a59b139 37c43524b83ed386"
+    ).split(),
+    "cusp3": (
+        "61f1dcc2223db9eb ab9fbe9730d06d0d bda3605b34ccbbf1 63f09a7ab8db7410 738c8485a05565b8 "
+        "33b4cd1f349d512d 8ad64d97423ffe63 14c2a761c588b2dd"
+    ).split(),
+    "parameter23": (
+        "259c5a95758df8c3 071f6c27837bfc8d 8e83b650f070aabc b0f6efa02039d182 2ae0fe4a75345be2 "
+        "88838839c64d7152 c5e63893fca8c48f 865482209b6dfb7d bd43044a17dca35f"
+    ).split(),
+    "plane": (
+        "31004704425cf89d aa4116885fe42c6a 0e6ab80c5b85cecf 751dac1a0e8f26a1 baef8f00cbf2fa4b "
+        "75914edeaff322e0 3966ba3ac85c879a 462e1451f2ad471d 8043acfdbb5cc918 c8ef1409b979ea5f "
+        "f4bd66d33a8db37a"
+    ).split(),
+    "three_generator": (
+        "aa4116885fe42c6a 0e6ab80c5b85cecf 751dac1a0e8f26a1 baef8f00cbf2fa4b 75914edeaff322e0 "
+        "3966ba3ac85c879a 462e1451f2ad471d 8043acfdbb5cc918 c8ef1409b979ea5f f4bd66d33a8db37a "
+        "03fc355afefaa1c8"
+    ).split(),
+    "weighted_plane": (
+        "20141ba1a12173a7 5173ac6ed54648e0 63eb17e8400f9087 df12849eba343df1 3ab4c99f09823d52 "
+        "6257811a601ece05 21e8768aa222fa18 ed1853ad190928ca b5d559d1dbdd0491 4b820c0b4d3d3745 "
+        "71c5b835527eb7d4"
+    ).split(),
+    "fermat2": (
+        "5220c47cf4da45cf 97fe6d2dd76a0f05 a7dca4e044c6bcf4 b7537720f09a12c8 f6ef0afe707b8a63 "
+        "00aff69077e49bf8 3d03561974980c71 ad8b0d128b2f6c4d"
+    ).split(),
+    "fermat5": (
+        "5220c47cf4da45cf 7e66192fb83113cd a9a9292e73dffeca 997f2dd08953a26d"
+    ).split(),
+}
+
+# The deepest level of each case that the oracles check in well under a second.
+ORACLE_TOP = {"artinian": 4, "cusp": 7, "cusp3": 3, "parameter23": 5, "plane": 7,
+              "three_generator": 5, "weighted_plane": 7, "fermat2": 3, "fermat5": 1}
+
+
+class TestPinnedLevelTables:
+    def test_every_table_equals_its_pinned_digest(self, level_cases):
+        for name, problem, top in level_cases:
+            digests = [table_digest(problem.table(n)) for n in range(top + 1)]
+            assert digests == PINNED_DIGESTS[name], name
+
+    def test_tables_equal_the_oracles_where_they_reach(self, level_cases):
+        # enumeration of the staircase box for monomial problems, Macaulay
+        # ranks of the relations and raw bracket powers otherwise, read one
+        # degree past the table's top
+        for name, problem, _ in level_cases:
+            ring = problem.ring
+            for n in range(ORACLE_TOP[name] + 1):
+                table = problem.table(n)
+                gens = bracket_power(problem.ideal, n).generators
+                polys = (*ring.relations, *gens)
+                if all(f.is_monomial() for f in polys):
+                    lead = MonomialIdeal.from_exponents(f.single_exponent() for f in polys)
+                    assert table.lengths == enumeration_oracle(lead, ring.grading), (name, n)
+                else:
+                    ranks = [macaulay_rank_oracle(ring, gens, j)
+                             for j in range(table.max_degree + 2)]
+                    assert ranks == [table.lengths.get(j, 0) for j in range(len(ranks))], (name, n)
+
+
+def running_sums(numerator, degrees, up_to) -> list:
+    """The reference expansion of numerator(t) / prod(1 - t^w): the
+    recurrence c_j += c_(j-w), one weight at a time."""
+    out = [0] * (up_to + 1)
+    for e, c in numerator.items():
+        if e <= up_to:
+            out[e] = c
+    for w in degrees:
+        for j in range(w, up_to + 1):
+            out[j] += out[j - w]
+    return out
+
+
+def random_numerator(rng, up_to) -> dict:
+    """Up to six terms, some past up_to and some with coefficient 0."""
+    return {rng.randint(0, up_to + 25): rng.randint(-5, 5) for _ in range(rng.randint(0, 6))}
+
+
+class TestSeriesExpansion:
+    def test_random_numerators_equal_the_running_sums(self):
+        rng = random.Random(3030)
+        for _ in range(3000):
+            degrees = [rng.randint(1, 7) for _ in range(rng.randint(0, 4))]
+            if len(degrees) > 1 and rng.random() < 0.3:
+                degrees[1] = degrees[0]  # a repeated weight
+            up_to = rng.randint(-1, 90)
+            numerator = random_numerator(rng, up_to)
+            expected = running_sums(numerator, degrees, up_to)
+            assert series_expansion(numerator, degrees, up_to) == expected, (numerator, degrees, up_to)
+
+    @pytest.mark.parametrize("degrees", [
+        (5, 7), (7, 5), (5, 7, 1), (7, 5, 6, 4), (2, 2), (3, 3, 3), (1, 1, 1, 1), (6, 4), (4, 6, 6),
+    ])
+    def test_lcm_up_to_35_and_repeated_weights(self, degrees):
+        assert math.lcm(*degrees[:2]) <= 35
+        rng = random.Random(sum(degrees))
+        for up_to in (-1, 0, 1, 34, 35, 36, 140):
+            for _ in range(40):
+                numerator = random_numerator(rng, up_to)
+                expected = running_sums(numerator, degrees, up_to)
+                assert series_expansion(numerator, degrees, up_to) == expected, (numerator, up_to)
+
+    @pytest.mark.parametrize("degrees", [(), (3,), (2, 3), (2, 3, 1)])
+    def test_short_and_empty_ranges(self, degrees):
+        assert series_expansion({0: 1, 4: -2}, degrees, -1) == []
+        assert series_expansion({0: 3, 4: -2}, degrees, 0) == [3]
+        assert series_expansion({1: 5}, degrees, 0) == [0]
+        assert series_expansion({}, degrees, 5) == [0] * 6
+        assert series_expansion({0: 0, 2: 0, 9: 4}, degrees, 8) == [0] * 9
+
+    def test_selfcheck_equals_the_running_sums(self):
+        assert check_series_expansion(random.Random(9)) == 300
+
+    def test_selfcheck_catches_a_wrong_expansion(self, monkeypatch):
+        # a last coefficient lost: the draws with up_to >= 0 and a nonzero
+        # coefficient at the top see it
+        original = selfcheck.series_expansion
+        monkeypatch.setattr(selfcheck, "series_expansion",
+                            lambda *args: [*original(*args)[:-1], 0][: args[2] + 1])
+        with pytest.raises(SelfCheckFailure, match="differs from the running sums"):
+            check_series_expansion(random.Random(9))
+
+
 def expands_to_lengths(table: GradedLengthTable) -> bool:
     """The table's numerator over its weights expands to its lengths, read
     past the numerator's degree and the table's top plus sum(weights), where
@@ -450,26 +615,13 @@ class TestLevelNumerator:
         t = graded_lengths(RingPresentation(F2, STD2, (), ("X", "Y")), ideal("1"), 1)
         assert (t.numerator, t.weights) == ({}, (1, 1))
 
-    def test_total_from_the_numerator(self):
+    def test_total_from_the_numerator(self, level_cases):
         # total() reads (-1)^m N^(m)(1) / (m! prod w) off the numerator; the
         # sum of the dense run is the check
-        cases = []
-        for path in sorted(PROBLEMS.glob("*.json")):
-            pf = load_problem_file(str(path))
-            cases.append((path.name, pf.to_problem(), pf.n_max))
-        names = ("x", "y", "z")
-        for p, top in ((2, 7), (5, 3)):
-            field, grading = PrimeField(p), Grading((1, 1, 1))
-            cubic = parse_polynomial("x^3 + y^3 + z^3", names, field, grading)
-            maximal = tuple(parse_polynomial(v, names, field, grading) for v in names)
-            ring = RingPresentation(field, grading, (cubic,), names)
-            cases.append((f"fermat p={p}", ProblemSpec(ring, HomogeneousIdeal(maximal)), top))
-        for name, problem, top in cases:
+        for name, problem, top in level_cases:
             for n in range(top + 1):
                 table = problem.table(n)
                 assert table.total() == sum(table.lengths.values()), (name, n)
-        hand = GradedLengthTable(3, 2, {0: 1, 2: 5, 7: 2})
-        assert hand.numerator is hand.lengths and hand.total() == 8
 
 
 class TestFrobeniusScaling:
