@@ -54,12 +54,12 @@ from .hilbert import (
     series_of_table,
 )
 from .ideals import (
-    FrobeniusChain,
     GradedLengthTable,
     HomogeneousIdeal,
     RingPresentation,
     check_ideal_in_ring,
     graded_lengths,
+    insert_once,
 )
 
 
@@ -70,8 +70,8 @@ class ProblemSpec:
     Hilbert series; ``dim_override`` substitutes any non-negative integer for
     the normalization exponent.  The ring's Hilbert series and its
     Hilbert-Samuel data are computed once; length tables are cached per level,
-    and over a ring with relations one FrobeniusChain keeps the relations'
-    reduced basis and the deepest Frobenius normal forms between levels.
+    and over a ring with relations the FrobeniusChain store keeps the
+    relations' reduced basis and each level's Frobenius normal forms.
     The caches allow concurrent reads with insert-once writes.
     """
 
@@ -84,24 +84,17 @@ class ProblemSpec:
         self.dim_override = dim_override
         self._tables: dict = {}
         self._derived: dict = {}
-        self._chain = FrobeniusChain(ring, ideal)
+        self._levels: dict = {}
 
     @property
     def prime(self) -> int:
         return self.ring.field.p
 
-    @staticmethod
-    def _once(store: dict, key, compute):
-        """store[key], computed on first use; setdefault keeps the first value."""
-        if key not in store:
-            store.setdefault(key, compute())
-        return store[key]
-
     def ring_series(self) -> HilbertSeries:
-        return self._once(self._derived, "series", lambda: series_of_ring(self.ring))
+        return insert_once(self._derived, "series", lambda: series_of_ring(self.ring))
 
     def _hilbert_samuel(self) -> tuple:
-        return self._once(self._derived, "samuel", lambda: hilbert_samuel(self.ring_series()))
+        return insert_once(self._derived, "samuel", lambda: hilbert_samuel(self.ring_series()))
 
     @property
     def ring_dimension(self) -> int:
@@ -119,8 +112,8 @@ class ProblemSpec:
 
     def table(self, n: int) -> GradedLengthTable:
         """The exact graded length table at level n (cached, insert-once)."""
-        return self._once(self._tables, n,
-                          lambda: graded_lengths(self.ring, self.ideal, n, self._chain))
+        return insert_once(self._tables, n,
+                           lambda: graded_lengths(self.ring, self.ideal, n, self._levels))
 
 
 @dataclass(frozen=True)

@@ -383,17 +383,21 @@ def series_expansion(numerator: Mapping, degrees: Sequence[int], up_to: int) -> 
     """Coefficients 0..up_to of numerator(t) / prod(1 - t^w) over w in degrees.
 
     ``numerator`` maps non-negative exponents to integer coefficients.  The
-    first two weights are divided out in closed form: with L the lcm of
-    those k <= 2 weights, the sparse numerator times each (1 - t^L) / (1 - t^w)
-    = sum_(a < L/w) t^(aw) is P, and P / (1 - t^L)^k is, on each residue
-    class mod L between consecutive exponents of P, a constant (k = 1) or an
-    arithmetic progression (k = 2), written as one slice.  Each later weight
-    is a running sum along each residue class mod w.
+    first k <= 2 weights are divided out in closed form: with L their lcm,
+    the sparse numerator times each (1 - t^L) / (1 - t^w) = sum_(a < L/w)
+    t^(aw) is P, and P / (1 - t^L)^k is, on each residue class mod L between
+    consecutive exponents of P, a constant (k = 1) or an arithmetic
+    progression (k = 2), written as one slice.  P has up to terms * L^2 /
+    (w1 * w2) exponents over two weights, so k = 2 only while that is at most
+    the up_to + 1 outputs; otherwise k = 1, where P is the numerator itself.
+    Each later weight is a running sum along each residue class mod w.
     """
     out = [0] * (up_to + 1)
-    first, k = degrees[:2], min(len(degrees), 2)
-    step = math.lcm(*first)
     terms = {e: c for e, c in numerator.items() if e <= up_to and c}
+    first = degrees[:2]
+    if len(first) == 2 and len(terms) * math.lcm(*first) ** 2 > (up_to + 1) * math.prod(first):
+        first = first[:1]
+    k, step = len(first), math.lcm(*first)
     for w in first:
         spread: dict = {}
         for e, c in terms.items():
@@ -419,7 +423,7 @@ def series_expansion(numerator: Mapping, degrees: Sequence[int], up_to: int) -> 
             elif value:
                 out[start:end:step] = [value] * count
             value += slope * count
-    for w in degrees[2:]:
+    for w in degrees[k:]:
         for r in range(min(w, up_to + 1)):
             out[r::w] = itertools.accumulate(out[r::w])
     return out
@@ -499,51 +503,48 @@ def enumeration_oracle(M: MonomialIdeal, grading: Grading) -> dict:
     return _enumerate_box_counts(M, grading, bounds)
 
 
+def insert_once(store: dict, key, compute):
+    """store[key], computed on first use; setdefault keeps the first value,
+    so concurrent readers may compute it twice but all see one value."""
+    if key not in store:
+        store.setdefault(key, compute())
+    return store[key]
+
+
 class FrobeniusChain:
     """The Frobenius normal forms of an ideal's generators over a ring with
-    relations J, carried from level to level.
+    relations J.
 
-    ``relations`` is J's reduced basis G, computed on first use, and
-    ``forms(n)`` the nonzero h_n of the generators g: h_0 = NF_G(g) and
-    h_(k+1) = NF_G(h_k^p), so h_n = g^(p^n) mod J.  The chain keeps h_0 and
-    the deepest level it has built, and continues from the deepest kept
-    level <= n, so levels 0, 1, ..., n in turn take one normal form per
-    generator each.  Concurrent calls are safe: each reads the kept pair
-    once, so it never mixes two levels' forms; a race may keep the shallower
-    of two levels, which costs only time.
+    ``relations`` is J's reduced basis G and ``forms(n)`` the nonzero h_n of
+    the generators g: h_0 = NF_G(g) and h_(k+1) = NF_G(h_k^p), so h_n =
+    g^(p^n) mod J.  Each is built once, on first use, into ``levels``, an
+    insert-once dict (G under "G", the forms of level k under k), and level
+    n is built from level n - 1, so levels asked in any order take one
+    normal form per generator and level.  ``levels`` defaults to a new dict;
+    ProblemSpec keeps one per problem.
     """
 
-    def __init__(self, ring: RingPresentation, ideal: HomogeneousIdeal):
+    def __init__(self, ring: RingPresentation, ideal: HomogeneousIdeal, levels: dict = None):
         self.ring, self.ideal = ring, ideal
-        self._relations = None
-        self._kept = None  # (h_0, (level, forms at that level))
+        self.levels = {} if levels is None else levels
 
     @property
     def relations(self) -> tuple:
-        if self._relations is None:
-            relations = self.ring.relations
-            self._relations = buchberger(relations).elements if relations else ()
-        return self._relations
+        J = self.ring.relations
+        return insert_once(self.levels, "G", lambda: buchberger(J).elements if J else ())
 
     def forms(self, n: int) -> list:
         G, p = self.relations, self.ring.field.p
-        kept = self._kept
-        if kept is None:
-            start = tuple(normal_form(g, G) for g in self.ideal.generators)
-            kept = self._kept = (start, (0, start))
-        start, (level, forms) = kept
-        if level > n:
-            level, forms = 0, start
-        for _ in range(n - level):
-            forms = tuple(h if h.is_zero() else normal_form(h.frobenius_power(p), G)
-                          for h in forms)
-        if n > self._kept[1][0]:
-            self._kept = (start, (n, forms))
+        forms = insert_once(self.levels, 0,
+                            lambda: tuple(normal_form(g, G) for g in self.ideal.generators))
+        for k in range(1, n + 1):
+            forms = insert_once(self.levels, k, lambda last=forms: tuple(
+                h if h.is_zero() else normal_form(h.frobenius_power(p), G) for h in last))
         return [h for h in forms if not h.is_zero()]
 
 
 def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int,
-                   chain: FrobeniusChain = None) -> GradedLengthTable:
+                   levels: dict = None) -> GradedLengthTable:
     """Exact graded lengths of the quotient by the n-th bracket power.
 
     Monomial relations and generators give the initial ideal directly.
@@ -553,10 +554,10 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int,
     Over F_p, (a + j)^p = a^p + j^p with j^p in J, so h_n = g^q mod J: the
     ideal J + I^[q], and so its reduced basis, is the same, and a level takes
     reductions of p-th powers of normal forms in place of the S-pairs of the
-    relations with the raw g^q.  Without ``chain``, a FrobeniusChain of this
-    ring and ideal, the call builds G and h_0..h_n itself; ProblemSpec passes
-    the one it keeps, so G is built once per problem and each level continues
-    the chain of the deepest level below it.
+    relations with the raw g^q.  Without ``levels``, the call builds G and
+    h_0..h_n itself; ProblemSpec passes the FrobeniusChain store it keeps for
+    this ring and ideal, so G is built once per problem and each level
+    continues from the one below it.
 
     Raises ColengthError (naming a variable with no pure power in the initial
     ideal) when the ideal does not have finite colength in the ring, and
@@ -569,15 +570,12 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int,
     check_ideal_in_ring(ring, ideal)
     if n < 0:
         raise StructureError("level n must be non-negative")
-    if chain is None:
-        chain = FrobeniusChain(ring, ideal)
-    elif chain.ring is not ring or chain.ideal is not ideal:
-        raise StructureError("a Frobenius chain of another ring or ideal")
     p = ring.field.p
     if all(f.is_monomial() for f in (*ring.relations, *ideal.generators)):
         polys = [*ring.relations, *bracket_power(ideal, n).generators]
         M = MonomialIdeal.from_exponents(f.single_exponent() for f in polys)
     else:
+        chain = FrobeniusChain(ring, ideal, levels)
         relations = chain.relations
         _check_table_floor(ring, ideal, n, relations)
         gens = chain.forms(n) if relations else bracket_power(ideal, n).generators

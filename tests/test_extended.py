@@ -13,7 +13,6 @@ import pytest
 
 from fpfun import ideals
 from fpfun.algebra import Grading, PrimeField, normal_form, parse_polynomial
-from fpfun.errors import StructureError
 from fpfun.fp import ProblemSpec, fn_eval, fp_limit, hk_multiplicity
 from fpfun.hilbert import LaurentPolynomialZ, hilbert_samuel, series_of_ring
 from fpfun.ideals import (
@@ -219,8 +218,8 @@ def counting_normal_forms(monkeypatch) -> list:
 
 class TestFrobeniusChain:
     def test_tables_match_in_any_level_order(self):
-        # levels below the deepest kept one restart from h_0, deeper ones
-        # continue it; each table equals the stateless graded_lengths'
+        # each level's forms are built once, from the level below; each
+        # table equals the stateless graded_lengths'
         for gens in (("X",), ("X", "Y")):
             problem = build(*CUSP, gens)
             for n in (14, 3, 15, 0, 14, 16):
@@ -232,8 +231,8 @@ class TestFrobeniusChain:
 
     @pytest.mark.parametrize("gens", [("X",), ("X", "Y")])
     def test_cold_limit_takes_one_normal_form_per_level_and_generator(self, monkeypatch, gens):
-        # levels 0..14 in turn: h_0 = NF(g), then one NF(h_k^2) per level,
-        # where restarting every level from h_0 took 1 + 2 + ... + 15 = 120
+        # levels 0..14: h_0 = NF(g), then one NF(h_k^2) per level, where
+        # restarting every level from h_0 took 1 + 2 + ... + 15 = 120
         problem = build(*CUSP, gens)
         calls = counting_normal_forms(monkeypatch)
         fp_limit(problem, [1.0, 2.0 + 0.5j], 14)
@@ -253,9 +252,8 @@ class TestFrobeniusChain:
         assert inputs.count(problem.ring.relations) == 1
 
     def test_shared_chain_under_threads(self):
-        # twelve threads continue and restart one chain in different level
-        # orders, switching every microsecond; each gets the forms a fresh
-        # chain gives
+        # twelve threads fill one chain in different level orders, switching
+        # every microsecond; each gets the forms a fresh chain gives
         problem = build(*CUSP, ("X", "Y"))
         expected = {n: ideals.FrobeniusChain(problem.ring, problem.ideal).forms(n)
                     for n in range(12)}
@@ -278,9 +276,3 @@ class TestFrobeniusChain:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
-
-    def test_chain_of_another_problem_refused(self):
-        problem, other = build(*CUSP, ("X",)), build(*CUSP, ("X",))
-        chain = ideals.FrobeniusChain(other.ring, other.ideal)
-        with pytest.raises(StructureError, match="^a Frobenius chain of another ring or ideal$"):
-            graded_lengths(problem.ring, problem.ideal, 1, chain)

@@ -614,9 +614,9 @@ class TestFrobeniusProduct:
         built = []
         graded_lengths = fp.graded_lengths
 
-        def recording(ring, ideal, n, *chain):
+        def recording(ring, ideal, n, *levels):
             built.append(n)
-            return graded_lengths(ring, ideal, n, *chain)
+            return graded_lengths(ring, ideal, n, *levels)
 
         monkeypatch.setattr(fp, "graded_lengths", recording)
         fn_eval(parameter_problem(2, 3), 14, 1.5 + 0.25j)

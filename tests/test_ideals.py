@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -542,7 +543,7 @@ class TestSeriesExpansion:
     def test_lcm_up_to_35_and_repeated_weights(self, degrees):
         assert math.lcm(*degrees[:2]) <= 35
         rng = random.Random(sum(degrees))
-        for up_to in (-1, 0, 1, 34, 35, 36, 140):
+        for up_to in (-1, 0, 1, 34, 35, 36, 140, 1000):
             for _ in range(40):
                 numerator = random_numerator(rng, up_to)
                 expected = running_sums(numerator, degrees, up_to)
@@ -555,6 +556,20 @@ class TestSeriesExpansion:
         assert series_expansion({1: 5}, degrees, 0) == [0]
         assert series_expansion({}, degrees, 5) == [0] * 6
         assert series_expansion({0: 0, 2: 0, 9: 4}, degrees, 8) == [0] * 9
+
+    def test_large_coprime_weights_cost_no_more_than_the_running_sums(self):
+        # over both of (999, 1000) each term would spread onto up to 999 * 1000
+        # exponents, over twice the time of the running sums here, so the
+        # closed form takes the first weight only and runs well under them
+        up_to, times = 300_000, []
+        q = up_to // 1999
+        numerator = {0: 1, 999 * q: -1, 1000 * q: -1, 1999 * q: 1}
+        for expand in (running_sums, series_expansion, running_sums, series_expansion):
+            start = time.perf_counter()
+            out = expand(numerator, (999, 1000), up_to)
+            times.append(time.perf_counter() - start)
+        assert out == running_sums(numerator, (999, 1000), up_to)
+        assert min(times[1::2]) < min(times[::2]), times
 
     def test_selfcheck_equals_the_running_sums(self):
         assert check_series_expansion(random.Random(9)) == 300
@@ -622,6 +637,8 @@ class TestLevelNumerator:
             for n in range(top + 1):
                 table = problem.table(n)
                 assert table.total() == sum(table.lengths.values()), (name, n)
+        hand = GradedLengthTable(3, 2, {0: 1, 2: 5, 7: 2})
+        assert hand.numerator is hand.lengths and hand.total() == 8
 
 
 class TestFrobeniusScaling:
