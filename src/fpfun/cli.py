@@ -477,13 +477,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ValueError as exc:
-        # cmath raises "math domain error" when an exponent overflows to inf
-        # (e.g. y near 1e308 times a degree)
-        if str(exc) != "math domain error":
-            raise
-        print(f"error: floating-point domain error ({exc})", file=sys.stderr)
-        return EXIT_INVARIANT
 
 
 def run():

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EvaluationDomainError
-from .fp import ProblemSpec, _direct_sum, _interval_ratio, _numerator_sum, fn_eval
+from .fp import ProblemSpec, _direct_sum, _finite, _interval_ratio, _numerator_sum, fn_eval
 from .ideals import GradedLengthTable
 
 
@@ -86,10 +86,12 @@ def gn_fourier_exact(problem: ProblemSpec, n: int, y: complex) -> complex:
     fn_eval weights each ell_j by q^(-d); over a relation-free ring it is
     level 0's sum times Kunz's closed-form factors, with no numerator sum.
     The factor comes from the shared interval ratio; the transform at y = 0 is F_n(0).
+    One that is not finite raises OverflowError.
     """
     if y == 0:
         return fn_eval(problem, n, 0)
-    return fn_eval(problem, n, y) * _interval_ratio(complex(y) / problem.prime ** n)
+    u = complex(y) / problem.prime ** n
+    return _finite(fn_eval(problem, n, y) * _interval_ratio(u), f"transform at level {n}", -1j * u)
 
 
 def quadrature_fourier(table: DensityTable, y: complex) -> complex:
@@ -100,8 +102,8 @@ def quadrature_fourier(table: DensityTable, y: complex) -> complex:
     times q^(1-d) is the level table's exact Hilbert numerator over its
     weights, summed by fp._numerator_sum, and the interval factor is the
     shared interval ratio at y/q, divided by q.  The y -> 0 limit branch
-    returns the step function's mass.  A sum that is not finite raises
-    OverflowError.
+    returns the step function's mass.  A sum or a transform that is not
+    finite raises OverflowError.
     """
     level, q = table.table, table.q
     return _transform(table, y, lambda y: _numerator_sum(
@@ -121,5 +123,6 @@ def _transform(table: DensityTable, y: complex, level_sum) -> complex:
     """The transform at y from level_sum(y), the sum of q^(1-d) * ell_j * exp(-iyj/q)."""
     if y == 0:
         return complex(float(table.mass()))
-    y = complex(y)
-    return level_sum(y) * _interval_ratio(y / table.q) / table.q
+    u = complex(y) / table.q
+    return _finite(level_sum(complex(y)) * _interval_ratio(u) / table.q,
+                   f"transform at level {table.table.n}", -1j * u)

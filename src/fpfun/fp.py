@@ -201,7 +201,9 @@ def _times_geometric(value: complex, y: complex, weights: Sequence[int], q: int)
     and 2 exponentials per weight for any q.  The growth exp(Im h - Im h/q)
     of the two phases is split between them, half with each.  At p = 2
     every argument is exact; at odd p the exact residual of Re h/q goes
-    into sin(h/q), whose zeros would lose its bits.  It may overflow or
+    into sin(h/q), whose zeros would lose its bits.  At complex h with
+    |h| < 1/2 the ratio is sinc(h) / sinc(h/q) (``_sinc``), so its
+    imaginary part, of order |h|^2, keeps its bits.  It may overflow or
     lose a subnormal h/q; ``_fn_levels`` routes those points elsewhere."""
     last = None
     for weight in weights:
@@ -210,10 +212,14 @@ def _times_geometric(value: complex, y: complex, weights: Sequence[int], q: int)
             a, b = h.real, h.imag
             s, t = a / q, b / q
             z, grow = complex(s, t), (b - t) / 2
-            sine = cmath.sin(z)
-            if q & (q - 1):  # a/q = s + residual
-                sine += float(Fraction(a) / q - Fraction(s)) * cmath.cos(z)
-            first = cmath.sin(h) / (q * sine) * cmath.exp(complex(grow, -a))
+            if b and abs(h) < 0.5:
+                first = _sinc(h) / _sinc(z)
+            else:
+                sine = cmath.sin(z)
+                if q & (q - 1):  # a/q = s + residual
+                    sine += float(Fraction(a) / q - Fraction(s)) * cmath.cos(z)
+                first = cmath.sin(h) / (q * sine)
+            first *= cmath.exp(complex(grow, -a))
             second = cmath.exp(complex(grow, s))
         value *= first
         value *= second
@@ -336,17 +342,21 @@ def _direct_sum(terms: Mapping, w: complex) -> complex:
     rounds once, whatever the signs and gaps of the integer terms.  It is
     the independent reference: the bridge's transform, the Frobenius
     product's check and the Betti polynomial of betti_limit_check; a
-    table's lengths iterate its run in place, skipping its gaps.  A sum
-    that is not finite raises OverflowError.
+    table's lengths iterate its run in place, skipping its gaps.  A sum or
+    a phase w * j that is not finite raises OverflowError.
     """
     try:
         parts = list(map(mul, terms.values(), map(cmath.exp, map(mul, repeat(w), terms))))
         total = complex(*(math.fsum(map(attrgetter(part), parts)) for part in ("real", "imag")))
-    except OverflowError:
+    except (OverflowError, ValueError):
         raise _not_finite("direct sum", w) from None
-    if not cmath.isfinite(total):
-        raise _not_finite("direct sum", w)
-    return total
+    return _finite(total, "direct sum", w)
+
+
+def _finite(value: complex, what: str, w: complex) -> complex:
+    if not cmath.isfinite(value):
+        raise _not_finite(what, w)
+    return value
 
 
 def _not_finite(what: str, w: complex) -> OverflowError:
@@ -358,19 +368,29 @@ def _interval_ratio(u: complex) -> complex:
     underflow: exp(-iu/2) * sin(u/2) / (u/2) while |Im u| < 1, which is 1
     at u = 0 and keeps the -u/2 imaginary part at any tiny |u|, and directly
     past that, where sin(u/2) alone would overflow first as Im u -> -inf.
-    At complex u with |u/2| < 1/2, sin(h)/h is its Taylor series through
-    h^16, whose tail is below 1e-22 there: the complex division errs by a
-    few ulp of 1 in its imaginary part, which left the ratio's imaginary
-    part, of order |u|, off by about 1e-16 / |u| of itself."""
+    At complex u with |u/2| < 1/2, sin(h)/h is ``_sinc``: the complex
+    division errs by a few ulp of 1 in its imaginary part, which is of order
+    |u|.  A u or a ratio that is not finite raises OverflowError."""
+    if not cmath.isfinite(u):
+        raise _not_finite("interval ratio", complex(u.imag, -u.real))
     if abs(u.imag) >= 1:
-        return (cmath.exp(-1j * u) - 1) / (-1j * u)
+        try:
+            return (cmath.exp(-1j * u) - 1) / (-1j * u)
+        except OverflowError:
+            raise _not_finite("interval ratio", -1j * u) from None
     half = u / 2
     if not half.imag or abs(half) >= 0.5:
         return cmath.exp(-1j * half) * (cmath.sin(half) / half if half else 1)
-    square, sinc = half * half, 1
+    return cmath.exp(-1j * half) * _sinc(half)
+
+
+def _sinc(h: complex) -> complex:
+    """sin(h) / h at |h| < 1/2 from its Taylor series through h^16, whose
+    tail is below 1e-22 there, so a small imaginary part keeps its bits."""
+    square, sinc = h * h, 1
     for k in range(16, 0, -2):  # 1 - h^2 / (2 * 3) (1 - h^2 / (4 * 5) (...)), by Horner
         sinc = 1 - square * sinc / (k * (k + 1))
-    return cmath.exp(-1j * half) * sinc
+    return sinc
 
 
 def hk_multiplicity(problem: ProblemSpec, n: int) -> Fraction:
@@ -479,7 +499,9 @@ def betti_limit_check(
     independent sum, which a numerator sum on both sides would not be.  The
     deviation stays near the rounding of F_n for |y| >= 1e-3.  Below that,
     cancellation inside B_n(z) itself dominates: B_n has the order-d zero of
-    prod(1 - z^d) at z = 1 and terms of size ell_j.
+    prod(1 - z^d) at z = 1 and terms of size ell_j.  A point where the
+    denominator underflows to 0 (y = 5e-324) raises EvaluationDomainError,
+    as y = 0 does.
     """
     degrees = _checked_degrees(hsop_degrees)
     terms = betti_alternating_polynomial(problem, degrees, n_max).coeffs
@@ -494,6 +516,8 @@ def betti_limit_check(
         denom = 1.0 + 0j
         for d in degrees:
             denom *= 1j * d * y * _interval_ratio(d * u)
+        if not denom:
+            raise EvaluationDomainError(f"the Betti form's denominator underflows to 0 at y={y}")
         deviations[y] = abs(_direct_sum(terms, -1j * u) / denom - fn)
     return BettiCheckReport(
         n=n_max,
@@ -518,19 +542,20 @@ def cm_chi_eval(
     interval ratio at d_i y / q, so tiny |y| keeps the relative accuracy of
     larger ones.  When the hsop is a regular sequence, H_{R/(hsop)} =
     prod(1 - t^d_i) * H_R and B_n is chi(R/(hsop), R/I^[q]), so this is the
-    chi form; the caller asserts it.
+    chi form; the caller asserts it.  A value that is not finite raises
+    OverflowError.
     """
     degrees = _checked_degrees(hsop_degrees)
     terms = betti_alternating_polynomial(problem, degrees, n).coeffs
     y_grid = list(y_grid)
     if any(y == 0 for y in y_grid):
         raise EvaluationDomainError("the chi form has a pole at y = 0; use the series path")
-    q = problem.prime ** n
-    return {
-        y: _numerator_sum(terms, degrees, complex(y), n, q, q ** len(degrees)) * math.prod(
-            _interval_ratio(d * complex(y) / q) for d in degrees)
-        for y in y_grid
-    }
+    q, chi = problem.prime ** n, {}
+    for y in y_grid:
+        value = _numerator_sum(terms, degrees, complex(y), n, q, q ** len(degrees))
+        value *= math.prod(_interval_ratio(d * complex(y) / q) for d in degrees)
+        chi[y] = _finite(value, f"chi form at level {n}", -1j * y / q)
+    return chi
 
 
 def _checked_degrees(hsop_degrees: Sequence[int]) -> tuple:

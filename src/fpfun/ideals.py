@@ -256,16 +256,15 @@ class LengthRun(Mapping):
     the same nonzero items.
     """
 
-    __slots__ = ("run", "_count")
+    __slots__ = ("run",)
 
     def __init__(self, run: list):
         tail = next(compress(count(), reversed(run)), len(run))  # zeros at the end
         del run[len(run) - tail :]
         self.run = run
-        self._count = len(run) - run.count(0)
 
-    def __len__(self) -> int:
-        return self._count
+    def __len__(self) -> int:  # counted on demand: a table build never asks
+        return len(self.run) - self.run.count(0)
 
     def __iter__(self):
         return compress(count(), self.run)
@@ -286,7 +285,7 @@ class LengthRun(Mapping):
             return self.run == other.run
         if not isinstance(other, Mapping):
             return NotImplemented
-        return len(other) == self._count and all(map(eq, map(other.get, self), self.values()))
+        return len(other) == len(self) and all(map(eq, map(other.get, self), self.values()))
 
     __hash__ = None
 

@@ -99,15 +99,19 @@ def eval_model(model: ExponentialPolynomialModel, y: complex) -> complex:
 
     Outside the branch radius the quotient is computed directly; inside it the
     numerator's Taylor expansion (14 terms past the order-d zero) is used, so
-    the two branches agree to better than 1e-9 at the seam.  A value that
-    overflows (large |Im y|) raises OverflowError instead of returning inf/nan.
+    the two branches agree to better than 1e-9 at the seam.  A value that is
+    not finite (large |Im y|, or a phase r * y past the float range, on which
+    cmath raises ValueError) raises OverflowError instead of returning inf/nan.
     """
     y = complex(y)
     if abs(y) > _TAYLOR_RADIUS:
-        num = 0j
-        for c, r in model.terms:
-            num += complex(c) * cmath.exp(-1j * float(r) * y)
-        value = num / (1j * y) ** model.d
+        try:
+            num = 0j
+            for c, r in model.terms:
+                num += complex(c) * cmath.exp(-1j * float(r) * y)
+            value = num / (1j * y) ** model.d
+        except (OverflowError, ValueError):
+            value = math.nan
         if not cmath.isfinite(value):
             raise OverflowError(f"model value at y={y} is not finite")
         return value

@@ -2,43 +2,33 @@
 
 from __future__ import annotations
 
-from .algebra import Grading, PrimeField, parse_polynomial
 from .fp import ProblemSpec
-from .ideals import HomogeneousIdeal, RingPresentation
-
-
-def _make(prime, names, degrees, relations, ideal_gens, dim_override=None) -> ProblemSpec:
-    field = PrimeField(prime)
-    grading = Grading(tuple(degrees))
-    rel = tuple(parse_polynomial(s, names, field, grading) for s in relations)
-    gens = tuple(parse_polynomial(s, names, field, grading) for s in ideal_gens)
-    ring = RingPresentation(field, grading, rel, tuple(names))
-    return ProblemSpec(ring, HomogeneousIdeal(gens), dim_override=dim_override)
+from .problems import ProblemFile
 
 
 def plane_problem(p: int = 2) -> ProblemSpec:
     """F_p[X, Y] standard graded, I = (X, Y)."""
-    return _make(p, ("X", "Y"), (1, 1), (), ("X", "Y"))
+    return ProblemFile(p, ("X", "Y"), (1, 1), (), ("X", "Y")).to_problem()
 
 
 def parameter_problem(a: int = 2, b: int = 3, p: int = 2) -> ProblemSpec:
     """F_p[X, Y] standard graded, I = (X^a, Y^b)."""
-    return _make(p, ("X", "Y"), (1, 1), (), (f"X^{a}", f"Y^{b}"))
+    return ProblemFile(p, ("X", "Y"), (1, 1), (), (f"X^{a}", f"Y^{b}")).to_problem()
 
 
 def three_generator_problem(p: int = 2) -> ProblemSpec:
     """F_p[X, Y] standard graded, I = (X^2, XY, Y^3)."""
-    return _make(p, ("X", "Y"), (1, 1), (), ("X^2", "X*Y", "Y^3"))
+    return ProblemFile(p, ("X", "Y"), (1, 1), (), ("X^2", "X*Y", "Y^3")).to_problem()
 
 
 def cusp_problem(p: int = 2) -> ProblemSpec:
     """F_p[X, Y] / (Y^2 - X^3) with weights (2, 3), I = (X): dimension one."""
-    return _make(p, ("X", "Y"), (2, 3), ("Y^2 - X^3",), ("X",))
+    return ProblemFile(p, ("X", "Y"), (2, 3), ("Y^2 - X^3",), ("X",)).to_problem()
 
 
 def weighted_plane_problem(p: int = 2) -> ProblemSpec:
     """F_p[X, Y] with weights (2, 3), I = (X, Y)."""
-    return _make(p, ("X", "Y"), (2, 3), (), ("X", "Y"))
+    return ProblemFile(p, ("X", "Y"), (2, 3), (), ("X", "Y")).to_problem()
 
 
 def standard_problems() -> dict:

@@ -7,10 +7,11 @@ import sys
 
 import pytest
 
+from fpfun import fp
 from fpfun.cli import main
 from fpfun.fp import fn_eval, fp_limit
 from fpfun.suite import plane_problem
-from fpfun.problems import MAX_GRID_POINTS, parse_y_grid
+from fpfun.problems import MAX_GRID_POINTS, load_problem_file, parse_y_grid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(ROOT, "problems")
@@ -575,14 +576,17 @@ class TestExitCodes:
         ],
     )
     def test_math_domain_grid_point_exits_3(self, argv, capsys):
-        # y * j / q overflows to inf inside cmath.exp, which raises ValueError;
-        # the cusp's level-0 table already has degrees past 1 (eval sums the
-        # numerator from the exact y instead; see the next test)
+        # y * j / q overflows to inf inside cmath.exp, whose ValueError each
+        # evaluator maps to its own OverflowError: the model's phase r * y and
+        # the cusp's degrees past 1 in the density bridge's per-term sum (eval
+        # sums the numerator from the exact y instead; see the next test)
         code = main([*argv, "--file", problem("cusp.json"), "--y-grid", "[[1e308,0]]"])
         assert code == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: floating-point domain error (math domain error)\n"
+        cause = ("direct sum with w=-9.765625e+304j" if argv[0] == "density"
+                 else "model value at y=(1e+308+0j)")
+        assert captured.err == f"error: floating-point overflow ({cause} is not finite)\n"
 
     def test_huge_real_point_is_finite_on_cusp(self, capsys):
         # the numerator sum takes its phases from the exact y; the cusp's table
@@ -609,6 +613,37 @@ class TestExitCodes:
         row = captured.out.splitlines()[1].split(",")
         want = math.prod((1 + cmath.exp(-1e308j / 2 ** m)) ** 2 / 4 for m in range(1, 11))
         assert abs(complex(float(row[3]), float(row[4])) - want) <= 1e-15
+
+    @pytest.mark.parametrize("name", ["parameter23.json", "three_generator.json"])
+    def test_huge_points_take_the_numerator_sum(self, name, capsys):
+        # level 0's per-term sum has a phase y * j past the float range, so
+        # F_n is the level's numerator sum, finite, bit for bit
+        pf = load_problem_file(problem(name))
+        n, q = pf.n_max, 2 ** pf.n_max
+        table = pf.to_problem().table(n)
+        for grid, y in (("[[1e308,0]]", 1e308), ("[[-1e308,0]]", -1e308),
+                        ("[[1e308,1]]", 1e308 + 1j)):
+            assert main(["eval", "--file", problem(name), "--y-grid", grid]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            row = captured.out.splitlines()[1].split(",")
+            want = fp._numerator_sum(table.numerator, table.weights, complex(y), n, q, q ** 2)
+            assert (int(row[2]), complex(float(row[3]), float(row[4]))) == (n, want)
+
+    @pytest.mark.parametrize("name", ["plane.json", "parameter23.json", "three_generator.json",
+                                      "weighted_plane.json", "cusp.json", "cusp3.json"])
+    def test_extreme_points_end_in_an_exit_code(self, name, capsys):
+        # every command ends each point in exit 0, 3 or 4, never a traceback
+        for point in ("[1e308,0]", "[-1e308,0]", "[1e308,1]", "[1.7e308,0]", "[-1e308,1e308]",
+                      "[1e300,-3000]", "[1,709]", "[5e-324,0]", "[1e-310,0]"):
+            for command in (["eval"], ["closed", "--method", "hsop"],
+                            ["compare", "--method", "hsop"], ["density", "--n", "3"]):
+                argv = [*command, "--file", problem(name), "--y-grid", f"[{point}]"]
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert code in (0, 3, 4), argv
+                assert (captured.out == "") == (code == 3), argv
+                assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("command", ["eval", "closed", "compare", "density"])
     @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from fpfun import fp
-from fpfun.density import density_table, gn_fourier_exact, quadrature_fourier
+from fpfun.density import density_table, direct_fourier, gn_fourier_exact, quadrature_fourier
 from fpfun.algebra import Grading, PrimeField, parse_polynomial
 from fpfun.errors import EvaluationDomainError, StructureError
 from fpfun.fp import (
@@ -24,8 +24,9 @@ from fpfun.fp import (
 )
 from fpfun.hilbert import LaurentPolynomialZ
 from fpfun.ideals import HomogeneousIdeal, RingPresentation, series_expansion
+from fpfun.models import eval_model, model_hsop
 from fpfun.problems import load_problem_file, problem_file_from_dict
-from fpfun.suite import cusp_problem, parameter_problem
+from fpfun.suite import cusp_problem, parameter_problem, plane_problem
 
 GRID = (0.5, 1.0, 2.0, 4.0)
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
@@ -287,6 +288,12 @@ class TestBettiLimitCheck:
     def test_zero_rejected(self, plane):
         with pytest.raises(EvaluationDomainError):
             betti_limit_check(plane, (1, 1), [0.0], 4)
+
+    def test_denominator_underflow_rejected(self, plane):
+        # each factor i d y of the form's denominator is 5e-324, so their
+        # product is 0, as it is at y = 0
+        with pytest.raises(EvaluationDomainError, match=r"underflows to 0 at y=5e-324$"):
+            betti_limit_check(plane, (1, 1), [5e-324], 4)
 
     @pytest.mark.parametrize("degrees, message", [
         ((), "^need at least one parameter degree$"),
@@ -648,19 +655,26 @@ class TestFrobeniusProduct:
             gn_fourier_exact(problem, 14, y)
         assert levels == []
 
-    def test_hard_points_take_the_numerator_sum(self, plane, weighted_plane):
+    def test_hard_points_take_the_numerator_sum(self, plane, weighted_plane, parameter23,
+                                                three_generator):
         # where the closed form cannot go, F_n is the level's numerator sum bit
         # for bit: at 1 - 1500i sin(wy/2) overflows though F_n is of order
-        # q^-d, and at 1e-310 y/q may be subnormal
+        # q^-d, at 1e-310 y/q may be subnormal, and at |y| near 1e308 level 0's
+        # per-term sum has a phase y * j past the float range
         line = problem_file_from_dict(
             {"prime": 2, "variables": [{"name": "X", "degree": 1}], "ideal": ["X"]}
         ).to_problem()
-        for problem in (plane, weighted_plane, line):
-            for n in range(1, 8):
+        cases = [(problem, range(1, 8), (1 - 1500j, 1e-310))
+                 for problem in (plane, weighted_plane, line)]
+        cases += [(problem, range(9), (1e308, -1e308, 1e308 + 1j))
+                  for problem in (parameter23, three_generator)]
+        for problem, levels, points in cases:
+            for n in levels:
                 table, q = problem.table(n), problem.prime ** n
-                for y in (1 - 1500j, 1e-310):
+                for y in points:
                     want = fp._numerator_sum(table.numerator, table.weights, y, n, q,
                                              q ** problem.dimension)
+                    assert cmath.isfinite(want)
                     assert fn_eval(problem, n, y) == want, (n, y)
         # on the line F_2(1 + 1000i) is about e^750, and the numerator sum says so
         with pytest.raises(OverflowError, match=r"^numerator sum at level 2 with w=\(250-0\.25j\)"):
@@ -716,6 +730,22 @@ class TestFrobeniusProduct:
             for n in (1, 3, 10):
                 for y in (0.3 - 800j, 1 - 1500j, 2 - 30000j):
                     self.check(problem, n, fn_eval(problem, n, y), y)
+
+    @pytest.mark.parametrize("name", ["plane", "parameter23", "weighted_plane", "three_generator",
+                                      "plane_over_f3"])
+    def test_complex_tiny_points_accurate_part_by_part(self, request, name):
+        # Im F_n is of order |y| |F_n|; the sine ratio rounds to a few ulp of
+        # 1 in its imaginary part, so at |wy/2| < 1/2 only the series ratio
+        # keeps both parts within a few ulp of the 60-digit sum
+        problem, levels = ((plane_problem(3), range(1, 6)) if name == "plane_over_f3"
+                           else (request.getfixturevalue(name), range(1, 9)))
+        for n in levels:
+            table, q = problem.table(n), problem.prime ** n
+            for y in (1e-8 + 1e-9j, 1e-6 - 3e-7j, 1e-9 + 1e-9j, 3e-5 + 2e-5j, 0.3 + 0.2j):
+                want = decimal_level_sum(table.lengths, y, q, q ** problem.dimension)
+                got = fn_eval(problem, n, y)
+                assert abs(got.real - want.real) <= 4e-15 * abs(want.real), (n, y)
+                assert abs(got.imag - want.imag) <= 4e-15 * abs(want.imag), (n, y)
 
     def test_odd_p_near_roots_of_unity(self):
         # at y = 2 pi k q every factor sum_a z^(aw) has all its terms at 1,
@@ -858,6 +888,56 @@ class TestCmChiEval:
         assert len(calls) == 1 and list(values) == list(grid)
         report = betti_limit_check(parameter23, (1, 1), grid, 6)
         assert len(calls) == 2 and list(report.deviations) == list(grid)
+
+
+# Points where a float on the way to a finite F_n may not be finite: a phase
+# y * j past the float range, e^(Im y) past it at level 0, a product of the
+# level sum and the interval ratio past it, and y / q or (y / q)^d subnormal
+EXTREME_POINTS = (1e308, -1e308, 1e308 + 1j, 1.7e308, -1e308 + 1e308j, 1e300 - 3000j,
+                  1 + 354j, 1 + 709j, 5e-324, 1e-310)
+FILE_HSOP = {"plane": (1, 1), "parameter23": (1, 1), "three_generator": (1, 1),
+             "weighted_plane": (2, 3), "cusp": (2,), "cusp3": (2,)}
+
+
+def finite_or_refused(evaluate, *args) -> bool:
+    try:
+        value = evaluate(*args)
+    except (OverflowError, EvaluationDomainError):
+        return True
+    return cmath.isfinite(value)
+
+
+def limit_value(problem, y):
+    return fp_limit(problem, [y], 3)[y].value
+
+
+def betti_deviation(problem, degrees, y, n):
+    return betti_limit_check(problem, degrees, [y], n).max_deviation
+
+
+def chi_value(problem, degrees, y, n):
+    return cm_chi_eval(problem, degrees, [y], n)[y]
+
+
+class TestNonFiniteContract:
+    @pytest.mark.parametrize("name", sorted(FILE_HSOP))
+    def test_every_evaluator_returns_finite_or_raises_overflow(self, name):
+        # each floating-point evaluator returns a finite value or raises
+        # OverflowError (or EvaluationDomainError where the form has a pole),
+        # never cmath's ValueError, a ZeroDivisionError or NaN
+        problem = load_problem_file(os.path.join(PROBLEMS, f"{name}.json")).to_problem()
+        hsop = FILE_HSOP[name]
+        model = model_hsop(problem.ring_multiplicity, hsop)
+        for y in EXTREME_POINTS:
+            calls = [(eval_model, model, y), (limit_value, problem, y)]
+            for n in range(4):
+                table = density_table(problem, n)
+                calls += [(fn_eval, problem, n, y), (gn_fourier_exact, problem, n, y),
+                          (quadrature_fourier, table, y), (direct_fourier, table, y)]
+                calls += [(form, problem, d, y, n) for form in (betti_deviation, chi_value)
+                          for d in {hsop, (2,) * len(hsop)}]
+            for evaluate, *args in calls:
+                assert finite_or_refused(evaluate, *args), (evaluate.__name__, args)
 
 
 class TestProblemSpec:
