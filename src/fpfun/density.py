@@ -9,13 +9,13 @@ integrates each 1/q interval of the samples, taking the sum of
 ell_j * exp(-iyj/q) from the level's exact Hilbert numerator
 (fp._numerator_sum), and gn_fourier_exact scales fn_eval; both take the
 interval factor (exp(-iy/q) - 1) / (-iy/q) from one helper,
-fp._interval_ratio, that keeps tiny |y| accurate.  Over a relation-free
-ring fn_eval is level 0's sum times Kunz's closed-form factors, with no
-numerator sum, so their gap measures the numerator sum against it.  The
-bridge checks the numerator sum on every ring: direct_fourier is the same
-transform with the sum taken term by term over the table (fp._direct_sum,
-one exponential per entry), and the bridge gap is its distance from
-quadrature_fourier.
+fp._interval_ratio, that keeps tiny |y| accurate and, at odd p, the
+factor's zeros at y = 2 pi k q.  Over a relation-free ring fn_eval is
+level 0's sum times Kunz's closed-form factors, with no numerator sum, so
+their gap measures the numerator sum against it.  The bridge checks the
+numerator sum on every ring: direct_fourier is the same transform with the
+sum taken term by term over the table (fp._direct_sum, one exponential per
+entry), and the bridge gap is its distance from quadrature_fourier.
 """
 
 from __future__ import annotations
@@ -85,13 +85,13 @@ def gn_fourier_exact(problem: ProblemSpec, n: int, y: complex) -> complex:
 
     fn_eval weights each ell_j by q^(-d); over a relation-free ring it is
     level 0's sum times Kunz's closed-form factors, with no numerator sum.
-    The factor comes from the shared interval ratio; the transform at y = 0 is F_n(0).
+    The factor comes from the shared interval ratio, which is 1 at y = 0, so
+    the transform there is F_n(0).
     One that is not finite raises OverflowError.
     """
-    if y == 0:
-        return fn_eval(problem, n, 0)
-    u = complex(y) / problem.prime ** n
-    return _finite(fn_eval(problem, n, y) * _interval_ratio(u), f"transform at level {n}", -1j * u)
+    q = problem.prime ** n
+    return _finite(fn_eval(problem, n, y) * _interval_ratio(complex(y), q),
+                   f"transform at level {n}", -1j * (complex(y) / q))
 
 
 def quadrature_fourier(table: DensityTable, y: complex) -> complex:
@@ -123,6 +123,6 @@ def _transform(table: DensityTable, y: complex, level_sum) -> complex:
     """The transform at y from level_sum(y), the sum of q^(1-d) * ell_j * exp(-iyj/q)."""
     if y == 0:
         return complex(float(table.mass()))
-    u = complex(y) / table.q
-    return _finite(level_sum(complex(y)) * _interval_ratio(u) / table.q,
-                   f"transform at level {table.table.n}", -1j * u)
+    q = table.q
+    return _finite(level_sum(complex(y)) * _interval_ratio(complex(y), q) / q,
+                   f"transform at level {table.table.n}", -1j * (complex(y) / q))

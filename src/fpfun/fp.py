@@ -200,11 +200,12 @@ def _times_geometric(value: complex, y: complex, weights: Sequence[int], q: int)
     sin(h) / (q sin(h/q)) * exp(-ih), then exp(ih/q), with h = wy/2: 2 sines
     and 2 exponentials per weight for any q.  The growth exp(Im h - Im h/q)
     of the two phases is split between them, half with each.  At p = 2
-    every argument is exact; at odd p the exact residual of Re h/q goes
-    into sin(h/q), whose zeros would lose its bits.  At complex h with
-    |h| < 1/2 the ratio is sinc(h) / sinc(h/q) (``_sinc``), so its
-    imaginary part, of order |h|^2, keeps its bits.  It may overflow or
-    lose a subnormal h/q; ``_fn_levels`` routes those points elsewhere."""
+    every argument is exact; at odd p, ``_sine`` takes sin(h/q) at the
+    exact Re h/q, as the interval ratio takes its sine, so its zeros keep
+    their bits.  At complex h with |h| < 1/2 the ratio is sinc(h) /
+    sinc(h/q) (``_sinc``), so its imaginary part, of order |h|^2, keeps its
+    bits.  It may overflow or lose a subnormal h/q; ``_fn_levels`` routes
+    those points elsewhere."""
     last = None
     for weight in weights:
         if weight != last:  # a repeated weight reuses its factor
@@ -215,10 +216,7 @@ def _times_geometric(value: complex, y: complex, weights: Sequence[int], q: int)
             if b and abs(h) < 0.5:
                 first = _sinc(h) / _sinc(z)
             else:
-                sine = cmath.sin(z)
-                if q & (q - 1):  # a/q = s + residual
-                    sine += float(Fraction(a) / q - Fraction(s)) * cmath.cos(z)
-                first = cmath.sin(h) / (q * sine)
+                first = cmath.sin(h) / (q * _sine(z, a, q))
             first *= cmath.exp(complex(grow, -a))
             second = cmath.exp(complex(grow, s))
         value *= first
@@ -363,14 +361,27 @@ def _not_finite(what: str, w: complex) -> OverflowError:
     return OverflowError(f"{what} with w={w} is not finite")
 
 
-def _interval_ratio(u: complex) -> complex:
-    """(exp(-iu) - 1) / (-iu), the interval factor, without cancellation or
-    underflow: exp(-iu/2) * sin(u/2) / (u/2) while |Im u| < 1, which is 1
-    at u = 0 and keeps the -u/2 imaginary part at any tiny |u|, and directly
-    past that, where sin(u/2) alone would overflow first as Im u -> -inf.
-    At complex u with |u/2| < 1/2, sin(h)/h is ``_sinc``: the complex
-    division errs by a few ulp of 1 in its imaginary part, which is of order
-    |u|.  A u or a ratio that is not finite raises OverflowError."""
+def _sine(z: complex, a: float, q: int) -> complex:
+    """sin(a / q + i Im z) from z, whose real part is a / q rounded: sin(z),
+    and at odd q, where a / q rounds, plus the exact residual a / q - Re z
+    times cos(z), so a zero of the sine near Re z = pi k keeps its bits."""
+    sine = cmath.sin(z)
+    if q & (q - 1):
+        sine += float(Fraction(a) / q - Fraction(z.real)) * cmath.cos(z)
+    return sine
+
+
+def _interval_ratio(x: complex, q: int = 1) -> complex:
+    """(exp(-iu) - 1) / (-iu), the interval factor at u = x / q, without
+    cancellation or underflow: exp(-iu/2) * sin(u/2) / (u/2) while |Im u| <
+    1, which is 1 at u = 0 and keeps the -u/2 imaginary part at any tiny
+    |u|, and directly past that, where sin(u/2) alone would overflow first
+    as Im u -> -inf.  At odd q, sin(u/2) is taken at the exact Re x / 2q
+    (``_sine``), so the zeros at x = 2 pi k q keep their bits.  At complex u
+    with |u/2| < 1/2, sin(h)/h is ``_sinc``: the complex division errs by a
+    few ulp of 1 in its imaginary part, which is of order |u|.  A u or a
+    ratio that is not finite raises OverflowError."""
+    u = x / q
     if not cmath.isfinite(u):
         raise _not_finite("interval ratio", complex(u.imag, -u.real))
     if abs(u.imag) >= 1:
@@ -380,7 +391,7 @@ def _interval_ratio(u: complex) -> complex:
             raise _not_finite("interval ratio", -1j * u) from None
     half = u / 2
     if not half.imag or abs(half) >= 0.5:
-        return cmath.exp(-1j * half) * (cmath.sin(half) / half if half else 1)
+        return cmath.exp(-1j * half) * (_sine(half, x.real, 2 * q) / half if half else 1)
     return cmath.exp(-1j * half) * _sinc(half)
 
 
@@ -497,9 +508,14 @@ def betti_limit_check(
     ring level 0's value times Kunz's closed-form factors where those are
     finite, else the numerator sum; so the check compares either with an
     independent sum, which a numerator sum on both sides would not be.  The
-    deviation stays near the rounding of F_n for |y| >= 1e-3.  Below that,
-    cancellation inside B_n(z) itself dominates: B_n has the order-d zero of
-    prod(1 - z^d) at z = 1 and terms of size ell_j.  A point where the
+    factors take the rounded u = y/q, at which the per-term sum reads B_n,
+    so the two near-zero sides agree.  The deviation stays near the
+    rounding of F_n for 1e-3 <= |y|, |Im y| <= 2 and d |Re y| / q <= pi,
+    d the largest parameter degree.  Below |y| = 1e-3, cancellation inside
+    B_n(z) itself dominates: B_n has the order-d zero of prod(1 - z^d) at
+    z = 1 and terms of size ell_j.  At z^d = 1 away from z = 1 (d y = 2 pi
+    k q) the form is 0/0 again: the deviation is |F_n| = 1 on plane at y =
+    2 pi q, and 8.0e11 on parameter23 at y = 6 pi 2^14.  A point where the
     denominator underflows to 0 (y = 5e-324) raises EvaluationDomainError,
     as y = 0 does.
     """
@@ -553,7 +569,7 @@ def cm_chi_eval(
     q, chi = problem.prime ** n, {}
     for y in y_grid:
         value = _numerator_sum(terms, degrees, complex(y), n, q, q ** len(degrees))
-        value *= math.prod(_interval_ratio(d * complex(y) / q) for d in degrees)
+        value *= math.prod(_interval_ratio(d * complex(y), q) for d in degrees)
         chi[y] = _finite(value, f"chi form at level {n}", -1j * y / q)
     return chi
 

@@ -149,11 +149,15 @@ class MonomialIdeal:
         """Per variable, the least pure-power exponent present, or None.
 
         A pure power of every variable is the finite-colength criterion: the
-        staircase then fits in the box prod [0, bound_i).
+        staircase then fits in the box prod [0, bound_i).  The unit ideal
+        holds 1 = x_i^0 for every i, so its bounds are all 0 and its box,
+        like its staircase, is empty.
         """
         bounds = [None] * var_count
         for g in self.generators:
             support = [i for i, e in enumerate(g) if e]
+            if not support:
+                return [0] * var_count
             if len(support) == 1:
                 i = support[0]
                 if bounds[i] is None or g[i] < bounds[i]:
@@ -308,8 +312,9 @@ class _RunItems(ItemsView):
 
 
 def _densified(lengths: Mapping, n: int) -> LengthRun:
-    """The run of a mapping's lengths from degree 0, its degrees checked
-    before it is allocated."""
+    """The run of a mapping's lengths from degree 0 to its last nonzero one,
+    its degrees checked before it is allocated and its nonzero lengths laid
+    out by series_expansion over no weights."""
     degrees = list(lengths)
     if not all(isinstance(j, int) for j in degrees):
         raise StructureError("a length table's degrees must be integers")
@@ -317,15 +322,10 @@ def _densified(lengths: Mapping, n: int) -> LengthRun:
         raise StructureError("a length table's degrees must be strictly ascending")
     if degrees and degrees[0] < 0:
         raise StructureError("a length table's degrees must be non-negative")
-    support = [j for j, v in lengths.items() if v]
-    if not support:
-        return LengthRun([])
-    if support[-1] + 1 > MAX_TABLE_ENTRIES:
-        raise _over_budget(n, support[-1] + 1)
-    run = [0] * (support[-1] + 1)
-    for j in support:
-        run[j] = lengths[j]
-    return LengthRun(run)
+    top = max((j for j, v in lengths.items() if v), default=-1)
+    if top + 1 > MAX_TABLE_ENTRIES:
+        raise _over_budget(n, top + 1)
+    return LengthRun(series_expansion(lengths, (), top))
 
 
 @dataclass(frozen=True)
@@ -459,10 +459,10 @@ def staircase_degree_counts(M: MonomialIdeal, grading: Grading, max_degree: int)
     staircase, the bounding box is walked and N is the counts times one
     (1 - t^w) per weight; otherwise N is staircase_numerator's and the counts
     are its series_expansion, whose work past N's few terms is one slice per
-    run of the output.
+    run of the output.  The unit ideal's one generator 1 cancels the empty
+    subset's lcm, so its N is {} and every count is 0, for any max_degree
+    from -1 up.
     """
-    if M.is_unit:
-        return {}, [0] * (max_degree + 1)
     bounds = M.pure_power_bounds(grading.var_count)
     if len(M.generators) <= _SUBSET_CAP or None in bounds:
         numerator = staircase_numerator(M, grading)
@@ -490,8 +490,6 @@ def enumeration_oracle(M: MonomialIdeal, grading: Grading) -> dict:
     Requires a pure power of every variable among the generators; otherwise
     the staircase is unbounded and an error is raised.
     """
-    if M.is_unit:
-        return {}
     bounds = M.pure_power_bounds(grading.var_count)
     missing = [i for i, b in enumerate(bounds) if b is None]
     if missing:
@@ -579,9 +577,6 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int,
         _check_table_floor(ring, ideal, n, relations)
         gens = chain.forms(n) if relations else bracket_power(ideal, n).generators
         M = initial_ideal(buchberger([*relations, *gens]))
-    weights = tuple(ring.grading.weights)
-    if M.is_unit:
-        return GradedLengthTable(n, p, LengthRun([]), {}, weights)
     bounds = M.pure_power_bounds(ring.grading.var_count)
     for i, b in enumerate(bounds):
         if b is None:
@@ -595,7 +590,7 @@ def graded_lengths(ring: RingPresentation, ideal: HomogeneousIdeal, n: int,
     if max_degree + 1 > MAX_TABLE_ENTRIES:
         raise _over_budget(n, max_degree + 1)
     numerator, counts = staircase_degree_counts(M, ring.grading, max_degree)
-    return GradedLengthTable(n, p, LengthRun(counts), numerator, weights)
+    return GradedLengthTable(n, p, LengthRun(counts), numerator, tuple(ring.grading.weights))
 
 
 def _check_table_floor(ring: RingPresentation, ideal: HomogeneousIdeal, n: int, relations):

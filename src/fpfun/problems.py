@@ -102,8 +102,6 @@ def _grid_points(value) -> tuple:
         if count < 0:
             raise ParseError("y_grid count must be non-negative")
         _check_grid_size(count)
-        if count == 0:
-            return ()
         if count == 1:
             return (complex(lo, 0.0),)
         step = (hi - lo) / (count - 1)

@@ -197,6 +197,12 @@ class TestFourierBridge:
             for n in range(3):
                 assert gn_fourier_exact(problem, n, 0) == fn_eval(problem, n, 0), name
 
+    def test_zero_is_the_level_value_bit_for_bit(self, suite_problems):
+        # F_n(0) times the interval ratio's 1 at u = 0, zero signs included
+        for name, (problem, _) in suite_problems.items():
+            for n in range(9):
+                assert repr(gn_fourier_exact(problem, n, 0)) == repr(fn_eval(problem, n, 0)), name
+
     def test_tent_mass(self, plane):
         table = density_table(plane, 3)
         assert quadrature_fourier(table, 0) == 1.0 + 0j

@@ -312,6 +312,16 @@ class TestBettiLimitCheck:
         report = betti_limit_check(parameter23, (1, 1), (1e-3, 0.01, 0.5, 2 + 1j), 14)
         assert report.max_deviation <= 1e-10, report.deviations
 
+    def test_bound_holds_in_the_measured_region(self, plane, parameter23):
+        # 1e-9 holds for 1e-3 <= |y|, |Im y| <= 2 and d |Re y| / q <= pi; at
+        # d y / q = 2 pi the form is 0/0, as at y = 0, and on plane the Betti
+        # side reads 0 there, so the deviation is |F_n| = 1
+        q = 2 ** 8
+        inside = betti_limit_check(parameter23, (1, 1), (math.pi * q, 3 * q + 2j, 1e-3j), 8)
+        assert inside.max_deviation <= 1e-9, inside.deviations
+        outside = betti_limit_check(plane, (1, 1), [2 * math.pi * q], 8)
+        assert outside.max_deviation == abs(fn_eval(plane, 8, 2 * math.pi * q)) == 1
+
     def test_grid_equals_single_points(self, parameter23):
         grid = (0.5, 2 + 1j, 1 - 30j, 7.25 - 0.5j)
         report = betti_limit_check(parameter23, (1, 1), grid, 8)
@@ -511,6 +521,14 @@ def decimal_level_sum(lengths, y, q, scale):
             size = v * (wr * j).exp()
             re, im = re + size * parts[0], im + size * parts[1]
         return complex(re / scale, im / scale)
+
+
+def decimal_interval_ratio(y, q, d=1):
+    """(exp(-iu) - 1) / (-iu) at u = d y / q, as exp(-iu/2) sin(u/2) / (u/2)
+    from exp(-iu/2) at 60 digits (decimal_level_sum), whose -Im is the sine,
+    each part rounded once."""
+    half = decimal_level_sum({d: 1}, complex(y), 2 * q, 1)
+    return half * -half.imag / (d * y / (2 * q))
 
 
 class TestNumeratorSumAccuracy:
@@ -821,6 +839,34 @@ class TestIntervalRatio:
         got = _interval_ratio(u)
         assert abs(got.real - float(total[0])) <= 4e-16 * abs(float(total[0])), u
         assert abs(got.imag - float(total[1])) <= 4e-16 * abs(float(total[1])), u
+
+    @pytest.mark.parametrize("name, hsop", [("plane_over_f3", (1, 1)), ("cusp3", (2,))])
+    def test_odd_q_keeps_the_zeros_at_2_pi_k_q(self, name, hsop):
+        # at odd q, u = y / q is rounded, which near the factor's zero at
+        # y = 2 pi k q cost up to half its value; sin(u/2) at the exact y / 2q
+        # keeps each transform within a few ulp of the 60-digit value (the
+        # per-term sum's phases stay rounded: 1e-12)
+        problem = (plane_problem(3) if name == "plane_over_f3"
+                   else load_problem_file(os.path.join(PROBLEMS, "cusp3.json")).to_problem())
+        for n in (1, 2, 3):
+            table, q, density = problem.table(n), 3 ** n, density_table(problem, n)
+            for k in (1, 2):
+                for offset in (0, 1e-12, 1e-9, 1e-6):
+                    y = 2 * math.pi * k * q + offset
+                    level = decimal_level_sum(table.lengths, complex(y), q, q ** problem.dimension)
+                    want = level * decimal_interval_ratio(y, q)
+                    chi = level * math.prod(decimal_interval_ratio(y, q, d) for d in hsop)
+                    for got, ref, tolerance in ((gn_fourier_exact(problem, n, y), want, 1e-14),
+                                                (quadrature_fourier(density, y), want, 1e-14),
+                                                (direct_fourier(density, y), want, 1e-12),
+                                                (cm_chi_eval(problem, hsop, [y], n)[y], chi, 1e-14)):
+                        assert abs(got - ref) <= tolerance * abs(ref), (n, k, offset, got, ref)
+
+    def test_power_of_two_q_is_the_ratio_at_y_over_q(self):
+        # at p = 2, y / q and y / 2q are exact, and no residual is taken
+        for y in (0.5, 2 * math.pi * 256, 1 - 2j, 3 + 0.5j, 1e-300, -8.0):
+            for q in (1, 2, 256, 2 ** 14):
+                assert _interval_ratio(complex(y), q) == _interval_ratio(complex(y) / q), (y, q)
 
     def test_real_u_takes_the_sine_ratio(self):
         for u in (1e-300, 1e-160, 1e-20, 1e-6, 0.25, -0.25, 1.0, 1.999, -3.0, 50.0):

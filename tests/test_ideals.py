@@ -18,7 +18,7 @@ from fpfun.algebra import (
 from fpfun import ideals
 from fpfun.density import density_table
 from fpfun.errors import ColengthError, StructureError
-from fpfun.fp import ProblemSpec
+from fpfun.fp import ProblemSpec, fn_eval
 from fpfun.ideals import (
     _SUBSET_CAP,
     MAX_TABLE_ENTRIES,
@@ -307,6 +307,36 @@ class TestGradedLengths:
                 assert t.max_degree < c * problem.prime ** n, name
 
 
+class TestUnitIdeal:
+    """I = R: every R/I^[q] is 0.  The unit ideal's pure-power bounds are all
+    0, so its box is empty, and the general path gives the empty table."""
+
+    @pytest.mark.parametrize("grading, relations", [(STD2, ()), (W23, ("Y^2 - X^3",))],
+                             ids=["plane", "cusp"])
+    @pytest.mark.parametrize("gens", [("1",), ("X", "1")])
+    def test_every_level_is_empty(self, grading, relations, gens):
+        ring = RingPresentation(F2, grading, tuple(poly(r, grading=grading) for r in relations),
+                                ("X", "Y"))
+        problem = ProblemSpec(ring, ideal(*gens, grading=grading))
+        for n in range(4):
+            table = problem.table(n)
+            assert table.lengths == {} and table.lengths.run == [], n
+            assert (table.numerator, table.weights) == ({}, grading.weights), n
+            assert (table.total(), table.max_degree) == (0, -1), n
+            for y in (0, 0.5, 1 + 2j):
+                assert fn_eval(problem, n, y) == 0, (n, y)
+            assert density_table(problem, n).mass() == 0, n
+
+    @pytest.mark.parametrize("grading", [Grading((1,)), STD2, W23, Grading((1, 2, 3))])
+    def test_staircase_counts_and_the_oracle(self, grading):
+        m = grading.var_count
+        unit = MonomialIdeal.from_exponents([(0,) * m, (1,) * m])
+        assert unit.generators == ((0,) * m,) and unit.pure_power_bounds(m) == [0] * m
+        for k in range(-1, 6):
+            assert staircase_degree_counts(unit, grading, k) == ({}, [0] * (k + 1)), k
+        assert enumeration_oracle(unit, grading) == {}
+
+
 class TestLengthRun:
     """A table keeps its lengths as one dense run behind a read-only mapping view."""
 
@@ -346,7 +376,7 @@ class TestLengthRun:
         assert table.items_sorted() == [(1, 2), (3, 5), (8, 1)]
         assert table == GradedLengthTable(3, 2, {1: 2, 3: 5, 8: 1})
 
-    @pytest.mark.parametrize("lengths", [{}, {0: 0, 600: 0}])
+    @pytest.mark.parametrize("lengths", [{}, {0: 0, 600: 0}, {3: 0, 4: 0, 9: 0}])
     def test_empty_table(self, lengths):
         table = GradedLengthTable(1, 2, lengths)
         assert len(table.lengths) == 0 and not table.lengths and table.lengths == {}
@@ -362,6 +392,16 @@ class TestLengthRun:
         table = GradedLengthTable(1, 2, {0: 0, 2: 3, 3: 0, 5: 1, 9: 0})
         assert table.lengths.run == [0, 0, 3, 0, 0, 1]
         assert ideals.LengthRun([0, 0, 0]).run == []
+
+    @pytest.mark.parametrize("lengths, run", [
+        ({0: 0, 1: 0, 4: 7, 6: 2, 8: 0, 11: 0}, [0, 0, 0, 0, 7, 0, 2]),
+        ({0: 0, 5: 1, 6: 0}, [0, 0, 0, 0, 0, 1]),
+        ({2: 3, 3: 0}, [0, 0, 3]),
+    ])
+    def test_zeros_at_both_ends(self, lengths, run):
+        table = GradedLengthTable(1, 2, lengths)
+        assert table.lengths.run == run and table.lengths == {j: v for j, v in lengths.items() if v}
+        assert (table.max_degree, table.total()) == (len(run) - 1, sum(run))
 
     def test_table_over_the_budget_refused_before_allocating(self):
         # an extent of 2^20 + 1; a run of it would take 8 MiB
