@@ -11,9 +11,11 @@ ell_j * exp(-iyj/q) from the level's exact Hilbert numerator
 interval factor (exp(-iy/q) - 1) / (-iy/q) from one helper,
 fp._interval_ratio, that keeps tiny |y| accurate and, at odd p, the
 factor's zeros at y = 2 pi k q.  Over a relation-free ring fn_eval is
-level 0's sum times Kunz's closed-form factors, with no numerator sum, so
-their gap measures the numerator sum against it.  The bridge checks the
-numerator sum on every ring: direct_fourier is the same transform with the
+level 0's sum times Kunz's closed-form factors, and over a complete
+intersection (the cusps) a product of interval ratios, with no numerator
+sum, so on those rings their gap measures the numerator sum against an
+independent route.  The bridge checks the numerator sum on every ring:
+direct_fourier is the same transform with the
 sum taken term by term over the table (fp._direct_sum, one exponential per
 entry), and the bridge gap is its distance from quadrature_fourier.
 """
@@ -84,7 +86,8 @@ def gn_fourier_exact(problem: ProblemSpec, n: int, y: complex) -> complex:
     """Closed form of the transform of g_n: F_n(y) * (1 - exp(-iy/q)) / (iy/q).
 
     fn_eval weights each ell_j by q^(-d); over a relation-free ring it is
-    level 0's sum times Kunz's closed-form factors, with no numerator sum.
+    level 0's sum times Kunz's closed-form factors, and over a complete
+    intersection a product of interval ratios, with no numerator sum.
     The factor comes from the shared interval ratio, which is 1 at y = 0, so
     the transform there is F_n(0).
     One that is not finite raises OverflowError.

@@ -21,15 +21,20 @@ weights w, so with z = exp(-iy/q)
 and N_n has 3 to 6 terms on the built-in problems.  ``_numerator_sum``
 evaluates that rational form in Python-int fixed point from the exact
 w = -iy/q, with as many bits as its cancellation near the roots of unity
-takes, and rounds once: F_n over a ring with relations, the density
-transform and the B_n(z) / prod(1 - z^d) of cm_chi_eval.  Over a
-relation-free ring, F_n is level 0's value times one closed-form factor
-per variable (Kunz's flatness, ``_fn_levels``): 2 sines and 2 exponentials
-per variable, point and level, for any n, where that product is finite;
-the numerator sum takes every other point.  ``_direct_sum``, one
-exponential per term per point added exactly by math.fsum, takes that
-level 0 and is the independent reference: the density bridge's transform,
-the level-sum self check and the Betti polynomial of betti_limit_check.
+takes, and rounds once: the density transform, the B_n(z) / prod(1 - z^d)
+of cm_chi_eval, and F_n wherever neither closed form from level 0 holds.
+Over a relation-free ring, F_n is level 0's value times one closed-form
+factor per variable (Kunz's flatness): 2 sines and 2 exponentials per
+variable, point and level, for any n.  Over a ring whose relations and
+whose ideal's generators are regular sequences (a complete intersection,
+read off the Hilbert series), N_n is known from level 0 and F_n is a
+product of interval ratios: one exponential and one sine per relation and
+per variable, point and level.  Either route takes a point where its
+product is finite (``_fn_levels``); the numerator sum takes every other
+point.  ``_direct_sum``, one exponential per term per point added exactly
+by math.fsum, takes the relation-free level 0 and is the independent
+reference: the density bridge's transform, the level-sum self check and
+the Betti polynomial of betti_limit_check.
 A sum that is not finite raises OverflowError, naming it.
 """
 
@@ -68,10 +73,11 @@ class ProblemSpec:
 
     The dimension defaults to the Krull dimension of the ring read off its
     Hilbert series; ``dim_override`` substitutes any non-negative integer for
-    the normalization exponent.  The ring's Hilbert series and its
-    Hilbert-Samuel data are computed once; length tables are cached per level,
-    and over a ring with relations the FrobeniusChain store keeps the
-    relations' reduced basis and each level's Frobenius normal forms.
+    the normalization exponent.  The ring's Hilbert series, its
+    Hilbert-Samuel data and the complete-intersection test are computed
+    once; length tables are cached per level, and over a ring with
+    relations the FrobeniusChain store keeps the relations' reduced basis
+    and each level's Frobenius normal forms.
     The caches allow concurrent reads with insert-once writes.
     """
 
@@ -115,6 +121,29 @@ class ProblemSpec:
         return insert_once(self._tables, n,
                            lambda: graded_lengths(self.ring, self.ideal, n, self._levels))
 
+    def complete_intersection(self):
+        """(e, d), the degrees of the relations and of the ideal's generators,
+        where both are regular sequences, else None (computed once).
+
+        A homogeneous sequence is regular exactly when it multiplies the
+        Hilbert series by prod(1 - t^deg) (Stanley, Adv. Math. 28, 1978), so
+        this holds where the ring has relations, ``ring_series()``'s
+        numerator is prod_j (1 - t^e_j), every generator has degree d_i >= 1
+        and level 0's numerator is that times prod_i (1 - t^d_i).
+        """
+        return insert_once(self._derived, "intersection", self._regular_degrees)
+
+    def _regular_degrees(self):
+        e = tuple(f.homogeneous_degree() for f in self.ring.relations)
+        d = tuple(g.homogeneous_degree() for g in self.ideal.generators)
+        if not e or min(d) < 1:
+            return None
+        ring = self.ring_series().numerator
+        if (ring != LaurentPolynomialZ.one().times_one_minus(e)
+                or LaurentPolynomialZ(self.table(0).numerator) != ring.times_one_minus(d)):
+            return None
+        return e, d
+
 
 @dataclass(frozen=True)
 class LimitEstimate:
@@ -137,13 +166,14 @@ class LimitEstimate:
 def fn_eval(problem: ProblemSpec, n: int, y: complex) -> complex:
     """Evaluate the level-n normalized Hilbert series at the complex point y.
 
-    Over a ring with relations, ``_numerator_sum`` takes it from the
-    level's exact Hilbert numerator in integer fixed point, rounded once.
     Over a relation-free ring it is level 0's per-term sum times one closed
-    form factor per variable (``_fn_levels``), reading the tables of levels
-    n and 0 alone, or the numerator sum where that is not finite.  At y = 0
-    the value is the exact rational q^(-d) * total length, converted at the
-    boundary; one that is not finite raises the numerator sum's OverflowError.
+    form factor per variable, and over a complete intersection a product of
+    interval ratios (``_fn_levels``); either reads the tables of levels n
+    and 0 alone.  At any other ring or point ``_numerator_sum`` takes it
+    from the level's exact Hilbert numerator in integer fixed point, rounded
+    once.  At y = 0 the value is the exact rational q^(-d) * total length,
+    converted at the boundary; one that is not finite raises the numerator
+    sum's OverflowError.
     """
     return _fn_levels(problem, [y], [problem.table(n)])[0][0]
 
@@ -153,21 +183,43 @@ def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], tables: Sequence) ->
 
     The caller looks the tables up first, so a level over the budget is
     refused before any sum; a point y = 0 takes its level's exact total,
-    read only there.  Over a ring with relations each level sums its
-    numerator (``_numerator_sum``).  Over a relation-free ring with weights
-    w_1..w_m, Frobenius is flat (Kunz, Amer. J. Math. 91, 1969), so
-    H_{S/I^[q]}(t) = H_{S/I}(t^q) prod_i sum_{a<q} t^(a w_i), and F_n(y) =
-    q^(m-d) F_0(y) prod_i G_q(w_i y)/q, G_q(u) = sum_{a<q} exp(-iau/q), d
-    the dimension (``dim_override`` too): F_0 is summed once per point and
-    ``_times_geometric`` multiplies in the factors; no level reads another
-    level's value.  It takes a point only where |y| >= 2e-290 (below, h/q
-    may be subnormal) and F_0 and the product come out finite without
-    raising; any other point takes the level's numerator sum, the only
-    source of the OverflowError naming level n and w = -iy/q."""
-    d, weights = problem.dimension, problem.ring.grading.weights
+    read only there.  Two routes take a level from level 0, d the dimension
+    (``dim_override`` too) and m the number of weights w:
+
+    - Over a relation-free ring, Frobenius is flat (Kunz, Amer. J. Math. 91,
+      1969), so H_{S/I^[q]}(t) = H_{S/I}(t^q) prod_i sum_{a<q} t^(a w_i),
+      and F_n(y) = q^(m-d) F_0(y) prod_i G_q(w_i y)/q, G_q(u) = sum_{a<q}
+      exp(-iau/q): F_0 is summed once per point and ``_times_geometric``
+      multiplies in the factors.  It takes a point where |y| >= 2e-290
+      (below, h/q may be subnormal).
+    - Where ``problem.complete_intersection()`` gives the degrees e_1..e_c
+      of the relations and d_1..d_k of the generators, both regular
+      sequences, Frobenius carries the Koszul resolution to level n
+      (Peskine-Szpiro, Publ. IHES 42, 1973): N_n = prod_j (1 - t^e_j)
+      prod_i (1 - t^(q d_i)), with c + k = m.  With rho(u) = (1 - e^(-iu))
+      / (iu) the interval ratio, F_n(y) = q^(m-c-d) (prod e prod d / prod
+      w) prod_i rho(d_i y) prod_j rho(e_j y/q) / prod_w rho(w y/q).  Write
+      rho(u) = exp(-iu/2) S(u/2), S(h) = sin(h)/h: ``_intersection_base``
+      takes prod e prod d / prod w and the S(d_i y / 2) once per point, and
+      ``_intersection_level``, after the level's scale q^(m-c-d), the
+      phases at once, exp(-i y A / 2q) with A = q sum(d) + sum(e) - sum(w),
+      and the c + m S factors of the level.  Every sine and that phase take
+      their residual from the exact a Re y, so F_n keeps the bits of the
+      zeros of rho(e_j y/q); no F_0 is formed and divided by rho(e_j y)
+      (on the cusp both vanish at y = pi/3).  With s = sum(e) + sum(d) + sum(w)
+      it takes a point where |y| >= 2e-290, |Re y| s <= 2^27, so that no
+      argument passes 2^26 and each residual's first order is exact, and
+      |Im y| s <= 700, so that no partial product leaves the float range.
+
+    No level reads another level's value.  A point either route does not
+    take, or where its product raises or is not finite, takes the level's
+    numerator sum, the only source of the OverflowError naming level n and
+    w = -iy/q."""
+    d, weights, relations = problem.dimension, problem.ring.grading.weights, problem.ring.relations
     points = [complex(y) for y in ys if y != 0]
     bases = [None] * len(points)
-    if points and not problem.ring.relations:
+    route = problem.complete_intersection() if points and relations else None
+    if points and not relations:
         lengths = problem.table(0).lengths
         for i, y in enumerate(points):
             if abs(y) >= 2e-290:
@@ -175,16 +227,27 @@ def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], tables: Sequence) ->
                     bases[i] = _direct_sum(lengths, -1j * y)
                 except OverflowError:
                     pass
+    elif route:
+        span = sum(route[0]) + sum(route[1]) + sum(weights)
+        for i, y in enumerate(points):
+            if abs(y) >= 2e-290 and abs(y.real) * span <= 2 ** 27 and abs(y.imag) * span <= 700:
+                try:
+                    bases[i] = _intersection_base(y, *route, weights)
+                except (ArithmeticError, ValueError):
+                    pass
     out = []
     for table in tables:
         n, q = table.n, problem.prime ** table.n
-        scale, values = q ** (len(weights) - d), []
+        scale, values = q ** (len(weights) - len(relations) - d), []
         for base, y in zip(bases, points):
             value = math.nan
             if base is not None:
                 try:
-                    value = _times_geometric(base * scale, y, weights, q) if n else base * scale
-                except (OverflowError, ValueError):
+                    if route:
+                        value = _intersection_level(base * scale, y, *route, weights, q)
+                    else:
+                        value = _times_geometric(base * scale, y, weights, q) if n else base * scale
+                except (ArithmeticError, ValueError):
                     pass
             if not cmath.isfinite(value):
                 value = _numerator_sum(table.numerator, table.weights, y, n, q, q ** d)
@@ -193,6 +256,41 @@ def _fn_levels(problem: ProblemSpec, ys: Sequence[complex], tables: Sequence) ->
         out.append([next(at) if y != 0 else complex(float(Fraction(table.total(), q ** d)))
                     for y in ys])
     return out
+
+
+def _intersection_base(y: complex, e: Sequence[int], g: Sequence[int], weights) -> complex:
+    """(prod e prod d / prod w) prod_i S(d_i y / 2): the complete-intersection
+    route's part at y that no level changes (``_fn_levels``)."""
+    base = math.prod(e) * math.prod(g) / math.prod(weights)
+    for a in g:
+        base *= _sine_ratio(y, a, 2)
+    return base
+
+
+def _intersection_level(value: complex, y: complex, e, g, weights, q: int) -> complex:
+    """value * exp(-i y A / 2q) prod_j S(e_j y / 2q) / prod_w S(w y / 2q),
+    A = q sum(d) + sum(e) - sum(w): the level's part of the route, the phases
+    of its interval ratios summed into one exponential at the exact A Re y /
+    2q (first order in the residual) and one sine per relation and weight."""
+    x, den = y.real, 2 * q
+    top = q * sum(g) + sum(e) - sum(weights)
+    t = top * x / den
+    value *= cmath.exp(complex(top * y.imag / den, -t)) * complex(1, -_rest(t, x, top, den))
+    for a in e:
+        value *= _sine_ratio(y, a, den)
+    for a in weights:
+        value /= _sine_ratio(y, a, den)
+    return value
+
+
+def _sine_ratio(y: complex, a: int, den: int) -> complex:
+    """S(h) = sin(h) / h at h = a y / den, a nonzero h, for the interval
+    ratio and the complete-intersection route: the sine at the exact a Re y
+    / den (``_sine``), or at complex h with |h| < 1/2 ``_sinc``."""
+    h = complex(a * y.real / den, a * y.imag / den)
+    if h.imag and abs(h) < 0.5:
+        return _sinc(h)
+    return _sine(h, y.real, a, den) / h
 
 
 def _times_geometric(value: complex, y: complex, weights: Sequence[int], q: int) -> complex:
@@ -216,7 +314,7 @@ def _times_geometric(value: complex, y: complex, weights: Sequence[int], q: int)
             if b and abs(h) < 0.5:
                 first = _sinc(h) / _sinc(z)
             else:
-                first = cmath.sin(h) / (q * _sine(z, a, q))
+                first = cmath.sin(h) / (q * _sine(z, a, 1, q))
             first *= cmath.exp(complex(grow, -a))
             second = cmath.exp(complex(grow, s))
         value *= first
@@ -361,27 +459,38 @@ def _not_finite(what: str, w: complex) -> OverflowError:
     return OverflowError(f"{what} with w={w} is not finite")
 
 
-def _sine(z: complex, a: float, q: int) -> complex:
-    """sin(a / q + i Im z) from z, whose real part is a / q rounded: sin(z),
-    and at odd q, where a / q rounds, plus the exact residual a / q - Re z
-    times cos(z), so a zero of the sine near Re z = pi k keeps its bits."""
+def _sine(z: complex, x: float, a: int, den: int) -> complex:
+    """sin(a x / den + i Im z) from z, whose real part is a x / den rounded:
+    sin(z) plus the residual a x / den - Re z (``_rest``) times cos(z), so a
+    zero of the sine near Re z = pi k keeps its bits."""
     sine = cmath.sin(z)
-    if q & (q - 1):
-        sine += float(Fraction(a) / q - Fraction(z.real)) * cmath.cos(z)
+    rest = _rest(z.real, x, a, den)
+    if rest:
+        sine += rest * cmath.cos(z)
     return sine
 
 
-def _interval_ratio(x: complex, q: int = 1) -> complex:
-    """(exp(-iu) - 1) / (-iu), the interval factor at u = x / q, without
-    cancellation or underflow: exp(-iu/2) * sin(u/2) / (u/2) while |Im u| <
-    1, which is 1 at u = 0 and keeps the -u/2 imaginary part at any tiny
-    |u|, and directly past that, where sin(u/2) alone would overflow first
-    as Im u -> -inf.  At odd q, sin(u/2) is taken at the exact Re x / 2q
-    (``_sine``), so the zeros at x = 2 pi k q keep their bits.  At complex u
+def _rest(t: float, x: float, a: int, den: int) -> float:
+    """a x / den - t, for t that value rounded, exact up to its own rounding;
+    0 where a and den are powers of two, at which a x / den is exact."""
+    if not (a & (a - 1) or den & (den - 1)):
+        return 0.0
+    (num, d), (tn, td) = x.as_integer_ratio(), t.as_integer_ratio()
+    return (a * num * td - tn * d * den) / (d * den * td)
+
+
+def _interval_ratio(x: complex, q: int = 1, a: int = 1) -> complex:
+    """(exp(-iu) - 1) / (-iu), the interval factor at u = a x / q for an
+    integer a, without cancellation or underflow: exp(-iu/2) * sin(u/2) /
+    (u/2) while |Im u| < 1, which is 1 at u = 0 and keeps the -u/2 imaginary
+    part at any tiny |u|, and directly past that, where sin(u/2) alone
+    would overflow first as Im u -> -inf.  Where a x / 2q is rounded (q or a
+    not a power of two), sin(u/2) is taken at the exact a Re x / 2q
+    (``_sine``), so the zeros at a x = 2 pi k q keep their bits.  At complex u
     with |u/2| < 1/2, sin(h)/h is ``_sinc``: the complex division errs by a
     few ulp of 1 in its imaginary part, which is of order |u|.  A u or a
     ratio that is not finite raises OverflowError."""
-    u = x / q
+    u = (a * x if a != 1 else x) / q
     if not cmath.isfinite(u):
         raise _not_finite("interval ratio", complex(u.imag, -u.real))
     if abs(u.imag) >= 1:
@@ -390,9 +499,7 @@ def _interval_ratio(x: complex, q: int = 1) -> complex:
         except OverflowError:
             raise _not_finite("interval ratio", -1j * u) from None
     half = u / 2
-    if not half.imag or abs(half) >= 0.5:
-        return cmath.exp(-1j * half) * (_sine(half, x.real, 2 * q) / half if half else 1)
-    return cmath.exp(-1j * half) * _sinc(half)
+    return cmath.exp(-1j * half) * (_sine_ratio(x, a, 2 * q) if half else 1)
 
 
 def _sinc(h: complex) -> complex:
@@ -503,13 +610,13 @@ def betti_limit_check(
     the deviation measures floating-point error.  Each factor q (1 - z^d)
     is i d y times the interval ratio at d y / q, B_n(z) comes from the
     direct per-term sum, one exponential per term of B_n, and F_n from
-    ``_fn_levels`` at level n for the whole grid, fn_eval's path: the
-    numerator sum over a ring with relations, and over a relation-free
-    ring level 0's value times Kunz's closed-form factors where those are
-    finite, else the numerator sum; so the check compares either with an
-    independent sum, which a numerator sum on both sides would not be.  The
-    factors take the rounded u = y/q, at which the per-term sum reads B_n,
-    so the two near-zero sides agree.  The deviation stays near the
+    ``_fn_levels`` at level n for the whole grid, fn_eval's path: over a
+    relation-free ring level 0's value times Kunz's closed-form factors,
+    over a complete intersection the product of interval ratios, where
+    those are finite, and else the numerator sum; so the check compares
+    each with an independent sum, which a numerator sum on both sides
+    would not be.  The factors take the rounded u = y/q, at which the
+    per-term sum reads B_n, so the two near-zero sides agree.  The deviation stays near the
     rounding of F_n for 1e-3 <= |y|, |Im y| <= 2 and d |Re y| / q <= pi,
     d the largest parameter degree.  Below |y| = 1e-3, cancellation inside
     B_n(z) itself dominates: B_n has the order-d zero of prod(1 - z^d) at
@@ -555,10 +662,11 @@ def cm_chi_eval(
     At each point ``_numerator_sum`` takes q^-d * B_n(z) / prod(1 - z^d_i) in
     integer fixed point, which absorbs the order-d zero that B_n shares with
     the product at z = 1, and each factor q (1 - z^d_i) / (d_i iy) is the
-    interval ratio at d_i y / q, so tiny |y| keeps the relative accuracy of
-    larger ones.  When the hsop is a regular sequence, H_{R/(hsop)} =
-    prod(1 - t^d_i) * H_R and B_n is chi(R/(hsop), R/I^[q]), so this is the
-    chi form; the caller asserts it.  A value that is not finite raises
+    interval ratio at d_i y / q, its sine at the exact d_i Re y / 2q, so
+    tiny |y| keeps the relative accuracy of larger ones and the factor
+    keeps its zeros at d_i y = 2 pi k q.  When the hsop is a regular
+    sequence, H_{R/(hsop)} = prod(1 - t^d_i) * H_R and B_n is chi(R/(hsop),
+    R/I^[q]), so this is the chi form; the caller asserts it.  A value that is not finite raises
     OverflowError.
     """
     degrees = _checked_degrees(hsop_degrees)
@@ -569,7 +677,7 @@ def cm_chi_eval(
     q, chi = problem.prime ** n, {}
     for y in y_grid:
         value = _numerator_sum(terms, degrees, complex(y), n, q, q ** len(degrees))
-        value *= math.prod(_interval_ratio(d * complex(y), q) for d in degrees)
+        value *= math.prod(_interval_ratio(complex(y), q, d) for d in degrees)
         chi[y] = _finite(value, f"chi form at level {n}", -1j * y / q)
     return chi
 

@@ -27,12 +27,13 @@ from .ideals import (
     series_expansion,
     staircase_degree_counts,
 )
-from .suite import standard_problems
+from .suite import cusp3_problem, standard_problems
 
 DEFAULT_SEED = 74025
 # The evaluation points of the Fourier bridge and the level-sum checks; the
-# level sums add two that the closed form hands to the numerator sum: above
-# level 0 sin(wy/2) overflows at 1 - 1500i, and 1e-300 is below 2e-290.
+# level sums add two that the closed forms hand to the numerator sum: above
+# level 0 sin(wy/2) overflows at 1 - 1500i, which is also past the reach of
+# the complete-intersection product, and 1e-300 is below 2e-290.
 _POINTS = (0.5, 1.0, 2.0, 4.0, -1.0, 1.0 + 0.5j)
 _LEVEL_SUM_POINTS = (*_POINTS, 1 - 1500j, 1e-300)
 
@@ -265,16 +266,18 @@ def check_fourier_bridge(levels=3) -> int:
 
 
 def check_level_sums(levels=8) -> int:
-    """On every suite problem, F_n at levels 0..levels is within
-    1e-14 * sum(|terms|) of the level sum taken term by term (fp._direct_sum),
-    and, when levels >= 2 (fp_limit fits its tail from three levels),
-    fp_limit's value at the top level is fn_eval's, bit for bit.  F_n is the
-    numerator sum over the cusp's relation and, over the relation-free
-    rings, level 0's sum times Kunz's closed-form factors, or the numerator
-    sum at the points past the closed form's reach."""
+    """On every suite problem, and on cusp3 (p = 3) up to level 7, F_n at
+    levels 0..levels is within 1e-14 * sum(|terms|) of the level sum taken
+    term by term (fp._direct_sum), and, when levels >= 2 (fp_limit fits its
+    tail from three levels), fp_limit's value at the top level is fn_eval's,
+    bit for bit.  F_n is one of the two closed forms from level 0: over the
+    relation-free rings level 0's sum times Kunz's factors, over the two
+    cusps the complete-intersection product of interval ratios; at the
+    points past their reach, y = 1-1500i and 1e-300, the numerator sum."""
     checks = 0
-    for name, (problem, _) in standard_problems().items():
-        for n in range(levels + 1):
+    cases = [(name, problem, levels) for name, (problem, _) in standard_problems().items()]
+    for name, problem, top in [*cases, ("cusp3", cusp3_problem(), min(levels, 7))]:
+        for n in range(top + 1):
             lengths = problem.table(n).lengths
             q = problem.prime ** n
             scale = q ** problem.dimension
@@ -287,13 +290,13 @@ def check_level_sums(levels=8) -> int:
                     f"F_n off by {gap / size} of sum|terms| on {name!r} at n={n}, y={y}",
                 )
                 checks += 1
-        if levels < 2:
+        if top < 2:
             continue
-        limits = fp_limit(problem, _LEVEL_SUM_POINTS, levels)
+        limits = fp_limit(problem, _LEVEL_SUM_POINTS, top)
         for y in _LEVEL_SUM_POINTS:
             _require(
-                limits[y].value == fn_eval(problem, levels, y),
-                f"fp_limit differs from fn_eval on {name!r} at n={levels}, y={y}",
+                limits[y].value == fn_eval(problem, top, y),
+                f"fp_limit differs from fn_eval on {name!r} at n={top}, y={y}",
             )
             checks += 1
     return checks

@@ -26,6 +26,11 @@ def cusp_problem(p: int = 2) -> ProblemSpec:
     return ProblemFile(p, ("X", "Y"), (2, 3), ("Y^2 - X^3",), ("X",)).to_problem()
 
 
+def cusp3_problem() -> ProblemSpec:
+    """problems/cusp3.json: F_3[X, Y] / (Y^2 - X^3) with weights (2, 3), I = (X^3 + Y^2)."""
+    return ProblemFile(3, ("X", "Y"), (2, 3), ("Y^2 - X^3",), ("X^3 + Y^2",)).to_problem()
+
+
 def weighted_plane_problem(p: int = 2) -> ProblemSpec:
     """F_p[X, Y] with weights (2, 3), I = (X, Y)."""
     return ProblemFile(p, ("X", "Y"), (2, 3), (), ("X", "Y")).to_problem()

@@ -17,6 +17,7 @@ from fpfun.density import (
 from fpfun.errors import EvaluationDomainError, StructureError
 from fpfun.fp import ProblemSpec, betti_limit_check, cm_chi_eval, fn_eval, hk_multiplicity
 from fpfun.ideals import GradedLengthTable
+from fpfun.problems import ProblemFile
 from fpfun.selfcheck import SelfCheckFailure, check_fourier_bridge, check_level_sums
 from fpfun.suite import plane_problem, standard_problems
 
@@ -226,8 +227,10 @@ class TestWrongKernelIsCaught:
     """Every numerator sum scaled by ``scale``: at 1 the bridge, the Betti
     check and the density report pass, at 1.01 each fails, because each
     compares the numerator sum with the direct per-term sum.  The Betti
-    check reads it only over a ring with relations (the cusp); at GRID a
-    relation-free ring's F_n is a Frobenius product from a per-term level 0."""
+    check reads it only where F_n takes neither closed form: over the cusp's
+    ring with I = (X, Y), which is not generated by a regular sequence; at
+    GRID a relation-free ring's F_n is a Frobenius product from a per-term
+    level 0, and the cusp's the complete-intersection product."""
 
     @pytest.fixture(params=[1.0, 1.01])
     def scale(self, request, monkeypatch):
@@ -248,15 +251,14 @@ class TestWrongKernelIsCaught:
             with pytest.raises(SelfCheckFailure, match="^Fourier bridge gap"):
                 check_fourier_bridge(levels=levels)
 
-    def test_betti_limit_check(self, scale, suite_problems):
-        for name, (problem, hsop) in suite_problems.items():
-            if not problem.ring.relations:
-                continue
-            worst = betti_limit_check(problem, hsop, GRID, 8).max_deviation
-            assert (worst > 1e-9) == (scale != 1), (name, worst)
+    def test_betti_limit_check(self, scale):
+        problem = ProblemFile(2, ("X", "Y"), (2, 3), ("Y^2 - X^3",), ("X", "Y")).to_problem()
+        assert problem.complete_intersection() is None
+        worst = betti_limit_check(problem, (2,), GRID, 8).max_deviation
+        assert (worst > 1e-9) == (scale != 1), worst
 
     def test_selfcheck_level_sums(self, scale, monkeypatch):
-        # the cusp is the suite's ring with relations, whose F_n is the numerator sum
+        # the cusp's product hands y = 1-1500i, past its reach, to the numerator sum
         if scale == 1:
             assert check_level_sums(levels=3) > 0
         else:
@@ -312,10 +314,34 @@ class TestWrongFrobeniusFactorIsCaught:
                 check_level_sums()
 
 
+class TestWrongIntersectionFactorIsCaught:
+    """The complete-intersection product scaled by ``scale``: at 1 the Betti
+    check and the level-sum self check pass on the cusp, at 1.01 each fails,
+    because each compares the cusp's F_n with an independent sum."""
+
+    @pytest.fixture(params=[1.0, 1.01])
+    def scale(self, request, monkeypatch):
+        level = fp._intersection_level
+        monkeypatch.setattr(fp, "_intersection_level", lambda *args: request.param * level(*args))
+        return request.param
+
+    def test_betti_limit_check(self, scale, cusp):
+        worst = betti_limit_check(cusp, (2,), GRID, 8).max_deviation
+        assert (worst > 1e-9) == (scale != 1), worst
+
+    def test_selfcheck_product(self, scale):
+        if scale == 1:
+            assert check_level_sums() > 0
+        else:
+            with pytest.raises(SelfCheckFailure, match="^F_n off by .* on 'cusp' at n=0, y=0.5$"):
+                check_level_sums()
+
+
 def test_selfcheck_product_below_the_tail_fit():
-    # fp_limit needs three levels, so only the per-term comparison runs
-    assert check_level_sums(levels=0) == 5 * 8
-    assert check_level_sums(levels=1) == 5 * 8 * 2
+    # fp_limit needs three levels, so only the per-term comparison runs; the
+    # five suite problems and cusp3
+    assert check_level_sums(levels=0) == 6 * 8
+    assert check_level_sums(levels=1) == 6 * 8 * 2
 
 
 class TestUniformConvergenceEcho:

@@ -26,7 +26,7 @@ from fpfun.hilbert import LaurentPolynomialZ
 from fpfun.ideals import HomogeneousIdeal, RingPresentation, series_expansion
 from fpfun.models import eval_model, model_hsop
 from fpfun.problems import load_problem_file, problem_file_from_dict
-from fpfun.suite import cusp_problem, parameter_problem, plane_problem
+from fpfun.suite import cusp3_problem, cusp_problem, parameter_problem, plane_problem
 
 GRID = (0.5, 1.0, 2.0, 4.0)
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
@@ -349,13 +349,13 @@ def even_weight_table(n):
     return ProblemSpec(ring, HomogeneousIdeal(gens)).table(n)
 
 
-def fermat_cubic(p):
-    """x^3 + y^3 + z^3 over F_p with I = (x, y, z)."""
+def fermat_cubic(p, gens=("x", "y", "z")):
+    """x^3 + y^3 + z^3 over F_p with I generated by ``gens``, by default (x, y, z)."""
     return problem_file_from_dict({
         "prime": p,
         "variables": [{"name": v, "degree": 1} for v in "xyz"],
         "relations": ["x^3 + y^3 + z^3"],
-        "ideal": ["x", "y", "z"],
+        "ideal": list(gens),
     }).to_problem()
 
 
@@ -545,7 +545,7 @@ class TestNumeratorSumAccuracy:
                 assert abs(got - want) <= 4e-15 * abs(want), (n, y, got, want)
 
     def test_cusp(self, cusp):
-        # the suite's ring with relations, whose F_n is this sum at every level
+        # the suite's ring with relations, whose numerators carry its factor 1 - z^6
         self.check(cusp, range(11))
 
     def test_fermat_cubic(self):
@@ -565,7 +565,9 @@ class TestNumeratorSumAccuracy:
 
     def test_tiny_points_keep_the_imaginary_part(self, cusp):
         # Im F_n is about |y| times Re F_n, so below |y| = 1e-20 the sum needs
-        # one more factor 1/|w| of bits than its magnitude alone asks for
+        # one more factor 1/|w| of bits than its magnitude alone asks for;
+        # the cusps' product of interval ratios takes y down to 2e-290, and
+        # its one phase keeps Im F_n there
         cusp3 = load_problem_file(os.path.join(PROBLEMS, "cusp3.json")).to_problem()
         for problem in (cusp, cusp3):
             for n in range(4):
@@ -805,6 +807,128 @@ class TestFrobeniusProduct:
             assert fn_eval(problem, n, 0) == Fraction(total * q ** m, q ** d)
 
 
+def file_problem(name):
+    return load_problem_file(os.path.join(PROBLEMS, f"{name}.json")).to_problem()
+
+
+def ring_problem(p, weights, relations, gens):
+    names = ("X", "Y", "Z", "W")[:len(weights)]
+    return problem_file_from_dict({
+        "prime": p,
+        "variables": [{"name": v, "degree": w} for v, w in zip(names, weights)],
+        "relations": list(relations),
+        "ideal": list(gens),
+    }).to_problem()
+
+
+# The covered problems, with the top level of each check
+COVERED = {"cusp": 10, "cusp3": 7, "fermat_xy": 7, "two_relations": 3}
+
+
+def covered_problem(name):
+    if name == "two_relations":  # c = 2 relations of degrees 4 and 3, over weights (1, 2, 1, 1)
+        return ring_problem(3, (1, 2, 1, 1), ("X^4 + Y^2", "Z^3 + W^3"), ("X", "Z"))
+    return fermat_cubic(2, ("x", "y")) if name == "fermat_xy" else file_problem(name)
+
+
+class TestCompleteIntersection:
+    """Over a ring with relations, F_n is the product of interval ratios
+    exactly where the relations and the ideal's generators are regular
+    sequences by their Hilbert series, within 2e-14 of the numerator sum."""
+
+    def test_taken_where_both_series_tests_hold(self):
+        assert covered_problem("cusp").complete_intersection() == ((6,), (2,))
+        assert covered_problem("cusp3").complete_intersection() == ((6,), (6,))
+        assert covered_problem("fermat_xy").complete_intersection() == ((3,), (1, 1))
+        assert covered_problem("two_relations").complete_intersection() == ((4, 3), (1, 1))
+
+    @pytest.mark.parametrize("problem", [
+        pytest.param(lambda: fermat_cubic(2), id="fermat_m"),
+        pytest.param(lambda: fermat_cubic(2, ("x", "y", "z^2")), id="fermat_J"),
+        pytest.param(lambda: file_problem("artinian"), id="artinian"),
+        pytest.param(lambda: ring_problem(2, (2, 3), ("Y^2 - X^3",), ("1",)), id="unit"),
+        pytest.param(lambda: ring_problem(2, (2, 3), ("Y^2 - X^3",), ("X", "1")), id="X_and_unit"),
+        # (X^2, XY) is not a regular sequence: the ring's numerator is 1 - 2t^2 + t^3
+        pytest.param(lambda: ring_problem(2, (1, 1, 1), ("X^2", "X*Y"), ("Y", "Z")), id="not_ci"),
+        pytest.param(lambda: ring_problem(2, (2, 3), ("Y^2 - X^3",), ("X", "Y")), id="cusp_m"),
+        pytest.param(lambda: file_problem("parameter23"), id="relation_free"),
+    ])
+    def test_not_taken_elsewhere(self, problem, monkeypatch):
+        problem = problem()
+        assert problem.complete_intersection() is None
+        calls = []
+        monkeypatch.setattr(fp, "_intersection_level", lambda *args: calls.append(args))
+        for n in range(3):
+            fn_eval(problem, n, 0.5 + 0.25j)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", sorted(COVERED))
+    def test_takes_no_numerator_sum(self, name, monkeypatch):
+        problem, top = covered_problem(name), COVERED[name]
+        levels = []
+        monkeypatch.setattr(fp, "_numerator_sum", lambda *args: levels.append(args[3]))
+        grid = [0.5, 2 + 1j, 7.25 - 0.5j, -8 + 1j]
+        fp_limit(problem, grid, top)
+        for y in grid:
+            gn_fourier_exact(problem, top, y)
+        assert levels == []
+
+    @pytest.mark.parametrize("name", sorted(COVERED))
+    def test_random_points_against_the_numerator_sum(self, name):
+        problem, top = covered_problem(name), COVERED[name]
+        rng = random.Random(33)
+        grid = [complex(rng.uniform(-20, 20), rng.uniform(-3, 3)) for _ in range(300)]
+        self.check(problem, top, grid, 2e-14)
+
+    @pytest.mark.parametrize("name", sorted(COVERED))
+    def test_near_the_relation_factors_zeros(self, name):
+        # at y = k pi / 3 the cusp's S(6y / 2) vanishes together with F_0 = 1 +
+        # z^3; the route never divides by it, and each sine takes the exact
+        # a Re y / 2q
+        grid = [k * math.pi / 3 + offset for k in (1, 2, 4) for offset in (1e-9, 1e-6, 1e-9j)]
+        self.check(covered_problem(name), COVERED[name], grid, 2e-15)
+
+    def check(self, problem, top, grid, tolerance):
+        for n in range(top + 1):
+            table, q = problem.table(n), problem.prime ** n
+            (values,) = fp._fn_levels(problem, grid, [table])
+            for y, got in zip(grid, values):
+                want = fp._numerator_sum(table.numerator, table.weights, y, n, q,
+                                         q ** problem.dimension)
+                assert abs(got - want) <= tolerance * abs(want), (n, y, got, want)
+
+    def test_dim_override(self, cusp):
+        # the route scales by q^(m - c - d) with the overridden d
+        for d in (0, 2, 3):
+            inflated = ProblemSpec(cusp.ring, cusp.ideal, dim_override=d)
+            self.check(inflated, 8, PHASE_POINTS[:10], 2e-14)
+
+    def test_points_past_the_reach_take_the_numerator_sum(self, cusp):
+        # |Im y| * 13 > 700 on the cusp (13 the sum of its degrees e, d and w),
+        # |Re y| * 13 > 2^27, and |y| < 2e-290
+        for n in (0, 1, 5):
+            table, q = cusp.table(n), 2 ** n
+            for y in (1 + 60j, 2 - 60j, 1.1e7, 1e-300):
+                want = fp._numerator_sum(table.numerator, table.weights, complex(y), n, q, q)
+                assert fn_eval(cusp, n, y) == want, (n, y)
+
+    def test_suite_cusp3_is_the_file(self):
+        # the self check's cusp3 (suite.cusp3_problem) is problems/cusp3.json
+        suite, loaded = cusp3_problem(), file_problem("cusp3")
+        assert suite.complete_intersection() == loaded.complete_intersection()
+        for n in range(4):
+            assert suite.table(n) == loaded.table(n), n
+
+    def test_tested_once_per_problem(self, monkeypatch):
+        problem = covered_problem("cusp")
+        calls = []
+        regular = problem._regular_degrees
+        monkeypatch.setattr(problem, "_regular_degrees", lambda: calls.append(1) or regular())
+        for n in range(4):
+            fn_eval(problem, n, 0.5)
+        assert calls == [1]
+
+
 class TestIntervalRatio:
     def test_series_at_small_u_and_the_direct_form_past_it(self):
         # (exp(-iu) - 1) / (-iu) = sum_k (-iu)^k / (k+1)!: at real u each
@@ -861,6 +985,20 @@ class TestIntervalRatio:
                                                 (direct_fourier(density, y), want, 1e-12),
                                                 (cm_chi_eval(problem, hsop, [y], n)[y], chi, 1e-14)):
                         assert abs(got - ref) <= tolerance * abs(ref), (n, k, offset, got, ref)
+
+    def test_parameter_degree_keeps_the_zeros_at_p_2(self, weighted_plane):
+        # d y / q with d = 3 is rounded at p = 2 too; near its zero at d y =
+        # 2 pi k q the ratio takes its sine from the exact d Re y / 2q
+        for n in (2, 4, 8):
+            table, q = weighted_plane.table(n), 2 ** n
+            for k in (1, 2, 4):
+                y = 2 * math.pi * q * k / 3
+                want = decimal_interval_ratio(y, q, 3)
+                assert abs(_interval_ratio(complex(y), q, 3) - want) <= 1e-14 * abs(want), (n, k)
+                level = fp._numerator_sum(table.numerator, table.weights, complex(y), n, q, q * q)
+                chi = level * decimal_interval_ratio(y, q, 2) * want
+                got = cm_chi_eval(weighted_plane, (2, 3), [y], n)[y]
+                assert abs(got - chi) <= 1e-14 * abs(chi), (n, k, got, chi)
 
     def test_power_of_two_q_is_the_ratio_at_y_over_q(self):
         # at p = 2, y / q and y / 2q are exact, and no residual is taken
